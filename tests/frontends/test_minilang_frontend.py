@@ -163,3 +163,83 @@ def test_explicit_frontend_mini_is_byte_identical():
     fp = program_fingerprint(explicit.schedule, explicit.renamed)
     assert fp == PINNED_PROGRAM_FINGERPRINT
     assert base.fingerprints == PINNED_FINGERPRINTS
+
+
+# -- knob key pins (recorded before the knob table existed) -----------------
+
+PY_SOURCE = "def f():\n    write(1)\n"
+
+PINNED_SOURCE_KEYS = {
+    "max_atom_nodes=20": (
+        "207f025b84161b3ff07a0c25e395bc850b4dd5c31b622df2778a1c8552f9f459"
+    ),
+    "array_layout=optimize": (
+        "166d85c1ac38b71087eaaa345f368aa24387b29c7838be93e9ab6575c781bf54"
+    ),
+    "frontend=python": (
+        "fa8c740e4b8fca138b0c8bbcdc8b126376122d6db2a0a408cbc066063f55a1d4"
+    ),
+    "frontend=python,entry=f": (
+        "f9b54ec978cef90a0031e48327594ef871191b60f7f08e64a17dfeabf2a57b12"
+    ),
+}
+
+PINNED_BATCH_JOB_KEYS = {
+    "default": (
+        "77e0fc619b5eda76818b4bb53334ab37889705dfcf68a2c79e81e8186905205c"
+    ),
+    "array_layout=optimize": (
+        "60d609c0b7900c8ce39e9cb36e9b610dd8353e15e39c5df318af44b8d6a2bee9"
+    ),
+    "max_atom_nodes=20": (
+        "5316997abbeaec7d0ee1e9078dc29518248764f04ebe5a54cc76eebccfd930a4"
+    ),
+}
+
+
+def _taylor1_job(**knobs):
+    spec = get_program("TAYLOR1")
+    return BatchJob(spec.name, spec.source, MachineConfig(), **knobs)
+
+
+def test_knob_source_keys_pinned():
+    assert _taylor1_job(max_atom_nodes=20).source_key() == (
+        PINNED_SOURCE_KEYS["max_atom_nodes=20"]
+    )
+    assert _taylor1_job(array_layout="optimize").source_key() == (
+        PINNED_SOURCE_KEYS["array_layout=optimize"]
+    )
+    py = BatchJob("f", PY_SOURCE, MachineConfig(), frontend="python")
+    assert py.source_key() == PINNED_SOURCE_KEYS["frontend=python"]
+    py_entry = BatchJob(
+        "f", PY_SOURCE, MachineConfig(), frontend="python", entry="f"
+    )
+    assert py_entry.source_key() == (
+        PINNED_SOURCE_KEYS["frontend=python,entry=f"]
+    )
+
+
+def test_knobs_outside_the_source_key_leave_it_default():
+    # entry enters only under a non-mini frontend; the runner never does
+    assert _taylor1_job(entry="f").source_key() == PINNED_SOURCE_KEY_DEFAULT
+    assert _taylor1_job(runner="threads").source_key() == (
+        PINNED_SOURCE_KEY_DEFAULT
+    )
+
+
+@pytest.mark.parametrize(
+    "knobs,pin",
+    [
+        ({}, "default"),
+        ({"array_layout": "optimize"}, "array_layout=optimize"),
+        ({"max_atom_nodes": 20}, "max_atom_nodes=20"),
+        ({"runner": "threads"}, "default"),
+        ({"entry": "f"}, "default"),
+    ],
+)
+def test_batch_job_keys_pinned(knobs, pin):
+    from repro.passes.events import Metrics
+    from repro.service.batch import _compile_and_key
+
+    _, key = _compile_and_key(_taylor1_job(**knobs), Metrics())
+    assert key == PINNED_BATCH_JOB_KEYS[pin]
