@@ -27,14 +27,12 @@ import argparse
 import sys
 from pathlib import Path
 
-from .core.strategies import run_strategy
-from .core.workunits import RUNNERS
-from .frontends import frontend_names
 from .liw.machine import MachineConfig
 from .passes.artifacts import PipelineOptions, compiled_program
 from .passes.events import CollectingTracer
-from .pipeline import compile_source, run_pipeline, simulate
-from .programs import get_program, program_names
+from .passes.knobs import JOB_KNOBS, KNOB, KNOBS, Knob, pipeline_options
+from .pipeline import run_pipeline
+from .programs import get_program, outputs_match, program_names
 
 
 def _machine(args: argparse.Namespace) -> MachineConfig:
@@ -43,50 +41,26 @@ def _machine(args: argparse.Namespace) -> MachineConfig:
     )
 
 
+def _knob_values(
+    args: argparse.Namespace, knobs: tuple[Knob, ...] = KNOBS
+) -> dict[str, object]:
+    """The values of the command-line flags among ``knobs``."""
+    return {knob.name: getattr(args, knob.name) for knob in knobs if knob.flag}
+
+
 def _options(args: argparse.Namespace) -> PipelineOptions:
     """The pass-pipeline configuration one CLI invocation describes."""
-    options = PipelineOptions(
-        machine=_machine(args),
-        unroll=args.unroll,
-        constants_in_memory=args.memory_constants,
-        simplify=args.simplify,
-        rename_mode=args.rename_mode,
-        strategy=args.strategy,
-        method=args.method,
-        seed=args.seed,
-        runner=args.runner,
-        array_layout=args.array_layout,
-        layout=args.layout,
-        delta=args.delta,
-        frontend=args.frontend,
-        py_entry=args.entry,
-    )
-    if args.max_atom_nodes is not None:
-        # In the knobs (not a dedicated field) so it feeds the allocate
-        # pass's fingerprint — it changes results, unlike the runner.
-        options = options.with_knobs(max_atom_nodes=args.max_atom_nodes)
-    return options
+    return pipeline_options(_knob_values(args), _machine(args))
 
 
-def _strategy_kwargs(args: argparse.Namespace) -> dict[str, object]:
-    """Work-unit knobs for the direct run_strategy call sites."""
-    kwargs: dict[str, object] = {"runner": args.runner}
-    if args.max_atom_nodes is not None:
-        kwargs["max_atom_nodes"] = args.max_atom_nodes
-    return kwargs
-
-
-def _compile(args: argparse.Namespace, source: str):
-    return compile_source(
-        source,
-        _machine(args),
-        unroll=args.unroll,
-        constants_in_memory=args.memory_constants,
-        simplify=args.simplify,
-        rename_mode=args.rename_mode,
-        frontend=args.frontend,
-        py_entry=args.entry,
-    )
+def _source_file(path: str) -> str:
+    """A ``program`` argument: the text of the file it names."""
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(
+            f"cannot read {path}: {exc.strerror}"
+        ) from None
 
 
 def _parse_input_value(text: str) -> object:
@@ -96,16 +70,6 @@ def _parse_input_value(text: str) -> object:
         return float(text)
 
 
-def _maybe_plan(args: argparse.Namespace, program, storage):
-    """The array-layout optimizer's plan when ``--array-layout
-    optimize`` was given, else None."""
-    if args.array_layout != "optimize":
-        return None
-    from .core.arraylayout import optimize_arrays
-
-    return optimize_arrays(program.schedule, storage, seed=args.seed)
-
-
 def cmd_compile(args: argparse.Namespace) -> int:
     import json
 
@@ -113,10 +77,9 @@ def cmd_compile(args: argparse.Namespace) -> int:
 
     from .passes.delta import DeltaCache
 
-    source = Path(args.program).read_text()
     tracer = CollectingTracer()
     run = run_pipeline(
-        source, _options(args), tracer=tracer, delta_cache=DeltaCache()
+        args.program, _options(args), tracer=tracer, delta_cache=DeltaCache()
     )
     program = compiled_program(run.store)
     storage = run.artifact("storage")
@@ -145,23 +108,15 @@ def cmd_compile(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    source = Path(args.program).read_text()
-    program = _compile(args, source)
-    storage = run_strategy(
-        args.strategy, program.schedule, program.renamed,
-        method=args.method, seed=args.seed, **_strategy_kwargs(args),
-    )
     inputs = [_parse_input_value(v) for v in args.input]
-    plan = _maybe_plan(args, program, storage)
-    result = simulate(
-        program, storage.allocation, inputs, layout=args.layout,
-        delta=args.delta, plan=plan,
-    )
+    run = run_pipeline(args.program, _options(args), inputs=inputs)
+    result = run.artifact("simulation")
     for value in result.outputs:
         print(value)
     mem = result.memory
     opt_note = (
-        f" t_opt/t_min={mem.actual_ratio:.3f}" if plan is not None else ""
+        f" t_opt/t_min={mem.actual_ratio:.3f}"
+        if run.store.has("array_plan") else ""
     )
     print(
         f"; cycles={result.cycles} stalls={mem.stall_time:.0f} "
@@ -174,17 +129,13 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     spec = get_program(args.name)
-    program = _compile(args, spec.source)
-    storage = run_strategy(
-        args.strategy, program.schedule, program.renamed,
-        method=args.method, seed=args.seed, **_strategy_kwargs(args),
+    run = run_pipeline(spec.source, _options(args), inputs=list(spec.inputs))
+    program = compiled_program(run.store)
+    storage = run.artifact("storage")
+    result = run.artifact("simulation")
+    ok = spec.reference is None or outputs_match(
+        result.outputs, spec.reference(spec.inputs)
     )
-    result = simulate(
-        program, storage.allocation, list(spec.inputs), layout=args.layout,
-        plan=_maybe_plan(args, program, storage),
-    )
-    reference = spec.reference(spec.inputs) if spec.reference else None
-    ok = reference is None or len(result.outputs) == len(reference)
     mem = result.memory
     print(f"{spec.name}: {spec.description}")
     print(f"  long instructions: {program.schedule.num_instructions}")
@@ -204,53 +155,30 @@ def cmd_batch(args: argparse.Namespace) -> int:
     from .service import AllocationCache, BatchCompiler, BatchJob
     from .service.cache import encode_storage_result
 
-    machine = _machine(args)
     if args.frontend == "python":
         # The corpus is the pykernels registry: real Python functions
-        # compiled through the CPython-bytecode frontend.
-        kernels = (
-            [get_pykernel(name) for name in args.names]
-            if args.names
-            else all_pykernels()
-        )
-        jobs = [
-            BatchJob(
-                spec.name,
-                spec.source,
-                machine,
-                strategy=args.strategy,
-                method=args.method,
-                unroll=args.unroll,
-                constants_in_memory=args.memory_constants,
-                max_atom_nodes=args.max_atom_nodes,
-                runner=args.runner,
-                array_layout=args.array_layout,
-                frontend="python",
-                entry=spec.entry,
-            )
-            for spec in kernels
-        ]
+        # compiled through the CPython-bytecode frontend, each naming
+        # its own entry function.
+        lookup, everything = get_pykernel, all_pykernels
     else:
+        lookup, everything = get_program, all_programs
+    try:
         specs = (
-            [get_program(name) for name in args.names]
-            if args.names
-            else all_programs()
+            [lookup(name) for name in args.names]
+            if args.names else everything()
         )
-        jobs = [
-            BatchJob(
-                spec.name,
-                spec.source,
-                machine,
-                strategy=args.strategy,
-                method=args.method,
-                unroll=args.unroll,
-                constants_in_memory=args.memory_constants,
-                max_atom_nodes=args.max_atom_nodes,
-                runner=args.runner,
-                array_layout=args.array_layout,
-            )
-            for spec in specs
-        ]
+    except KeyError as exc:
+        print(f"repro batch: error: {exc.args[0]}", file=sys.stderr)
+        return 2
+    machine = _machine(args)
+    values = _knob_values(args, JOB_KNOBS)
+    jobs = [
+        BatchJob(
+            spec.name, spec.source, machine,
+            **{**values, "entry": getattr(spec, "entry", args.entry)},
+        )
+        for spec in specs
+    ]
     compiler = BatchCompiler(
         workers=args.workers,
         timeout=args.timeout,
@@ -452,6 +380,25 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_knob(p: argparse.ArgumentParser, knob: Knob) -> None:
+    """One knob's flag, validated as the protocol validates it."""
+    if knob.type is bool:
+        p.add_argument(knob.flag, dest=knob.name, help=knob.help,
+                       action="store_false" if knob.default else "store_true")
+        return
+
+    def convert(text: str) -> object:
+        try:
+            return knob.parse_text(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    choices = knob.choices() if knob.choices else None
+    p.add_argument(knob.flag, dest=knob.name, type=convert,
+                   default=knob.default, help=knob.help,
+                   metavar="{%s}" % ",".join(choices) if choices else None)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -463,47 +410,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--fus", type=int, default=4, help="functional units")
         p.add_argument("--modules", "-k", type=int, default=8,
                        help="memory modules")
-        p.add_argument("--delta", type=float, default=1.0,
-                       help="Δ: one module transfer time")
-        p.add_argument("--unroll", type=int, default=1, help="unroll factor")
-        p.add_argument("--memory-constants", action="store_true",
-                       help="place large literals in data memory")
-        p.add_argument("--strategy", default="STOR1",
-                       choices=["STOR1", "STOR2", "STOR3"])
-        p.add_argument("--method", default="hitting_set",
-                       choices=["hitting_set", "backtrack"])
-        p.add_argument("--layout", default="interleaved",
-                       choices=["interleaved", "skewed", "per_array", "single"])
-        p.add_argument("--no-simplify", dest="simplify",
-                       action="store_false",
-                       help="skip the CFG simplification pass")
-        p.add_argument("--rename-mode", default="web",
-                       choices=["web", "variable"],
-                       help="value-renaming granularity")
-        p.add_argument("--seed", type=int, default=0,
-                       help="tie-break seed for the storage strategies")
-        p.add_argument("--runner", default="serial", choices=list(RUNNERS),
-                       help="atom work-unit execution mode (results are "
-                            "identical across runners)")
-        p.add_argument("--max-atom-nodes", type=int, default=None,
-                       help="clique-separator decomposition bound "
-                            "(components above it are coloured whole)")
-        p.add_argument("--array-layout", default="fixed",
-                       choices=["fixed", "optimize"],
-                       help="'optimize' runs the compile-time array "
-                            "bank-conflict minimizer (layout search + "
-                            "dependence-legal schedule moves)")
-        p.add_argument("--frontend", default="mini",
-                       choices=list(frontend_names()),
-                       help="source language: 'mini' (the paper's "
-                            "mini-language) or 'python' (compile a "
-                            "CPython function's bytecode)")
-        p.add_argument("--entry", default="",
-                       help="entry-function name for --frontend python "
-                            "(default: the single top-level function)")
+        for knob in KNOBS:
+            if knob.flag:
+                _add_knob(p, knob)
 
     p_compile = sub.add_parser("compile", help="compile and allocate")
-    p_compile.add_argument("program")
+    p_compile.add_argument("program", type=_source_file)
     p_compile.add_argument("--show-schedule", action="store_true")
     p_compile.add_argument("--show-allocation", action="store_true")
     p_compile.add_argument("--trace", action="store_true",
@@ -514,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compile.set_defaults(fn=cmd_compile)
 
     p_run = sub.add_parser("run", help="compile, allocate, and execute")
-    p_run.add_argument("program")
+    p_run.add_argument("program", type=_source_file)
     p_run.add_argument("--input", "-i", action="append", default=[],
                        help="input value (repeatable)")
     common(p_run)
@@ -607,8 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="total compile requests")
     p_load.add_argument("--dup-rate", type=float, default=0.4,
                         help="fraction of duplicate requests")
-    p_load.add_argument("--strategy", default="STOR1",
-                        choices=["STOR1", "STOR2", "STOR3"])
+    _add_knob(p_load, KNOB["strategy"])
     p_load.add_argument("--deadline", type=float, default=30.0,
                         help="per-request deadline (seconds)")
     p_load.add_argument("--seed", type=int, default=0)

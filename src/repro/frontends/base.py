@@ -22,18 +22,16 @@ Two frontends are registered:
     basic-block CFG from jump targets, symbolic evaluation-stack
     destackification into TAC temporaries.
 
-Frontend names are validated centrally by
-:func:`validate_frontend_name` (mirroring
-:func:`repro.memsim.interleave.validate_layout_name`), which the CLI,
-:class:`repro.service.BatchJob`, and the server protocol all call, so
-a bad name fails with the same typed error everywhere.
+Frontend names are validated by the ``frontend`` knob of
+:mod:`repro.passes.knobs`, so the CLI, :class:`repro.service.BatchJob`
+and the server protocol fail a bad name with the same typed error.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
-from .errors import UnknownFrontendError
+from ..passes.knobs import KNOB
 
 if TYPE_CHECKING:
     from ..ir.tac import TacProgram
@@ -42,9 +40,8 @@ if TYPE_CHECKING:
 
 #: The frontend the pipeline uses when none is named.  Jobs and
 #: requests enter ``frontend`` into cache keys only when it differs
-#: from this (the ``max_atom_nodes`` key discipline), so every
-#: pre-frontend key is unchanged.
-DEFAULT_FRONTEND = "mini"
+#: from this, so every pre-frontend key is unchanged.
+DEFAULT_FRONTEND: str = KNOB["frontend"].default
 
 
 @runtime_checkable
@@ -96,16 +93,9 @@ def frontend_names() -> tuple[str, ...]:
 
 
 def validate_frontend_name(name: str) -> str:
-    """Central frontend-name validation (CLI, BatchJob, protocol).
-
-    Returns the name unchanged; raises the typed
-    :class:`UnknownFrontendError` (a ``ValueError``) naming the valid
-    options otherwise.
-    """
-    _ensure_loaded()
-    if name not in FRONTENDS:
-        raise UnknownFrontendError(name, frontend_names())
-    return name
+    """The ``frontend`` knob's validation: returns ``name``, or raises
+    :class:`~repro.frontends.errors.UnknownFrontendError`."""
+    return KNOB["frontend"].parse(name)
 
 
 def get_frontend(name: str) -> Frontend:

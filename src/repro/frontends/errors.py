@@ -1,10 +1,9 @@
 """Typed errors of the frontend layer.
 
-:class:`UnknownFrontendError` is raised by
-:func:`repro.frontends.validate_frontend_name` — the central validation
-helper every entry point (CLI, :class:`repro.service.BatchJob`, server
-protocol) funnels frontend names through, mirroring
-:func:`repro.memsim.interleave.validate_layout_name`.
+:class:`UnknownFrontendError` is raised by the ``frontend`` knob of
+:mod:`repro.passes.knobs`, which every entry point (CLI,
+:class:`repro.service.BatchJob`, server protocol) validates frontend
+names with.
 
 :class:`UnsupportedPythonError` is the
 :class:`~repro.frontends.pybytecode.PyBytecodeFrontend`'s rejection
@@ -22,13 +21,6 @@ class FrontendError(ValueError):
 
 class UnknownFrontendError(FrontendError):
     """A frontend name outside the registry."""
-
-    def __init__(self, name: str, valid: tuple[str, ...]):
-        self.name = name
-        self.valid = valid
-        super().__init__(
-            f"unknown frontend {name!r} (valid: {list(valid)})"
-        )
 
 
 class UnsupportedPythonError(FrontendError):

@@ -92,6 +92,10 @@ class RenamedProgram:
         }
 
 
+#: Renaming granularities accepted by :func:`rename`.
+RENAME_MODES = ("web", "variable")
+
+
 def rename(cfg: Cfg, mode: str = "web") -> RenamedProgram:
     """Compute data values over ``cfg`` and return a rewritten copy.
 
@@ -104,7 +108,7 @@ def rename(cfg: Cfg, mode: str = "web") -> RenamedProgram:
 
     The input CFG is not modified.
     """
-    if mode not in ("web", "variable"):
+    if mode not in RENAME_MODES:
         raise ValueError(f"unknown rename mode {mode!r}")
     reaching = compute_reaching(cfg)
     uf = _UnionFind(len(reaching.defs))

@@ -141,13 +141,11 @@ LAYOUTS = {
 
 
 def validate_layout_name(name: str) -> str:
-    """Central layout-name validation: every entry point that accepts a
-    layout string funnels through here."""
-    if name not in LAYOUTS:
-        raise ValueError(
-            f"unknown layout {name!r} (valid: {sorted(LAYOUTS)})"
-        )
-    return name
+    """The ``layout`` knob's validation: returns ``name``, or raises a
+    ``ValueError`` naming the valid layouts."""
+    from ..passes.knobs import KNOB
+
+    return KNOB["layout"].parse(name)
 
 
 def make_layout(name: str, arrays: Sequence[str], k: int) -> ArrayLayout:

@@ -23,6 +23,8 @@ from dataclasses import dataclass, replace
 from importlib import import_module
 from typing import TYPE_CHECKING, Iterable
 
+from .knobs import KNOB
+
 if TYPE_CHECKING:  # annotation-only; no runtime imports (cycle-free)
     from ..ir.cfg import Cfg
     from ..ir.rename import RenamedProgram
@@ -156,41 +158,31 @@ class PipelineOptions:
     """Every configuration knob of the standard pipeline, in one frozen
     record.  Each pass declares which fields feed its fingerprint
     (``Pass.config_keys``); changing any other field leaves that pass's
-    cached artifacts valid."""
+    cached artifacts valid.  Knob defaults: :mod:`repro.passes.knobs`."""
 
     machine: "MachineConfig | None" = None
     # front end
-    #: source-language frontend ('mini' or 'python'); selects which
-    #: pass sequence takes source text to tac/cfg
-    frontend: str = "mini"
-    #: entry-function name for the python frontend ('' = the single
-    #: top-level function in the source)
-    py_entry: str = ""
-    unroll: int = 1
+    frontend: str = KNOB["frontend"].default
+    py_entry: str = KNOB["entry"].default
+    unroll: int = KNOB["unroll"].default
     unroll_innermost_only: bool = False
-    constants_in_memory: bool = False
+    constants_in_memory: bool = KNOB["constants_in_memory"].default
     immediate_limit: int = 15
-    simplify: bool = True
-    rename_mode: str = "web"
+    simplify: bool = KNOB["simplify"].default
+    rename_mode: str = KNOB["rename_mode"].default
     # storage assignment
-    strategy: str = "STOR1"
-    method: str = "hitting_set"
-    k: int | None = None
-    seed: int = 0
+    strategy: str = KNOB["strategy"].default
+    method: str = KNOB["method"].default
+    k: int | None = KNOB["k"].default
+    seed: int = KNOB["seed"].default
     strategy_knobs: tuple[tuple[str, object], ...] = ()
-    #: work-unit execution mode for the allocate pass
-    #: ('serial'/'auto'/'threads'/'processes').  Pure execution policy:
-    #: results are byte-identical across runners, so this field is
-    #: deliberately NOT in any pass's config_keys — switching runners
-    #: keeps every cached artifact valid.
-    runner: str = "serial"
-    #: array-layout mode: 'fixed' keeps the layout the simulation was
-    #: asked for; 'optimize' runs the compile-time bank-conflict
-    #: minimizer (the ``array-opt`` pass) and simulates under its plan.
-    array_layout: str = "fixed"
+    #: execution policy only: results are byte-identical across
+    #: runners, so no pass lists it in ``config_keys``
+    runner: str = KNOB["runner"].default
+    array_layout: str = KNOB["array_layout"].default
     # simulation
-    layout: str = "interleaved"
-    delta: float = 1.0
+    layout: str = KNOB["layout"].default
+    delta: float = KNOB["delta"].default
     max_cycles: int = 5_000_000
     scheduled_transfers: bool = False
 

@@ -12,7 +12,8 @@ from .pykernels import (
     native_run,
     pykernel_names,
 )
-from .registry import ProgramSpec, all_programs, get_program, program_names
+from .registry import (ProgramSpec, all_programs, get_program, outputs_match,
+                       program_names)
 
 __all__ = [
     "ProgramSpec",
@@ -22,6 +23,7 @@ __all__ = [
     "get_program",
     "get_pykernel",
     "native_run",
+    "outputs_match",
     "program_names",
     "pykernel_names",
 ]

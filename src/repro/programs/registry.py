@@ -16,8 +16,9 @@ COLOR      the paper's own graph-colouring heuristic
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,6 +62,17 @@ def all_programs() -> list[ProgramSpec]:
 
 def program_names() -> list[str]:
     return [p.name for p in all_programs()]
+
+
+def outputs_match(got: Sequence[object], want: Sequence[object]) -> bool:
+    """Whether outputs equal a reference: booleans and integers exactly,
+    reals to 1e-9 (the same operations in the same order)."""
+    return len(got) == len(want) and all(
+        bool(a) == bool(b) if isinstance(a, bool) or isinstance(b, bool)
+        else a == b if isinstance(a, int) and isinstance(b, int)
+        else math.isclose(float(a), float(b), rel_tol=1e-9, abs_tol=1e-9)
+        for a, b in zip(got, want)
+    )
 
 
 _loaded = False

@@ -28,6 +28,7 @@ import json
 import random
 import socket
 
+from ..passes.knobs import KNOB
 from .protocol import MAX_LINE_BYTES, encode_message
 
 
@@ -195,38 +196,22 @@ class ServerClient:
         source: str,
         *,
         name: str = "request",
-        strategy: str = "STOR1",
-        method: str = "hitting_set",
-        unroll: int = 1,
-        constants_in_memory: bool = False,
-        k: int | None = None,
-        seed: int = 0,
         machine: dict[str, object] | None = None,
-        array_layout: str = "fixed",
-        frontend: str = "mini",
-        entry: str = "",
         deadline_ms: float | None = None,
         include_allocation: bool = False,
+        **knobs: object,
     ) -> dict[str, object]:
-        fields: dict[str, object] = {
-            "source": source,
-            "name": name,
-            "strategy": strategy,
-            "method": method,
-            "unroll": unroll,
-            "constants_in_memory": constants_in_memory,
-            "seed": seed,
-        }
-        if k is not None:
-            fields["k"] = k
+        """Compile ``source`` under ``knobs`` (any job knob of
+        :mod:`repro.passes.knobs`); only non-default values are sent."""
+        fields: dict[str, object] = {"source": source, "name": name}
+        for key, value in knobs.items():
+            knob = KNOB.get(key)
+            if knob is None or not knob.job:
+                raise TypeError(f"compile() got an unknown knob {key!r}")
+            if value != knob.default:
+                fields[key] = value
         if machine is not None:
             fields["machine"] = machine
-        if array_layout != "fixed":
-            fields["array_layout"] = array_layout
-        if frontend != "mini":
-            fields["frontend"] = frontend
-            if entry:
-                fields["entry"] = entry
         if deadline_ms is not None:
             fields["deadline_ms"] = deadline_ms
         if include_allocation:

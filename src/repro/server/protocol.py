@@ -15,11 +15,9 @@ Three operations exist:
 
 ``compile``
     Compile + storage-allocate one program.  The request body carries
-    the same knobs as a :class:`repro.service.BatchJob` (``source``,
-    ``machine``, ``strategy``, ``method``, ``unroll``,
-    ``constants_in_memory``, ``k``, ``seed``, ``max_atom_nodes``,
-    ``runner``, ``array_layout``, ``frontend``, ``entry``) plus a
-    per-request
+    ``source``, ``name``, ``machine``, the job knobs of
+    :mod:`repro.passes.knobs` (``strategy``, ``method``, ``unroll``, ...;
+    each validated with its knob's message), plus a per-request
     ``deadline_ms`` and ``include_allocation`` (return the full encoded
     :class:`~repro.core.strategies.StorageResult`, not just the summary).
 ``health``
@@ -61,11 +59,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from ..core.arraylayout import ARRAY_LAYOUT_MODES
-from ..core.strategies import METHODS, STRATEGIES
-from ..core.workunits import RUNNERS
-from ..frontends import UnknownFrontendError, validate_frontend_name
 from ..liw.machine import MachineConfig
+from ..passes.knobs import JOB_KNOBS
 from ..service.batch import BatchJob
 
 #: Hard cap on one request/response line (framing level).
@@ -177,46 +172,13 @@ def parse_request(obj: dict[str, object]) -> Request:
         f"source exceeds {MAX_SOURCE_BYTES} bytes",
     )
 
-    strategy = str(obj.get("strategy", "STOR1")).upper()
-    _require(strategy in STRATEGIES,
-             f"unknown strategy {strategy!r} (valid: {sorted(STRATEGIES)})")
-    method = str(obj.get("method", "hitting_set"))
-    _require(method in METHODS,
-             f"unknown method {method!r} (valid: {list(METHODS)})")
-
-    unroll = obj.get("unroll", 1)
-    _require(isinstance(unroll, int) and not isinstance(unroll, bool)
-             and 1 <= unroll <= 64, "unroll must be an int in 1..64")
-    seed = obj.get("seed", 0)
-    _require(isinstance(seed, int) and not isinstance(seed, bool),
-             "seed must be an int")
-    k = obj.get("k")
-    _require(k is None or (isinstance(k, int) and not isinstance(k, bool)
-                           and k >= 1), "k must be a positive int or null")
-    max_atom_nodes = obj.get("max_atom_nodes")
-    _require(
-        max_atom_nodes is None
-        or (isinstance(max_atom_nodes, int)
-            and not isinstance(max_atom_nodes, bool) and max_atom_nodes >= 1),
-        "max_atom_nodes must be a positive int or null",
-    )
-    runner = str(obj.get("runner", "serial"))
-    _require(runner in RUNNERS,
-             f"unknown runner {runner!r} (valid: {list(RUNNERS)})")
-    array_layout = str(obj.get("array_layout", "fixed"))
-    _require(
-        array_layout in ARRAY_LAYOUT_MODES,
-        f"unknown array_layout {array_layout!r} "
-        f"(valid: {list(ARRAY_LAYOUT_MODES)})",
-    )
-    frontend = str(obj.get("frontend", "mini"))
     try:
-        validate_frontend_name(frontend)
-    except UnknownFrontendError as exc:
+        knobs = {
+            knob.name: knob.parse(obj.get(knob.name, knob.default))
+            for knob in JOB_KNOBS
+        }
+    except ValueError as exc:
         raise ProtocolError(str(exc)) from exc
-    entry = obj.get("entry", "")
-    _require(isinstance(entry, str), "entry must be a string")
-    assert isinstance(entry, str)
 
     deadline_ms = obj.get("deadline_ms")
     if deadline_ms is not None:
@@ -241,28 +203,19 @@ def parse_request(obj: dict[str, object]) -> Request:
         )
         via = {"gateway": gateway, "hop": hop}
 
-    job = BatchJob(
-        name=str(obj.get("name", "request")),
-        source=source,
-        machine=machine_from_dict(obj.get("machine")),
-        strategy=strategy,
-        method=method,
-        unroll=unroll,
-        constants_in_memory=bool(obj.get("constants_in_memory", False)),
-        k=k,
-        seed=seed,
-        max_atom_nodes=max_atom_nodes,
-        runner=runner,
-        array_layout=array_layout,
-        frontend=frontend,
-        entry=entry,
-    )
+    machine = machine_from_dict(obj.get("machine"))
+    name = obj.get("name", "request")
+    _require(isinstance(name, str), "name must be a string")
+    include_allocation = obj.get("include_allocation", False)
+    _require(isinstance(include_allocation, bool),
+             "include_allocation must be a boolean")
+    assert isinstance(name, str) and isinstance(include_allocation, bool)
     return Request(
         op="compile",
         id=request_id,
-        job=job,
+        job=BatchJob(name, source, machine, **knobs),
         deadline_ms=None if deadline_ms is None else float(deadline_ms),
-        include_allocation=bool(obj.get("include_allocation", False)),
+        include_allocation=include_allocation,
         via=via,
     )
 

@@ -36,10 +36,13 @@ from dataclasses import dataclass, field
 
 from ..core.strategies import StorageResult, run_strategy
 from ..liw.machine import MachineConfig
+from ..passes.artifacts import PipelineOptions, compiled_program
 from ..passes.cache import ArtifactCache
 from ..passes.delta import DeltaCache, DeltaScope
 from ..passes.events import Metrics
-from ..pipeline import compile_source
+from ..passes.knobs import JOB_KNOBS, KNOB, key_fields, pipeline_options
+from ..passes.registry import frontend_passes_for
+from ..pipeline import run_pipeline
 from .cache import (
     AllocationCache,
     _canonical,
@@ -68,35 +71,29 @@ class BatchJob:
     name: str
     source: str
     machine: MachineConfig = MachineConfig()
-    strategy: str = "STOR1"
-    method: str = "hitting_set"
-    unroll: int = 1
-    constants_in_memory: bool = False
-    k: int | None = None
-    seed: int = 0
-    #: clique-separator decomposition bound; changes results, so it is
-    #: part of the job's cache keys whenever set.
-    max_atom_nodes: int | None = None
-    #: work-unit execution mode ('serial'/'auto'/'threads'/'processes').
-    #: Pure execution policy — results are byte-identical across
-    #: runners — so it is deliberately NOT part of any cache key.
-    runner: str = "serial"
-    #: 'fixed' (default) or 'optimize': run the compile-time
-    #: bank-conflict minimizer after allocation.  Enters cache keys
-    #: only when 'optimize', so keys of existing corpora are unchanged.
-    array_layout: str = "fixed"
-    #: source-language frontend ('mini' or 'python').  Enters the
-    #: source key only when non-default, so keys of existing
-    #: mini-language corpora are unchanged.
-    frontend: str = "mini"
-    #: entry-function name for the python frontend ('' = the single
-    #: top-level function in the source).
-    entry: str = ""
+    strategy: str = KNOB["strategy"].default
+    method: str = KNOB["method"].default
+    unroll: int = KNOB["unroll"].default
+    constants_in_memory: bool = KNOB["constants_in_memory"].default
+    k: int | None = KNOB["k"].default
+    seed: int = KNOB["seed"].default
+    max_atom_nodes: int | None = KNOB["max_atom_nodes"].default
+    runner: str = KNOB["runner"].default
+    array_layout: str = KNOB["array_layout"].default
+    frontend: str = KNOB["frontend"].default
+    entry: str = KNOB["entry"].default
 
     def __post_init__(self) -> None:
-        from ..frontends import validate_frontend_name
+        # The same validation (and strategy spelling) as the protocol.
+        for knob in JOB_KNOBS:
+            value = knob.parse(getattr(self, knob.name))
+            object.__setattr__(self, knob.name, value)
 
-        validate_frontend_name(self.frontend)
+    def options(self) -> PipelineOptions:
+        return pipeline_options(
+            {knob.name: getattr(self, knob.name) for knob in JOB_KNOBS},
+            self.machine,
+        )
 
     def source_key(self) -> str:
         """Cheap parent-side key over the *inputs* of the job — used to
@@ -107,22 +104,8 @@ class BatchJob:
         payload = {
             "source": self.source,
             "machine": [m.num_fus, m.num_modules, m.ports, m.delta],
-            "strategy": self.strategy.upper(),
-            "method": self.method,
-            "unroll": self.unroll,
-            "constants_in_memory": self.constants_in_memory,
-            "k": m.k if self.k is None else self.k,
-            "seed": self.seed,
+            **key_fields("source_key", self),
         }
-        # Only when set, so keys of existing corpora are unchanged.
-        if self.max_atom_nodes is not None:
-            payload["max_atom_nodes"] = self.max_atom_nodes
-        if self.array_layout != "fixed":
-            payload["array_layout"] = self.array_layout
-        if self.frontend != "mini":
-            payload["frontend"] = self.frontend
-            if self.entry:
-                payload["entry"] = self.entry
         return hashlib.sha256(_canonical(payload)).hexdigest()
 
 
@@ -230,28 +213,14 @@ class BatchReport:
 def _compile_and_key(
     job: BatchJob, metrics: Metrics, artifacts: ArtifactCache | None = None
 ):
-    program = compile_source(
-        job.source,
-        job.machine,
-        unroll=job.unroll,
-        constants_in_memory=job.constants_in_memory,
-        metrics=metrics,
-        cache=artifacts,
-        frontend=job.frontend,
-        py_entry=job.entry,
-    )
-    knobs: dict[str, object] = {"seed": job.seed}
-    if job.max_atom_nodes is not None:
-        knobs["max_atom_nodes"] = job.max_atom_nodes
-    if job.array_layout != "fixed":
-        knobs["array_layout"] = job.array_layout
+    run = run_pipeline(job.source, job.options(), metrics=metrics,
+                       passes=frontend_passes_for(job.frontend),
+                       cache=artifacts)
+    program = compiled_program(run.store)
     key = job_key(
         program_fingerprint(program.schedule, program.renamed),
         job.machine,
-        job.strategy,
-        job.method,
-        job.k,
-        **knobs,
+        **key_fields("job_key", job),
     )
     return program, key
 
@@ -262,23 +231,14 @@ def _allocate(
     metrics: Metrics,
     delta: DeltaCache | None = None,
 ) -> StorageResult:
-    kwargs: dict[str, object] = {}
-    if job.max_atom_nodes is not None:
-        kwargs["max_atom_nodes"] = job.max_atom_nodes
+    opts = job.options()
     # Same scope name the pass manager uses for the allocate pass, so
     # fragments are shared across the batch and pipeline entry points.
     scope = DeltaScope(delta, "allocate") if delta is not None else None
     storage = run_strategy(
-        job.strategy,
-        program.schedule,
-        program.renamed,
-        job.k,
-        method=job.method,
-        seed=job.seed,
-        metrics=metrics,
-        runner=job.runner,
-        delta=scope,
-        **kwargs,
+        opts.strategy, program.schedule, program.renamed, opts.k,
+        method=opts.method, seed=opts.seed, metrics=metrics,
+        runner=opts.runner, delta=scope, **opts.knobs(),
     )
     if scope is not None and scope.lookups:
         metrics.incr("delta_hits", scope.hits)

@@ -14,22 +14,12 @@ from repro import MachineConfig, compile_source, simulate
 from repro.core.strategies import stor1
 from repro.ir import build_cfg, compile_to_tac, run_cfg
 from repro.pipeline import compile_for_paper
-from repro.programs import all_programs, get_program, program_names
-
-
-def outputs_match(got, want):
-    if len(got) != len(want):
-        return False
-    for a, b in zip(got, want):
-        if isinstance(a, bool) or isinstance(b, bool):
-            if bool(a) != bool(b):
-                return False
-        elif isinstance(a, int) and isinstance(b, int):
-            if a != b:
-                return False
-        elif not math.isclose(float(a), float(b), rel_tol=1e-9, abs_tol=1e-9):
-            return False
-    return True
+from repro.programs import (
+    all_programs,
+    get_program,
+    outputs_match,
+    program_names,
+)
 
 
 @pytest.mark.parametrize("spec", all_programs(), ids=program_names())

@@ -7,8 +7,10 @@ import random
 
 import pytest
 
+from repro.passes.knobs import JOB_KNOBS
 from repro.server.client import ServerClient, TransportError
-from repro.server.protocol import encode_message
+from repro.server.protocol import encode_message, parse_request
+from repro.service.batch import BatchJob
 
 
 def test_backoff_is_exponential_capped_and_jittered():
@@ -195,3 +197,62 @@ def test_request_ids_increment():
         assert ids == [1, 2]
 
     asyncio.run(main())
+
+
+# -- knob parity with the protocol ------------------------------------------
+
+SOURCE = "program p; var x: int; begin x := 1; write(x) end."
+
+#: a non-default value for every job knob
+KNOB_VALUES = {
+    "strategy": "STOR2",
+    "method": "backtrack",
+    "unroll": 3,
+    "seed": 5,
+    "k": 4,
+    "max_atom_nodes": 20,
+    "runner": "threads",
+    "array_layout": "optimize",
+    "frontend": "python",
+    "entry": "f",
+    "constants_in_memory": True,
+}
+
+
+class CapturingClient(ServerClient):
+    """Records the compile payload instead of sending it."""
+
+    async def request(self, op, **fields):
+        self.sent = {"op": op, **fields}
+        return {"status": "ok"}
+
+
+def _payload(**kwargs):
+    client = CapturingClient()
+    asyncio.run(client.compile(SOURCE, **kwargs))
+    return client.sent
+
+
+def test_client_covers_every_job_knob():
+    assert set(KNOB_VALUES) == {knob.name for knob in JOB_KNOBS}
+
+
+@pytest.mark.parametrize("name", sorted(KNOB_VALUES))
+def test_client_knob_round_trips_through_the_protocol(name):
+    sent = _payload(**{name: KNOB_VALUES[name]})
+    assert sent[name] == KNOB_VALUES[name]
+    job = parse_request(sent).job
+    assert job == BatchJob("request", SOURCE, **{name: KNOB_VALUES[name]})
+
+
+def test_client_sends_all_knobs_and_only_non_default_values():
+    job = parse_request(_payload(**KNOB_VALUES)).job
+    assert job == BatchJob("request", SOURCE, **KNOB_VALUES)
+    defaults = {knob.name: knob.default for knob in JOB_KNOBS}
+    sent = _payload(**defaults)
+    assert sent == {"op": "compile", "source": SOURCE, "name": "request"}
+
+
+def test_client_rejects_unknown_knobs():
+    with pytest.raises(TypeError, match="fibers"):
+        _payload(fibers=2)

@@ -123,12 +123,40 @@ def test_parse_compile_full():
         ({"op": "compile", "source": GOOD_SOURCE, "frontend": "cobol"},
          "frontend"),
         ({"op": "compile", "source": GOOD_SOURCE, "entry": 7}, "entry"),
+        ({"op": "compile", "source": GOOD_SOURCE,
+          "constants_in_memory": "false"}, "constants_in_memory"),
+        ({"op": "compile", "source": GOOD_SOURCE,
+          "constants_in_memory": 1}, "constants_in_memory"),
+        ({"op": "compile", "source": GOOD_SOURCE,
+          "include_allocation": "false"}, "include_allocation"),
+        ({"op": "compile", "source": GOOD_SOURCE,
+          "include_allocation": None}, "include_allocation"),
+        ({"op": "compile", "source": GOOD_SOURCE, "name": 7}, "name"),
     ],
 )
 def test_parse_rejects_invalid_requests(obj, fragment):
     with pytest.raises(ProtocolError) as err:
         parse_request(obj)
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "field,message",
+    [
+        ("constants_in_memory", "constants_in_memory must be a boolean"),
+        ("include_allocation", "include_allocation must be a boolean"),
+    ],
+)
+def test_boolean_fields_require_json_booleans(field, message):
+    # "false" is a non-empty string: bool() would have read it as True
+    with pytest.raises(ProtocolError) as err:
+        parse_request({"op": "compile", "source": GOOD_SOURCE,
+                       field: "false"})
+    assert str(err.value) == message
+    req = parse_request({"op": "compile", "source": GOOD_SOURCE,
+                         field: False})
+    assert req.include_allocation is False
+    assert req.job is not None and req.job.constants_in_memory is False
 
 
 def test_parse_compile_workunit_knobs():

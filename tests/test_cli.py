@@ -110,6 +110,58 @@ def test_bench_rejects_unknown_program():
         main(["bench", "NOTAPROGRAM"])
 
 
+def _stalls(out):
+    line = next(ln for ln in out.splitlines() if "stalls:" in ln)
+    return int(line.split("stalls:")[1])
+
+
+def test_bench_simulates_at_the_given_delta(capsys):
+    assert main(["bench", "TAYLOR1"]) == 0
+    base = _stalls(capsys.readouterr().out)
+    assert main(["bench", "TAYLOR1", "--delta", "3"]) == 0
+    assert _stalls(capsys.readouterr().out) != base
+
+
+def test_bench_wrong_output_value_exits_1(monkeypatch, capsys):
+    import dataclasses
+
+    import repro.__main__ as cli
+
+    spec = cli.get_program("TAYLOR1")
+    wrong = dataclasses.replace(
+        spec,
+        reference=lambda inputs: [
+            v + 1 for v in spec.reference(inputs)  # same count, new values
+        ],
+    )
+    monkeypatch.setattr(cli, "get_program", lambda name: wrong)
+    assert main(["bench", "TAYLOR1"]) == 1
+    assert "MISMATCH" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv,fragment",
+    [
+        (["batch", "NOPE"], "unknown program 'NOPE'"),
+        (["batch", "--frontend", "python", "nope"], "unknown pykernel"),
+        (["compile", "/nonexistent/x.p"], "cannot read /nonexistent/x.p"),
+        (["run", "/nonexistent/x.p"], "cannot read /nonexistent/x.p"),
+    ],
+)
+def test_bad_names_and_paths_exit_2_with_one_error_line(
+    argv, fragment, capsys
+):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # rejected by argparse
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [ln for ln in err.splitlines() if ": error: " in ln]
+    assert len(errors) == 1 and fragment in errors[0]
+
+
 def test_parser_requires_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
