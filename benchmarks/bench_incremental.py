@@ -1,15 +1,6 @@
-"""Work-unit engine benchmark: parallel atom colouring + delta recompiles.
+"""Delta-cache benchmark: incremental recompiles against cold ones.
 
-Two phases, each with a CI gate, emitted as ``BENCH_incremental.json``:
-
-- **atoms_parallel_speedup** — the ``processes`` runner against the
-  golden ``serial`` runner on a k=8 stress allocation of many mutually
-  independent dense clusters (one work unit each, all on one dependency
-  level — the shape the engine parallelises).  Gate: ≥ ``--min-speedup``
-  (default 1.5x), enforced only when the host exposes ≥ 2 CPUs; on a
-  single-core host the measured value is recorded with a note and the
-  gate is skipped (process-pool overhead cannot be amortised without a
-  second core — mirroring bench_server.py's single-core awareness).
+Emits ``BENCH_incremental.json`` with one phase and its CI gate:
 
 - **incremental_delta_ratio** — allocation time of an edited program
   against a delta cache warmed by the original, relative to a cold
@@ -19,14 +10,19 @@ Two phases, each with a CI gate, emitted as ``BENCH_incremental.json``:
   the rank-space fingerprints must still serve every untouched
   segment's atoms.  Gate: ratio ≤ ``--max-ratio`` (default 0.5x).
 
-Both phases assert byte-identical results (``encode_storage_result``)
-before any timing is reported: a fast wrong answer fails immediately.
+The warm result is checked byte-identical to the cold one
+(``encode_storage_result``) before any timing is reported: a fast wrong
+answer fails immediately.
+
+The JSON report has three blocks: ``incremental`` (segments,
+instructions, values, warm hits/misses, ``cold_s``, ``warm_s`` and
+``incremental_delta_ratio``), ``checks`` (gate name -> passed) and
+``config`` (``repeat``, ``max_ratio``).
 
 Usage::
 
     python benchmarks/bench_incremental.py [--out BENCH_incremental.json]
                                            [--repeat 3] [--check]
-                                           [--min-speedup 1.5]
                                            [--max-ratio 0.5]
 
 Standalone script (not collected by pytest), like ``bench_alloc.py``.
@@ -36,7 +32,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 import time
 from pathlib import Path
@@ -45,10 +40,6 @@ from typing import Callable
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.core.strategies import run_strategy  # noqa: E402
-from repro.core.workunits import (  # noqa: E402
-    default_workers,
-    warm_process_pool,
-)
 from repro.liw.machine import MachineConfig  # noqa: E402
 from repro.passes.delta import DeltaCache, DeltaScope  # noqa: E402
 from repro.pipeline import compile_source  # noqa: E402
@@ -65,71 +56,7 @@ def _best_of(fn: Callable[[], object], repeat: int) -> float:
 
 
 # --------------------------------------------------------------------------
-# Phase A: parallel atom colouring
-# --------------------------------------------------------------------------
-
-
-def cluster_sets(
-    clusters: int, values_per: int, rows_per: int, k: int, seed: int
-) -> list[frozenset[int]]:
-    """Independent dense clusters: cluster ``c`` draws only from its own
-    id range, so each is one conflict-graph component — with a small
-    ``max_atom_nodes`` each stays one whole work unit, and all units
-    share one dependency level."""
-    rng = random.Random(seed)
-    sets: list[frozenset[int]] = []
-    for c in range(clusters):
-        base = c * values_per
-        for _ in range(rows_per):
-            width = rng.randint(3, k)
-            sets.append(
-                frozenset(
-                    base + v for v in rng.sample(range(values_per), width)
-                )
-            )
-    return sets
-
-
-def bench_parallel(repeat: int) -> dict[str, object]:
-    k = 8
-    clusters, values_per, rows_per = 24, 60, 160
-    sets = cluster_sets(clusters, values_per, rows_per, k, seed=17)
-    # clusters exceed the bound -> colour each whole (one unit apiece);
-    # the point here is runner throughput, not MCS-M
-    knobs = dict(method="hitting_set", seed=0, max_atom_nodes=8)
-
-    from repro.core.assign import assign_modules
-
-    serial = assign_modules(sets, k, runner="serial", **knobs)
-    parallel = assign_modules(sets, k, runner="processes", **knobs)
-    if serial.allocation.history != parallel.allocation.history:
-        raise SystemExit("runner mismatch: processes != serial")
-
-    warm_process_pool()  # keep fork/spawn cost out of the timed region
-    t_serial = _best_of(
-        lambda: assign_modules(sets, k, runner="serial", **knobs), repeat
-    )
-    t_processes = _best_of(
-        lambda: assign_modules(sets, k, runner="processes", **knobs),
-        repeat,
-    )
-    return {
-        "k": k,
-        "clusters": clusters,
-        "instructions": len(sets),
-        "values": clusters * values_per,
-        "units": serial.stats.atom_units,
-        "workers": default_workers(),
-        "serial_s": t_serial,
-        "processes_s": t_processes,
-        "atoms_parallel_speedup": (
-            t_serial / t_processes if t_processes else float("inf")
-        ),
-    }
-
-
-# --------------------------------------------------------------------------
-# Phase B: incremental recompilation
+# Incremental recompilation
 # --------------------------------------------------------------------------
 
 
@@ -222,55 +149,23 @@ def main(argv: list[str] | None = None) -> int:
                         help="cold repetitions per timing (min taken)")
     parser.add_argument("--check", action="store_true",
                         help="exit 1 if a gate fails")
-    parser.add_argument("--min-speedup", type=float, default=1.5,
-                        help="required processes/serial speedup "
-                             "(gated only with >= 2 CPUs)")
     parser.add_argument("--max-ratio", type=float, default=0.5,
                         help="max allowed warm/cold allocation ratio")
     args = parser.parse_args(argv)
 
-    cpus = default_workers()
-    parallel = bench_parallel(args.repeat)
     incremental = bench_incremental(args.repeat)
-
-    speedup_gated = cpus >= 2
     checks = {
-        "atoms_parallel_speedup": (
-            parallel["atoms_parallel_speedup"] >= args.min_speedup
-            if speedup_gated
-            else True
-        ),
         "incremental_delta_ratio": (
             incremental["incremental_delta_ratio"] <= args.max_ratio
         ),
     }
     report = {
-        "parallel": parallel,
         "incremental": incremental,
         "checks": checks,
-        "config": {
-            "repeat": args.repeat,
-            "cpus": cpus,
-            "min_speedup": args.min_speedup,
-            "max_ratio": args.max_ratio,
-            "speedup_gate_enforced": speedup_gated,
-        },
+        "config": {"repeat": args.repeat, "max_ratio": args.max_ratio},
     }
-    if not speedup_gated:
-        report["config"]["note"] = (
-            "single-CPU host: atoms_parallel_speedup recorded but not "
-            "gated (no core to overlap process workers on)"
-        )
     Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True))
 
-    print(
-        f"parallel  : {parallel['units']} units, "
-        f"{parallel['workers']} workers, "
-        f"serial {parallel['serial_s'] * 1e3:.1f}ms, "
-        f"processes {parallel['processes_s'] * 1e3:.1f}ms, "
-        f"speedup {parallel['atoms_parallel_speedup']:.2f}x"
-        + ("" if speedup_gated else "  (not gated: 1 CPU)")
-    )
     print(
         f"incremental: cold {incremental['cold_s'] * 1e3:.1f}ms, "
         f"warm {incremental['warm_s'] * 1e3:.1f}ms, "

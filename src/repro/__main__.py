@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import suppress
 from pathlib import Path
 
 from .liw.machine import MachineConfig
@@ -63,11 +64,22 @@ def _source_file(path: str) -> str:
         ) from None
 
 
-def _parse_input_value(text: str) -> object:
-    try:
-        return int(text)
-    except ValueError:
-        return float(text)
+def _positive_int(text: str) -> int:
+    """A ``--fus``/``--modules`` count."""
+    value = 0
+    with suppress(ValueError):
+        value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an int >= 1, got {text!r}")
+    return value
+
+
+def _input_value(text: str) -> int | float:
+    """An ``--input`` value: an int if it reads as one, else a float."""
+    for convert in (int, float):
+        with suppress(ValueError):
+            return convert(text)
+    raise argparse.ArgumentTypeError(f"not a number: {text!r}")
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
@@ -108,8 +120,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    inputs = [_parse_input_value(v) for v in args.input]
-    run = run_pipeline(args.program, _options(args), inputs=inputs)
+    run = run_pipeline(args.program, _options(args), inputs=args.input)
     result = run.artifact("simulation")
     for value in result.outputs:
         print(value)
@@ -406,11 +417,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--fus", type=int, default=4, help="functional units")
-        p.add_argument("--modules", "-k", type=int, default=8,
+    def common(
+        p: argparse.ArgumentParser, knobs: tuple[Knob, ...] = KNOBS
+    ) -> None:
+        p.add_argument("--fus", type=_positive_int, default=4,
+                       help="functional units")
+        p.add_argument("--modules", "-k", type=_positive_int, default=8,
                        help="memory modules")
-        for knob in KNOBS:
+        for knob in knobs:
             if knob.flag:
                 _add_knob(p, knob)
 
@@ -428,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="compile, allocate, and execute")
     p_run.add_argument("program", type=_source_file)
     p_run.add_argument("--input", "-i", action="append", default=[],
-                       help="input value (repeatable)")
+                       type=_input_value, help="input value (repeatable)")
     common(p_run)
     p_run.set_defaults(fn=cmd_run)
 
@@ -455,7 +469,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="write the metrics JSON report to this file")
     p_batch.add_argument("--verify-serial", action="store_true",
                          help="re-run serially and compare results")
-    common(p_batch)
+    # batch jobs carry the job knobs; Δ reaches them through the machine
+    common(p_batch, JOB_KNOBS + (KNOB["delta"],))
     p_batch.set_defaults(fn=cmd_batch)
 
     p_serve = sub.add_parser(

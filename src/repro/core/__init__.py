@@ -42,18 +42,7 @@ from .verify import (
     sdr_exists,
     verify_allocation,
 )
-from .workunits import (
-    RUNNERS,
-    AtomTask,
-    UnitRunStats,
-    atom_task,
-    default_workers,
-    dependency_levels,
-    free_threading_active,
-    resolve_runner,
-    task_fingerprint,
-    warm_process_pool,
-)
+from .workunits import RUNNERS, AtomTask, atom_task, task_fingerprint
 
 __all__ = [
     "Allocation",
@@ -96,14 +85,8 @@ __all__ = [
     "stor_region",
     "RUNNERS",
     "AtomTask",
-    "UnitRunStats",
     "atom_task",
-    "default_workers",
-    "dependency_levels",
-    "free_threading_active",
-    "resolve_runner",
     "task_fingerprint",
-    "warm_process_pool",
     "combination_conflict_free",
     "conflicting_instructions",
     "find_sdr",

@@ -47,12 +47,10 @@ class AssignmentStats:
     copies_created: int = 0
     residual_instructions: list[frozenset[int]] = field(default_factory=list)
     num_edges: int = 0
-    #: work-unit engine observability (see repro.core.workunits); not
-    #: part of semantic equality — the frozen reference pipeline
-    #: (repro.core.reference) predates the engine.
-    runner: str = field(default="serial", compare=False)
+    #: atoms coloured as separate units (0 when ``use_atoms`` is off);
+    #: not part of semantic equality — the frozen reference pipeline
+    #: (repro.core.reference) predates the work-unit engine.
     atom_units: int = field(default=0, compare=False)
-    unit_levels: int = field(default=0, compare=False)
 
     @property
     def conflict_free(self) -> bool:
@@ -125,7 +123,6 @@ def assign_modules(
     tie_break: str = "random",
     seed: int = 0,
     weights: Sequence[int] | None = None,
-    runner: str = "serial",
     delta: "DeltaScope | None" = None,
     max_atom_nodes: int | None = None,
 ) -> AssignmentResult:
@@ -155,11 +152,6 @@ def assign_modules(
         Optional per-instruction execution counts (profile-guided mode,
         paper §3 closing discussion): conflict-graph counts and pinned
         placement then minimise *dynamic* conflicts.
-    runner:
-        Work-unit execution mode for the atom colouring loop
-        (``'serial'``/``'auto'``/``'threads'``/``'processes'``, see
-        :mod:`repro.core.workunits`).  Results are byte-identical
-        across runners.
     delta:
         A :class:`repro.passes.delta.DeltaScope` enabling rank-space
         fragment reuse for atoms unchanged since a previous compile.
@@ -202,7 +194,6 @@ def assign_modules(
     # Non-duplicable values cannot be repaired by copies if removed, so
     # colour them before everything else (extension over Fig. 4).
     pinned_first = {v for v in color_nodes if v not in duplicable}
-    unit_stats: dict[str, int | str] = {}
     coloring = color_graph(
         graph.subgraph(color_nodes),
         k,
@@ -210,10 +201,8 @@ def assign_modules(
         module_choice,
         use_atoms,
         prefer=pinned_first,
-        runner=runner,
         delta=delta,
         max_atom_nodes=max_atom_nodes,
-        unit_stats=unit_stats,
     )
 
     # Single copies for freshly coloured values.
@@ -268,8 +257,6 @@ def assign_modules(
         copies_created=alloc.total_copies - copies_before,
         residual_instructions=conflicting_instructions(sets, alloc),
         num_edges=graph.num_edges,
-        runner=str(unit_stats.get("runner", "serial")),
-        atom_units=int(unit_stats.get("units", 0)),
-        unit_levels=int(unit_stats.get("levels", 0)),
+        atom_units=coloring.num_atoms if use_atoms else 0,
     )
     return AssignmentResult(alloc, coloring, stats, method)

@@ -223,23 +223,18 @@ def color_graph(
     use_atoms: bool = True,
     prefer: set[int] | None = None,
     *,
-    runner: str = "serial",
     delta: "DeltaScope | None" = None,
     max_atom_nodes: int | None = None,
-    unit_stats: dict[str, int | str] | None = None,
 ) -> ColoringResult:
     """Colour a conflict graph (paper §2.1): decompose into atoms, colour
     each, composing via shared-clique constraints.  ``prefer`` marks
     nodes coloured before all others (see :func:`color_atom`).
 
-    The atom loop runs on the work-unit engine
-    (:mod:`repro.core.workunits`): ``runner`` picks serial / threads /
-    processes execution (results are byte-identical across runners —
-    merging stays in atom order), ``delta`` enables rank-space fragment
-    reuse across near-duplicate graphs, and ``max_atom_nodes`` bounds
-    the clique-separator decomposition (components above the bound are
-    coloured whole).  ``unit_stats``, when given, is filled with the
-    engine's unit/level/runner counters.
+    The atoms are coloured one by one, in decomposition order, by
+    :func:`repro.core.workunits.run_atom_units`: ``delta`` enables
+    rank-space fragment reuse across near-duplicate graphs, and
+    ``max_atom_nodes`` bounds the clique-separator decomposition
+    (components above the bound are coloured whole).
     """
     from . import workunits
 
@@ -267,14 +262,10 @@ def color_graph(
     atoms = workunits.decomposed_atoms(graph, max_nodes, scope)
     combined.num_atoms = len(atoms)
     module_use = [0] * k
-    stats = workunits.run_atom_units(
+    workunits.run_atom_units(
         atoms, k, preassigned, module_choice, prefer,
-        combined, module_use, runner=runner, delta=scope,
+        combined, module_use, delta=scope,
     )
-    if unit_stats is not None:
-        unit_stats["runner"] = stats.runner
-        unit_stats["units"] = stats.units
-        unit_stats["levels"] = stats.levels
     # De-duplicate: a separator vertex removed in one atom but coloured in
     # another must not be in both lists; colouring wins (its copy exists).
     combined.unassigned = [
@@ -298,7 +289,7 @@ def _color_whole(
 
     if scope is None or not graph.nodes:
         return color_atom(graph, k, preassigned, module_choice, prefer=prefer)
-    task = workunits.atom_task(0, graph, k, module_choice, prefer)
+    task = workunits.atom_task(graph, k, module_choice, prefer)
     pre = {v: m for v, m in preassigned.items() if v in graph.nodes}
     payload = workunits.task_fingerprint(task, pre)
     # color_atom's first-node branch keys off the *given* dict being

@@ -200,8 +200,8 @@ class ConflictGraph:
 
     def edge_data(self) -> tuple[list[frozenset[int]], list[int]]:
         """The edge-bearing instruction rows and their weights, in
-        recorded order — the structural payload the work-unit engine
-        serialises (see :mod:`repro.core.workunits`)."""
+        recorded order — the structural payload of the delta cache's
+        atom fingerprints (see :mod:`repro.core.workunits`)."""
         return list(self._edge_ops), list(self._edge_weights)
 
     def components(self) -> list[set[int]]:

@@ -31,7 +31,6 @@ def _run_allocate(ctx: PassContext) -> None:
         method=opts.method,
         seed=opts.seed,
         metrics=stage_metrics,
-        runner=opts.runner,
         delta=ctx.delta,
         **opts.knobs(),
     )

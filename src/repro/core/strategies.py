@@ -29,7 +29,6 @@ from .allocation import Allocation
 from .assign import AssignmentResult, assign_modules
 from .bitset import COUNTERS
 from .verify import conflicting_instructions
-from .workunits import RUNNERS
 
 
 @dataclass(slots=True)
@@ -87,11 +86,8 @@ def _timed_assign(
     (``kernel_*``) accumulated during the call — masks built, placements
     enumerated, branches pruned, memo hits, ... — so ``--trace-json``
     exposes per-stage kernel effort (see
-    :class:`repro.core.bitset.KernelCounters`).  Under parallel runners
-    the kernel counters are best-effort (worker processes keep their
-    own); the ``delta_hits``/``delta_misses`` counts, tracked on the
-    :class:`~repro.passes.delta.DeltaScope` in this process, stay
-    exact."""
+    :class:`repro.core.bitset.KernelCounters`), plus the call's
+    ``delta_hits``/``delta_misses`` when it has a delta scope."""
     scope = kwargs.get("delta")
     hits0 = scope.hits if scope is not None else 0
     misses0 = scope.misses if scope is not None else 0
@@ -396,19 +392,13 @@ def validate_strategy_kwargs(name: str, kwargs: Mapping[str, object]) -> None:
             f"{', '.join(METHODS)}"
         )
     valid = (
-        "method", "seed", "metrics", "runner", "delta",
+        "method", "seed", "metrics", "delta",
     ) + STRATEGY_KNOBS[sname]
     unknown = sorted(set(kwargs) - set(valid))
     if unknown:
         raise ValueError(
             f"unknown {sname} option(s) {', '.join(map(repr, unknown))}; "
             f"valid options: {', '.join(valid)}"
-        )
-    runner = kwargs.get("runner", "serial")
-    if runner not in RUNNERS:
-        raise ValueError(
-            f"unknown runner {runner!r} for {sname}; valid runners: "
-            f"{', '.join(RUNNERS)}"
         )
     max_atom_nodes = kwargs.get("max_atom_nodes")
     if max_atom_nodes is not None and (

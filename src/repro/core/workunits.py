@@ -1,55 +1,33 @@
-"""Allocation work units: atoms as independent, pure-data colouring tasks.
+"""Allocation work units: atoms as independent colouring tasks, with
+rank-space delta reuse.
 
 The clique-separator decomposition (paper §2.1) makes atoms independent
 by construction — the only coupling between them is the running-
 intersection composition rule: an atom's overlap with all earlier atoms
-is one separator clique, imported as pre-assigned colours.  This module
-turns that observation into an execution engine:
+is one separator clique, imported as pre-assigned colours.
+:func:`run_atom_units` colours the atoms one after another and merges
+them in atom index order (``V_unassigned`` order feeds the duplication
+stage's RNG tie-breaks, so merge order is part of the contract).
 
-- each atom becomes an :class:`AtomTask` — a frozen, picklable record
-  of the atom's structure (sorted node ids, deduplicated instruction
-  rows, weights) plus the colouring configuration;
-- tasks are layered into **dependency levels**: ``level(t)`` is one
-  more than the highest level of any earlier task sharing a node with
-  ``t``.  Tasks in one level are pairwise node-disjoint, so they can be
-  coloured concurrently; merging still happens strictly in atom index
-  order, which keeps the combined result byte-identical to the serial
-  loop (``V_unassigned`` order feeds the duplication stage's RNG
-  tie-breaks, so merge order is part of the contract);
-- a pluggable **runner** executes each level: ``serial`` (the default
-  and the golden-pinned reference), ``threads`` (worthwhile on
-  free-threaded builds; correct everywhere), ``processes`` (chunked
-  task batches on a shared pool, amortising pickle cost for large
-  generated programs), and ``auto`` (probe the interpreter: threads
-  when the GIL is off, else serial);
-- each task also carries a **rank-space fingerprint**: node ids are
-  normalised to their sorted order 0..n-1 before hashing, and cached
-  fragments store assignments/traces in rank space.  Every tie-break in
-  :func:`repro.core.coloring.color_atom` is rank-based (the bitset
-  kernel numbers bits in ascending id order), so two atoms that are
-  equal modulo an order-preserving relabelling — the normal situation
-  after editing one region of a program, which shifts all later value
-  ids — reuse each other's fragments exactly.  This is what the
-  :class:`repro.passes.delta.DeltaCache` stores.
+Each atom can be described by an :class:`AtomTask` — a frozen record of
+its structure (sorted node ids, deduplicated instruction rows, weights)
+plus the colouring configuration — whose **rank-space fingerprint**
+normalises node ids to their sorted order 0..n-1 before hashing; cached
+fragments store assignments/traces in rank space.  Every tie-break in
+:func:`repro.core.coloring.color_atom` is rank-based (the bitset
+kernel numbers bits in ascending id order), so two atoms that are
+equal modulo an order-preserving relabelling — the normal situation
+after editing one region of a program, which shifts all later value
+ids — reuse each other's fragments exactly.  This is what the
+:class:`repro.passes.delta.DeltaCache` stores.
 
 ``module_choice='least_used'`` shares a global module-usage vector
-across atoms, serialising them for real; the engine detects that and
-forces the serial runner with delta reuse disabled.
-
-The kernel work counters (:data:`repro.core.bitset.COUNTERS`) are
-process-local: under the ``processes`` runner the workers' counts stay
-in the workers, and under ``threads`` concurrent updates may race.
-They are best-effort observability, never inputs — documented here and
-in docs/architecture.md.
+across atoms, so a fragment would depend on more than its atom; delta
+reuse is disabled for it.
 """
 
 from __future__ import annotations
 
-import os
-import sys
-import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence, cast
 
@@ -60,48 +38,10 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only
     from ..passes.delta import DeltaScope
     from .coloring import ColoringResult
 
-#: Runner names accepted by ``assign_modules``/``run_strategy``.
-RUNNERS = ("serial", "auto", "threads", "processes")
-
-
-def free_threading_active() -> bool:
-    """Whether this interpreter runs without a GIL (3.13+ ``--disable-gil``
-    builds); the ``auto`` runner only picks threads when it does."""
-    probe = getattr(sys, "_is_gil_enabled", None)
-    if probe is None:
-        return False
-    try:
-        return not probe()
-    except Exception:  # pragma: no cover - exotic interpreters
-        return False
-
-
-def resolve_runner(runner: str, module_choice: str = "first") -> str:
-    """Validate a runner name and resolve it to an executable one.
-
-    ``least_used`` module choice threads a global usage vector through
-    every atom in order — there is no independent work to overlap, so
-    any runner degrades to ``serial``.
-    """
-    if runner not in RUNNERS:
-        raise ValueError(
-            f"unknown runner {runner!r}; valid runners: "
-            f"{', '.join(RUNNERS)}"
-        )
-    if module_choice != "first":
-        return "serial"
-    if runner == "auto":
-        return "threads" if free_threading_active() else "serial"
-    return runner
-
-
-def default_workers() -> int:
-    """Worker count for the shared pools (bounded; CI hosts are small)."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):  # pragma: no cover - non-Linux
-        cpus = os.cpu_count() or 1
-    return max(1, min(8, cpus))
+#: Runner names accepted by the ``runner`` knob, kept so that older
+#: clients sending ``"serial"`` stay valid; atoms are always coloured
+#: serially.
+RUNNERS = ("serial",)
 
 
 # --------------------------------------------------------------------------
@@ -111,9 +51,9 @@ def default_workers() -> int:
 
 @dataclass(frozen=True, slots=True)
 class AtomTask:
-    """One atom's colouring subproblem as pure, picklable data."""
+    """One atom's colouring subproblem as pure data, from which the
+    delta cache's fingerprints and fragments are made."""
 
-    index: int
     #: node ids, sorted ascending — position is the node's *rank*
     nodes: tuple[int, ...]
     #: deduplicated instruction rows (each sorted ascending), kernel order
@@ -129,7 +69,6 @@ class AtomTask:
 
 
 def atom_task(
-    index: int,
     atom: ConflictGraph,
     k: int,
     module_choice: str,
@@ -137,7 +76,6 @@ def atom_task(
 ) -> AtomTask:
     edge_ops, edge_weights = atom.edge_data()
     return AtomTask(
-        index=index,
         nodes=tuple(sorted(atom.nodes)),
         edge_ops=tuple(tuple(sorted(ops)) for ops in edge_ops),
         edge_weights=tuple(edge_weights),
@@ -145,46 +83,6 @@ def atom_task(
         module_choice=module_choice,
         prefer=tuple(sorted(v for v in (prefer or ()) if v in atom.nodes)),
     )
-
-
-def task_graph(task: AtomTask) -> ConflictGraph:
-    """Rebuild the atom's conflict graph from a task (worker side).
-
-    Reconstructs exactly what ``ConflictGraph.subgraph`` produced: the
-    same node set and the same deduplicated instruction rows in the
-    same order, so the bitset kernel — and every tie-break — matches
-    the parent's."""
-    graph = ConflictGraph()
-    graph.nodes.update(task.nodes)
-    for row, weight in zip(task.edge_ops, task.edge_weights):
-        graph._edge_ops.append(frozenset(row))
-        graph._edge_weights.append(weight)
-    return graph
-
-
-def dependency_levels(tasks: Sequence[AtomTask]) -> list[list[int]]:
-    """Group task indices into node-disjoint waves.
-
-    ``level(t) = 1 + max(level(e))`` over earlier tasks ``e`` sharing a
-    node with ``t`` (0 when none do).  Within a level tasks share no
-    nodes, so their pre-assignment inputs — everything merged from
-    strictly lower levels — are already final when the level starts,
-    and the level's results never constrain each other.
-    """
-    node_level: dict[int, int] = {}
-    levels: list[list[int]] = []
-    for i, task in enumerate(tasks):
-        level = 0
-        for v in task.nodes:
-            seen = node_level.get(v)
-            if seen is not None and seen >= level:
-                level = seen + 1
-        if level == len(levels):
-            levels.append([])
-        levels[level].append(i)
-        for v in task.nodes:
-            node_level[v] = level
-    return levels
 
 
 # --------------------------------------------------------------------------
@@ -328,114 +226,6 @@ def _cached_component_atoms(
 
 
 # --------------------------------------------------------------------------
-# Runners
-# --------------------------------------------------------------------------
-
-_POOL_LOCK = threading.Lock()
-_THREAD_POOL: ThreadPoolExecutor | None = None
-_PROCESS_POOL: ProcessPoolExecutor | None = None
-
-#: One unit of work handed to a runner: the task plus its pre-assignments.
-UnitCall = tuple[AtomTask, dict[int, int]]
-
-
-def _thread_pool() -> ThreadPoolExecutor:
-    global _THREAD_POOL
-    with _POOL_LOCK:
-        if _THREAD_POOL is None:
-            _THREAD_POOL = ThreadPoolExecutor(
-                max_workers=default_workers(),
-                thread_name_prefix="repro-atom",
-            )
-        return _THREAD_POOL
-
-
-def _process_pool() -> ProcessPoolExecutor:
-    global _PROCESS_POOL
-    with _POOL_LOCK:
-        if _PROCESS_POOL is None:
-            _PROCESS_POOL = ProcessPoolExecutor(
-                max_workers=default_workers()
-            )
-        return _PROCESS_POOL
-
-
-def _reset_process_pool() -> None:
-    global _PROCESS_POOL
-    with _POOL_LOCK:
-        pool, _PROCESS_POOL = _PROCESS_POOL, None
-    if pool is not None:
-        pool.shutdown(wait=False, cancel_futures=True)
-
-
-def warm_process_pool() -> None:
-    """Pre-spawn the shared process pool (benchmarks exclude the
-    fork/spawn cost from timed sections by calling this first)."""
-    pool = _process_pool()
-    list(pool.map(_noop, [0]))
-
-
-def _noop(_: int) -> int:
-    return 0
-
-
-def _color_one(task: AtomTask, pre: dict[int, int]) -> "ColoringResult":
-    from .coloring import color_atom
-
-    return color_atom(
-        task_graph(task),
-        task.k,
-        pre,
-        task.module_choice,
-        None,
-        set(task.prefer),
-    )
-
-
-def _color_batch(
-    batch: "list[UnitCall]",
-) -> "list[ColoringResult]":
-    """Process-pool entry point: colour a chunk of tasks."""
-    return [_color_one(task, pre) for task, pre in batch]
-
-
-def _run_level_threads(
-    calls: "list[UnitCall]",
-) -> "list[ColoringResult]":
-    if len(calls) == 1:
-        return [_color_one(*calls[0])]
-    pool = _thread_pool()
-    futures = [pool.submit(_color_one, task, pre) for task, pre in calls]
-    return [f.result() for f in futures]
-
-
-def _run_level_processes(
-    calls: "list[UnitCall]",
-) -> "list[ColoringResult]":
-    if len(calls) == 1:
-        return [_color_one(*calls[0])]
-    workers = default_workers()
-    chunk_count = min(len(calls), workers * 2)
-    chunk_size = -(-len(calls) // chunk_count)
-    chunks = [
-        calls[i : i + chunk_size]
-        for i in range(0, len(calls), chunk_size)
-    ]
-    try:
-        pool = _process_pool()
-        futures = [pool.submit(_color_batch, chunk) for chunk in chunks]
-        out: "list[ColoringResult]" = []
-        for f in futures:
-            out.extend(f.result())
-        return out
-    except (BrokenProcessPool, OSError, RuntimeError):
-        # Pool died or could not start (resource limits, fork failure):
-        # recover in-process — results are identical by construction.
-        _reset_process_pool()
-        return [_color_one(task, pre) for task, pre in calls]
-
-
-# --------------------------------------------------------------------------
 # The engine
 # --------------------------------------------------------------------------
 
@@ -457,15 +247,6 @@ def _unit_pre(
     return pre
 
 
-@dataclass(slots=True)
-class UnitRunStats:
-    """What one engine invocation did (surfaced as stage counters)."""
-
-    runner: str = "serial"
-    units: int = 0
-    levels: int = 0
-
-
 def run_atom_units(
     atoms: Sequence[ConflictGraph],
     k: int,
@@ -474,96 +255,36 @@ def run_atom_units(
     prefer: set[int] | None,
     combined: "ColoringResult",
     module_use: list[int],
-    runner: str = "serial",
     delta: "DeltaScope | None" = None,
-) -> UnitRunStats:
-    """Colour ``atoms`` and merge into ``combined`` in atom order.
+) -> None:
+    """Colour ``atoms`` one by one and merge into ``combined`` in atom
+    order.
 
     ``combined`` arrives seeded with the caller's pre-assignments;
     ``module_use`` is the shared usage vector (write-only under the
-    ``first`` module choice; ``least_used`` reads it too, which forces
-    the serial path).  The merged result is byte-identical across
-    runners and across delta hits/misses.
+    ``first`` module choice; ``least_used`` reads it too, which turns
+    delta reuse off).  The merged result is byte-identical across
+    delta hits and misses.
     """
     from .coloring import color_atom
 
-    effective = resolve_runner(runner, module_choice)
     scope = delta if module_choice == "first" else None
-    stats = UnitRunStats(runner=effective, units=len(atoms))
-
-    if effective == "serial":
-        stats.levels = len(atoms)
-        for index, atom in enumerate(atoms):
-            nodes = sorted(atom.nodes)
-            pre = _unit_pre(nodes, combined.assignment, preassigned)
-            if scope is not None:
-                task = atom_task(index, atom, k, module_choice, prefer)
-                key = scope.key("atom-color", task_fingerprint(task, pre))
-                fragment = scope.get(key)
-                if fragment is not None:
-                    sub = decode_fragment(task, fragment)
-                    for module in sub.assignment.values():
-                        module_use[module] += 1
-                else:
-                    sub = color_atom(
-                        atom, k, pre, module_choice, module_use, prefer
-                    )
-                    scope.put(key, encode_fragment(task, sub))
+    for atom in atoms:
+        nodes = sorted(atom.nodes)
+        pre = _unit_pre(nodes, combined.assignment, preassigned)
+        if scope is not None:
+            task = atom_task(atom, k, module_choice, prefer)
+            key = scope.key("atom-color", task_fingerprint(task, pre))
+            fragment = scope.get(key)
+            if fragment is not None:
+                sub = decode_fragment(task, fragment)
+                for module in sub.assignment.values():
+                    module_use[module] += 1
             else:
                 sub = color_atom(
                     atom, k, pre, module_choice, module_use, prefer
                 )
-            combined.merge(sub)
-        return stats
-
-    tasks = [
-        atom_task(i, atom, k, module_choice, prefer)
-        for i, atom in enumerate(atoms)
-    ]
-    levels = dependency_levels(tasks)
-    stats.levels = len(levels)
-    run_level = (
-        _run_level_processes if effective == "processes"
-        else _run_level_threads
-    )
-
-    results: "list[ColoringResult | None]" = [None] * len(tasks)
-    assigned = dict(combined.assignment)
-    for level in levels:
-        calls: "list[UnitCall]" = []
-        call_indices: list[int] = []
-        call_keys: list[str | None] = []
-        for i in level:
-            task = tasks[i]
-            pre = _unit_pre(task.nodes, assigned, preassigned)
-            if scope is not None:
-                key = scope.key("atom-color", task_fingerprint(task, pre))
-                fragment = scope.get(key)
-                if fragment is not None:
-                    results[i] = decode_fragment(task, fragment)
-                    continue
-                calls.append((task, pre))
-                call_indices.append(i)
-                call_keys.append(key)
-            else:
-                calls.append((task, pre))
-                call_indices.append(i)
-                call_keys.append(None)
-        if calls:
-            for i, key, sub in zip(
-                call_indices, call_keys, run_level(calls)
-            ):
-                results[i] = sub
-                if scope is not None and key is not None:
-                    scope.put(key, encode_fragment(tasks[i], sub))
-        for i in level:
-            sub = results[i]
-            assert sub is not None
-            assigned.update(sub.assignment)
-            for module in sub.assignment.values():
-                module_use[module] += 1
-
-    for sub in results:
-        assert sub is not None
+                scope.put(key, encode_fragment(task, sub))
+        else:
+            sub = color_atom(atom, k, pre, module_choice, module_use, prefer)
         combined.merge(sub)
-    return stats

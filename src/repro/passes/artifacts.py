@@ -176,9 +176,6 @@ class PipelineOptions:
     k: int | None = KNOB["k"].default
     seed: int = KNOB["seed"].default
     strategy_knobs: tuple[tuple[str, object], ...] = ()
-    #: execution policy only: results are byte-identical across
-    #: runners, so no pass lists it in ``config_keys``
-    runner: str = KNOB["runner"].default
     array_layout: str = KNOB["array_layout"].default
     # simulation
     layout: str = KNOB["layout"].default

@@ -121,9 +121,11 @@ KNOBS: tuple[Knob, ...] = (
          check=lambda v: v > 0, nullable=True, option="strategy_knobs",
          job=True, source_key=NON_DEFAULT, job_key=NON_DEFAULT,
          flag="--max-atom-nodes", help="clique-separator decomposition bound"),
+    # Accepted for compatibility only: its one legal value is the
+    # default, which pipeline_options never forwards.
     Knob("runner", str, "serial", "unknown runner {value!r} (valid: {valid})",
-         choices=_registry("repro.core.workunits:RUNNERS"), job=True,
-         flag="--runner", help="atom work-unit runner (same results)"),
+         choices=_registry("repro.core.workunits:RUNNERS"),
+         option="strategy_knobs", job=True),
     Knob("array_layout", str, "fixed",
          "unknown array_layout {value!r} (valid: {valid})",
          choices=_registry("repro.core.arraylayout:ARRAY_LAYOUT_MODES"),

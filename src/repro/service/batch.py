@@ -28,10 +28,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 import time
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 from ..core.strategies import StorageResult, run_strategy
@@ -78,6 +80,7 @@ class BatchJob:
     k: int | None = KNOB["k"].default
     seed: int = KNOB["seed"].default
     max_atom_nodes: int | None = KNOB["max_atom_nodes"].default
+    #: compatibility only: accepts ``"serial"``, read by nothing
     runner: str = KNOB["runner"].default
     array_layout: str = KNOB["array_layout"].default
     frontend: str = KNOB["frontend"].default
@@ -238,7 +241,7 @@ def _allocate(
     storage = run_strategy(
         opts.strategy, program.schedule, program.renamed, opts.k,
         method=opts.method, seed=opts.seed, metrics=metrics,
-        runner=opts.runner, delta=scope, **opts.knobs(),
+        delta=scope, **opts.knobs(),
     )
     if scope is not None and scope.lookups:
         metrics.incr("delta_hits", scope.hits)
@@ -365,10 +368,21 @@ class BatchCompiler:
         path = self._index_path()
         if path is None:
             return
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(self._index, fh, sort_keys=True)
-        os.replace(tmp, path)
+        # A name unique to this writer: fabric workers share the
+        # directory, and with one fixed name a worker's os.replace could
+        # move another worker's half-saved file away.
+        fd, tmp = tempfile.mkstemp(
+            dir=os.path.dirname(path), prefix=self.INDEX_FILE + ".",
+            suffix=".tmp",
+        )
+        try:
+            with os.fdopen(fd, "w") as fh:
+                json.dump(self._index, fh, sort_keys=True)
+            os.replace(tmp, path)
+        except BaseException:
+            with suppress(OSError):
+                os.unlink(tmp)
+            raise
 
     # -- execution ----------------------------------------------------------
 

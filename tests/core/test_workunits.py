@@ -1,14 +1,11 @@
 """The allocation work-unit engine (repro.core.workunits).
 
-Three contracts are pinned here:
+Two contracts are pinned here:
 
-1. **Byte-identity across runners** — serial, threads, and processes
-   produce the same allocation, the same copy-creation history, and the
-   same stats, on synthetic operand sets and on the full benchmark
-   registry across every strategy and duplication method.
-2. **Dependency levels** — tasks within a level are node-disjoint and a
-   task never lands on a level at or below an earlier task it overlaps.
-3. **Rank-space delta reuse** — a structure-preserving relabelling of
+1. **Rank-space fragments** — an atom's fingerprint is invariant under
+   an order-preserving relabelling, and a fragment round-trips to the
+   colouring it was made from.
+2. **Rank-space delta reuse** — a structure-preserving relabelling of
    the conflict graph (the effect of editing one region of a program,
    which shifts all later value ids) serves every atom from the delta
    cache, with results identical to a cold run.
@@ -20,97 +17,16 @@ from repro.core.assign import assign_modules
 from repro.core.conflict_graph import ConflictGraph
 from repro.core.strategies import run_strategy
 from repro.core.workunits import (
-    RUNNERS,
     atom_task,
     decomposed_atoms,
-    dependency_levels,
     decode_fragment,
     encode_fragment,
-    resolve_runner,
     task_fingerprint,
-    task_graph,
 )
-from repro.lang.generator import random_source
 from repro.liw.machine import MachineConfig
 from repro.passes.delta import DeltaCache, DeltaScope
 from repro.pipeline import compile_source
-from repro.programs import all_programs
-from repro.service.cache import encode_storage_result
-
-# --------------------------------------------------------------------------
-# Runner resolution
-# --------------------------------------------------------------------------
-
-
-def test_resolve_runner_rejects_unknown_names():
-    with pytest.raises(ValueError, match="unknown runner"):
-        resolve_runner("fibers")
-
-
-@pytest.mark.parametrize("runner", RUNNERS)
-def test_least_used_module_choice_forces_serial(runner):
-    assert resolve_runner(runner, module_choice="least_used") == "serial"
-
-
-def test_auto_resolves_to_a_concrete_runner():
-    assert resolve_runner("auto") in ("serial", "threads")
-
-
-def test_assign_modules_reports_effective_runner():
-    sets = [frozenset({0, 1}), frozenset({1, 2}), frozenset({2, 3})]
-    result = assign_modules(sets, 2, runner="threads")
-    assert result.stats.runner == "threads"
-    assert result.stats.atom_units >= 1
-    # least_used degrades to serial whatever the caller asked for
-    result = assign_modules(
-        sets, 2, module_choice="least_used", runner="processes"
-    )
-    assert result.stats.runner == "serial"
-
-
-# --------------------------------------------------------------------------
-# Dependency levels
-# --------------------------------------------------------------------------
-
-
-def _tasks_from_sets(node_sets, k=4):
-    tasks = []
-    for i, nodes in enumerate(node_sets):
-        graph = ConflictGraph()
-        graph.add_instruction(frozenset(nodes))
-        tasks.append(atom_task(i, graph, k, "first", None))
-    return tasks
-
-
-def test_dependency_levels_are_node_disjoint():
-    # Chain with shared separators: {0,1,2} {2,3} {3,4} {5,6} {6,0}
-    tasks = _tasks_from_sets(
-        [{0, 1, 2}, {2, 3}, {3, 4}, {5, 6}, {6, 0}]
-    )
-    levels = dependency_levels(tasks)
-    seen_order = []
-    for level in levels:
-        nodes = [set(tasks[i].nodes) for i in level]
-        for a in range(len(nodes)):
-            for b in range(a + 1, len(nodes)):
-                assert not (nodes[a] & nodes[b]), levels
-        seen_order.extend(level)
-    # every task appears exactly once, and index order is preserved
-    # within the flattened level sequence per level construction
-    assert sorted(seen_order) == list(range(len(tasks)))
-
-
-def test_dependency_levels_respect_separator_overlap():
-    tasks = _tasks_from_sets([{0, 1}, {1, 2}, {2, 3}])
-    levels = dependency_levels(tasks)
-    # each task shares a node with its predecessor: strictly serial
-    assert levels == [[0], [1], [2]]
-
-
-def test_disjoint_tasks_share_one_level():
-    tasks = _tasks_from_sets([{0, 1}, {2, 3}, {4, 5}])
-    assert dependency_levels(tasks) == [[0, 1, 2]]
-
+from repro.programs import get_program
 
 # --------------------------------------------------------------------------
 # Fragments
@@ -124,8 +40,8 @@ def test_fragment_roundtrip_preserves_result():
         [frozenset({10, 20, 30}), frozenset({20, 30, 40}),
          frozenset({10, 40})]
     )
-    task = atom_task(0, graph, 2, "first", {10})
-    direct = color_atom(task_graph(task), 2, {}, "first", None, {10})
+    task = atom_task(graph, 2, "first", {10})
+    direct = color_atom(graph, 2, {}, "first", None, {10})
     decoded = decode_fragment(task, encode_fragment(task, direct))
     assert list(decoded.assignment.items()) == list(
         direct.assignment.items()
@@ -137,14 +53,13 @@ def test_fragment_roundtrip_preserves_result():
 def test_task_fingerprint_is_relabel_invariant():
     sets = [frozenset({1, 2, 5}), frozenset({2, 5, 9})]
     shifted = [frozenset(v + 100 for v in s) for s in sets]
-    a = atom_task(0, ConflictGraph.from_operand_sets(sets), 4, "first", {1})
+    a = atom_task(ConflictGraph.from_operand_sets(sets), 4, "first", {1})
     b = atom_task(
-        0, ConflictGraph.from_operand_sets(shifted), 4, "first", {101}
+        ConflictGraph.from_operand_sets(shifted), 4, "first", {101}
     )
     assert task_fingerprint(a, {1: 0}) == task_fingerprint(b, {101: 0})
     # ...and a structural change breaks the match
     c = atom_task(
-        0,
         ConflictGraph.from_operand_sets(sets + [frozenset({1, 9})]),
         4,
         "first",
@@ -187,18 +102,26 @@ def test_relabelled_graph_is_served_from_the_delta_cache():
     ] == cold.allocation.history
 
 
-@pytest.mark.parametrize("runner", ["serial", "threads", "processes"])
-def test_delta_hits_preserve_byte_identity(runner):
-    """A warm delta cache must not change the result, whatever runner."""
+def test_delta_hits_preserve_byte_identity():
+    """A warm delta cache must not change the result."""
     sets = _chain_sets(10)
     cold = assign_modules(sets, 4, seed=3)
     cache = DeltaCache()
     assign_modules(sets, 4, seed=3, delta=DeltaScope(cache))
-    warm = assign_modules(
-        sets, 4, seed=3, delta=DeltaScope(cache), runner=runner
-    )
+    warm = assign_modules(sets, 4, seed=3, delta=DeltaScope(cache))
     assert warm.allocation.history == cold.allocation.history
     assert warm.allocation.as_dict() == cold.allocation.as_dict()
+
+
+def test_least_used_module_choice_skips_delta_reuse():
+    """'least_used' reads the usage vector of earlier atoms, so a
+    fragment would not depend on its atom alone."""
+    scope = DeltaScope(DeltaCache())
+    sets = _chain_sets(10)
+    warm = assign_modules(sets, 4, module_choice="least_used", delta=scope)
+    assert scope.lookups == 0
+    cold = assign_modules(sets, 4, module_choice="least_used")
+    assert warm.allocation.history == cold.allocation.history
 
 
 def test_decomposed_atoms_caches_the_triangulation():
@@ -217,110 +140,39 @@ def test_decomposed_atoms_caches_the_triangulation():
 
 
 # --------------------------------------------------------------------------
-# Runner equality: synthetic sets
-# --------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("runner", ["threads", "processes"])
-@pytest.mark.parametrize("method", ["hitting_set", "backtrack"])
-def test_parallel_runners_match_serial_on_synthetic_sets(runner, method):
-    sets = _chain_sets(14) + [
-        frozenset({200, 201}), frozenset({201, 202, 203})
-    ]
-    serial = assign_modules(sets, 3, method=method, seed=11)
-    parallel = assign_modules(
-        sets, 3, method=method, seed=11, runner=runner
-    )
-    assert parallel.allocation.history == serial.allocation.history
-    assert parallel.allocation.as_dict() == serial.allocation.as_dict()
-    assert parallel.stats == serial.stats  # runner excluded via compare=False
-    assert parallel.coloring.unassigned == serial.coloring.unassigned
-
-
-# --------------------------------------------------------------------------
-# Runner equality: full registry x strategies x methods
+# Knob validation and unit shape
 # --------------------------------------------------------------------------
 
 
 @pytest.fixture(scope="module")
-def compiled_registry():
-    machine = MachineConfig(num_fus=4, num_modules=4)
-    return {
-        spec.name: compile_source(
-            spec.source, machine, constants_in_memory=True
-        )
-        for spec in all_programs()
-    }
-
-
-@pytest.mark.parametrize("method", ["hitting_set", "backtrack"])
-@pytest.mark.parametrize("strategy", ["STOR1", "STOR2", "STOR3"])
-def test_parallel_runners_match_serial_on_registry(
-    compiled_registry, strategy, method
-):
-    for name, program in compiled_registry.items():
-        serial = encode_storage_result(
-            run_strategy(
-                strategy, program.schedule, program.renamed, method=method
-            )
-        )
-        for runner in ("threads", "processes"):
-            got = encode_storage_result(
-                run_strategy(
-                    strategy,
-                    program.schedule,
-                    program.renamed,
-                    method=method,
-                    runner=runner,
-                )
-            )
-            assert got == serial, (name, strategy, method, runner)
-
-
-@pytest.mark.parametrize("seed", range(0, 12, 3))
-def test_parallel_runners_match_serial_on_generated_programs(seed):
-    source = random_source(seed)
-    program = compile_source(
-        source, MachineConfig(num_fus=4, num_modules=4),
+def taylor1():
+    return compile_source(
+        get_program("TAYLOR1").source,
+        MachineConfig(num_fus=4, num_modules=4),
         constants_in_memory=True,
     )
-    serial = encode_storage_result(
-        run_strategy("STOR1", program.schedule, program.renamed)
-    )
-    for runner in ("threads", "processes"):
-        got = encode_storage_result(
-            run_strategy(
-                "STOR1", program.schedule, program.renamed, runner=runner
-            )
-        )
-        assert got == serial, (seed, runner)
 
 
-# --------------------------------------------------------------------------
-# Knob validation and key discipline
-# --------------------------------------------------------------------------
-
-
-def test_run_strategy_rejects_bad_runner(compiled_registry):
-    program = next(iter(compiled_registry.values()))
-    with pytest.raises(ValueError, match="unknown runner"):
+def test_run_strategy_rejects_bad_runner(taylor1):
+    # atoms are always coloured serially: no runner argument exists
+    with pytest.raises(ValueError, match="unknown STOR1 option.*'runner'"):
         run_strategy(
-            "STOR1", program.schedule, program.renamed, runner="bogus"
+            "STOR1", taylor1.schedule, taylor1.renamed, runner="serial"
         )
 
 
 @pytest.mark.parametrize("bad", [0, -3, True, "8"])
-def test_run_strategy_rejects_bad_max_atom_nodes(compiled_registry, bad):
-    program = next(iter(compiled_registry.values()))
+def test_run_strategy_rejects_bad_max_atom_nodes(taylor1, bad):
+    program = taylor1
     with pytest.raises(ValueError, match="max_atom_nodes"):
         run_strategy(
             "STOR1", program.schedule, program.renamed, max_atom_nodes=bad
         )
 
 
-def test_max_atom_nodes_changes_unit_shape(compiled_registry):
+def test_max_atom_nodes_changes_unit_shape(taylor1):
     """A tiny bound makes oversized components whole-graph units."""
-    program = compiled_registry["TAYLOR1"]
+    program = taylor1
     bounded = run_strategy(
         "STOR1", program.schedule, program.renamed, max_atom_nodes=3
     )

@@ -222,7 +222,7 @@ def test_knob_source_keys_pinned():
 def test_knobs_outside_the_source_key_leave_it_default():
     # entry enters only under a non-mini frontend; the runner never does
     assert _taylor1_job(entry="f").source_key() == PINNED_SOURCE_KEY_DEFAULT
-    assert _taylor1_job(runner="threads").source_key() == (
+    assert _taylor1_job(runner="serial").source_key() == (
         PINNED_SOURCE_KEY_DEFAULT
     )
 
@@ -233,7 +233,7 @@ def test_knobs_outside_the_source_key_leave_it_default():
         ({}, "default"),
         ({"array_layout": "optimize"}, "array_layout=optimize"),
         ({"max_atom_nodes": 20}, "max_atom_nodes=20"),
-        ({"runner": "threads"}, "default"),
+        ({"runner": "serial"}, "default"),
         ({"entry": "f"}, "default"),
     ],
 )

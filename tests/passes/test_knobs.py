@@ -19,7 +19,7 @@ BAD_VALUES = {
     "seed": ("x", "x"),
     "k": (0, None),
     "max_atom_nodes": (0, "0"),
-    "runner": ("fibers", "fibers"),
+    "runner": ("threads", None),
     "array_layout": ("hashed", "hashed"),
     "frontend": ("cobol", "cobol"),
     "entry": (7, None),

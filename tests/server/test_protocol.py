@@ -132,6 +132,8 @@ def test_parse_compile_full():
         ({"op": "compile", "source": GOOD_SOURCE,
           "include_allocation": None}, "include_allocation"),
         ({"op": "compile", "source": GOOD_SOURCE, "name": 7}, "name"),
+        ({"op": "compile", "source": GOOD_SOURCE, "runner": "processes"},
+         "unknown runner 'processes' (valid: ['serial'])"),
     ],
 )
 def test_parse_rejects_invalid_requests(obj, fragment):
@@ -164,11 +166,11 @@ def test_parse_compile_workunit_knobs():
         "op": "compile",
         "source": GOOD_SOURCE,
         "max_atom_nodes": 32,
-        "runner": "processes",
+        "runner": "serial",
     })
     assert req.job is not None
     assert req.job.max_atom_nodes == 32
-    assert req.job.runner == "processes"
+    assert req.job.runner == "serial"
     # both default off/serial
     plain = parse_request({"op": "compile", "source": GOOD_SOURCE})
     assert plain.job is not None

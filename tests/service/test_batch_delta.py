@@ -2,7 +2,8 @@
 
 from repro.lang.generator import random_source
 from repro.passes.delta import DeltaCache
-from repro.service.batch import BatchCompiler, BatchJob
+from repro.passes.events import Metrics
+from repro.service.batch import BatchCompiler, BatchJob, _compile_and_key
 from repro.service.cache import encode_storage_result
 
 
@@ -42,16 +43,19 @@ def test_delta_reuse_is_result_invariant():
 
 def test_job_key_discipline():
     """max_atom_nodes changes results -> in the keys (when set);
-    runner never changes results -> never in the keys."""
+    runner is accepted for compatibility only -> never in the keys."""
     base = BatchJob("j", "program p; begin write(1) end.")
     bounded = BatchJob(
         "j", "program p; begin write(1) end.", max_atom_nodes=4
     )
-    threaded = BatchJob(
-        "j", "program p; begin write(1) end.", runner="threads"
+    serial = BatchJob(
+        "j", "program p; begin write(1) end.", runner="serial"
     )
     assert bounded.source_key() != base.source_key()
-    assert threaded.source_key() == base.source_key()
+    assert serial.source_key() == base.source_key()
+    assert _compile_and_key(serial, Metrics())[1] == (
+        _compile_and_key(base, Metrics())[1]
+    )
 
 
 def test_report_carries_delta_stats_block():

@@ -15,6 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from repro.core.allocation import Allocation
 from repro.core.strategies import StorageResult
+from repro.service.batch import BatchCompiler
 from repro.service.cache import (
     AllocationCache,
     decode_storage_result,
@@ -111,6 +112,29 @@ def _put_one(directory: str, worker_id: int) -> None:
     cache = AllocationCache(directory)
     for _ in range(50):
         cache.put("contended", _make_storage(worker_id % 4 + 1))
+
+
+def _save_index_rounds(directory: str, worker_id: int) -> None:
+    """Fabric workers share one cache directory and each saves the
+    batch service's source-key index into it."""
+    compiler = BatchCompiler(workers=1, cache=AllocationCache(directory))
+    for i in range(100):
+        compiler._index[f"w{worker_id}-{i}"] = "key"
+        compiler._save_index()
+
+
+def test_concurrent_index_saves_never_fail(tmp_path):
+    with ProcessPoolExecutor(max_workers=4) as pool:
+        futures = [
+            pool.submit(_save_index_rounds, str(tmp_path), wid)
+            for wid in range(4)
+        ]
+        for f in futures:
+            f.result(timeout=120)  # re-raises a failed save
+
+    index = json.loads((tmp_path / BatchCompiler.INDEX_FILE).read_text())
+    assert isinstance(index, dict) and index
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 # --------------------------------------------------------------------------

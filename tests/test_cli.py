@@ -146,11 +146,18 @@ def test_bench_wrong_output_value_exits_1(monkeypatch, capsys):
         (["batch", "--frontend", "python", "nope"], "unknown pykernel"),
         (["compile", "/nonexistent/x.p"], "cannot read /nonexistent/x.p"),
         (["run", "/nonexistent/x.p"], "cannot read /nonexistent/x.p"),
+        (["bench", "TAYLOR1", "--fus", "0"],
+         "argument --fus: must be an int >= 1, got '0'"),
+        (["bench", "TAYLOR1", "--modules", "0"],
+         "argument --modules/-k: must be an int >= 1, got '0'"),
+        (["run", "PROGRAM", "-i", "abc"],
+         "argument --input/-i: not a number: 'abc'"),
     ],
 )
 def test_bad_names_and_paths_exit_2_with_one_error_line(
-    argv, fragment, capsys
+    argv, fragment, program_file, capsys
 ):
+    argv = [program_file if arg == "PROGRAM" else arg for arg in argv]
     try:
         code = main(argv)
     except SystemExit as exc:  # rejected by argparse
@@ -160,6 +167,28 @@ def test_bad_names_and_paths_exit_2_with_one_error_line(
     assert "Traceback" not in err
     errors = [ln for ln in err.splitlines() if ": error: " in ln]
     assert len(errors) == 1 and fragment in errors[0]
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--layout", "single"], ["--rename-mode", "variable"],
+     ["--no-simplify"]],
+)
+def test_batch_rejects_flags_its_jobs_do_not_carry(flags, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["batch", "TAYLOR1", *flags])
+    assert exit_info.value.code == 2
+    assert (
+        f"unrecognized arguments: {' '.join(flags)}"
+        in capsys.readouterr().err
+    )
+
+
+def test_batch_delta_reaches_the_job_machine():
+    from repro.__main__ import _machine
+
+    args = build_parser().parse_args(["batch", "TAYLOR1", "--delta", "2"])
+    assert _machine(args).delta == 2.0
 
 
 def test_parser_requires_command():
