@@ -87,12 +87,8 @@ def cmd_compile(args: argparse.Namespace) -> int:
 
     from .analysis.report import format_trace, trace_json
 
-    from .passes.delta import DeltaCache
-
     tracer = CollectingTracer()
-    run = run_pipeline(
-        args.program, _options(args), tracer=tracer, delta_cache=DeltaCache()
-    )
+    run = run_pipeline(args.program, _options(args), tracer=tracer)
     program = compiled_program(run.store)
     storage = run.artifact("storage")
     print(f"; {program.name}: {program.schedule.num_instructions} long "

@@ -42,7 +42,7 @@ from .verify import (
     sdr_exists,
     verify_allocation,
 )
-from .workunits import RUNNERS, AtomTask, atom_task, task_fingerprint
+from .workunits import RUNNERS
 
 __all__ = [
     "Allocation",
@@ -84,9 +84,6 @@ __all__ = [
     "stor3",
     "stor_region",
     "RUNNERS",
-    "AtomTask",
-    "atom_task",
-    "task_fingerprint",
     "combination_conflict_free",
     "conflicting_instructions",
     "find_sdr",

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .allocation import Allocation
 from .backtrack import backtrack_duplication
@@ -31,9 +31,6 @@ from .coloring import ColoringResult, color_graph
 from .conflict_graph import ConflictGraph
 from .duplication import hitting_set_duplication
 from .verify import conflicting_instructions
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only
-    from ..passes.delta import DeltaScope
 
 
 @dataclass(slots=True)
@@ -123,7 +120,6 @@ def assign_modules(
     tie_break: str = "random",
     seed: int = 0,
     weights: Sequence[int] | None = None,
-    delta: "DeltaScope | None" = None,
     max_atom_nodes: int | None = None,
 ) -> AssignmentResult:
     """Run the paper's full assignment pipeline.
@@ -152,9 +148,6 @@ def assign_modules(
         Optional per-instruction execution counts (profile-guided mode,
         paper §3 closing discussion): conflict-graph counts and pinned
         placement then minimise *dynamic* conflicts.
-    delta:
-        A :class:`repro.passes.delta.DeltaScope` enabling rank-space
-        fragment reuse for atoms unchanged since a previous compile.
     max_atom_nodes:
         Clique-separator decomposition bound (components above it are
         coloured whole); defaults to
@@ -201,7 +194,6 @@ def assign_modules(
         module_choice,
         use_atoms,
         prefer=pinned_first,
-        delta=delta,
         max_atom_nodes=max_atom_nodes,
     )
 

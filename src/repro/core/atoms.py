@@ -196,19 +196,6 @@ def _decompose_component(
         work.append(piece_mask & ~comp_mask)
 
 
-def component_atom_sets(
-    graph: ConflictGraph, component: set[int]
-) -> list[set[int]]:
-    """The ordered atom vertex sets of one connected component — the
-    piece of :func:`decompose_atoms` the work-unit engine delta-caches
-    (the MCS-M triangulation is the expensive part; the atom sets are
-    its entire output, so they are what gets memoised)."""
-    atom_sets: list[set[int]] = []
-    separators: list[frozenset[int]] = []
-    _decompose_component(graph, component, atom_sets, separators)
-    return atom_sets
-
-
 def decompose_atoms(
     graph: ConflictGraph, max_nodes: int = DEFAULT_MAX_NODES
 ) -> AtomDecomposition:

@@ -24,14 +24,10 @@ colouring proper without a permutation step.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from .atoms import DEFAULT_MAX_NODES
 from .bitset import iter_bits
 from .conflict_graph import ConflictGraph
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only
-    from ..passes.delta import DeltaScope
 
 
 @dataclass(frozen=True, slots=True)
@@ -223,7 +219,6 @@ def color_graph(
     use_atoms: bool = True,
     prefer: set[int] | None = None,
     *,
-    delta: "DeltaScope | None" = None,
     max_atom_nodes: int | None = None,
 ) -> ColoringResult:
     """Colour a conflict graph (paper §2.1): decompose into atoms, colour
@@ -231,10 +226,9 @@ def color_graph(
     nodes coloured before all others (see :func:`color_atom`).
 
     The atoms are coloured one by one, in decomposition order, by
-    :func:`repro.core.workunits.run_atom_units`: ``delta`` enables
-    rank-space fragment reuse across near-duplicate graphs, and
-    ``max_atom_nodes`` bounds the clique-separator decomposition
-    (components above the bound are coloured whole).
+    :func:`repro.core.workunits.run_atom_units`; ``max_atom_nodes``
+    bounds the clique-separator decomposition (components above the
+    bound are coloured whole).
     """
     from . import workunits
 
@@ -242,10 +236,9 @@ def color_graph(
     max_nodes = (
         DEFAULT_MAX_NODES if max_atom_nodes is None else max_atom_nodes
     )
-    scope = delta if module_choice == "first" else None
     if not use_atoms:
-        result = _color_whole(
-            graph, k, preassigned, module_choice, prefer, scope
+        result = color_atom(
+            graph, k, preassigned, module_choice, prefer=prefer
         )
         result.num_atoms = 1 if graph.nodes else 0
         _repair_improper_edges(graph, result, set(preassigned))
@@ -259,12 +252,11 @@ def color_graph(
     # running-intersection property guarantees that the vertices an atom
     # shares with earlier atoms form one clique, so the pre-assigned
     # constraints are always mutually consistent and extendable.
-    atoms = workunits.decomposed_atoms(graph, max_nodes, scope)
+    atoms = workunits.decomposed_atoms(graph, max_nodes)
     combined.num_atoms = len(atoms)
     module_use = [0] * k
     workunits.run_atom_units(
-        atoms, k, preassigned, module_choice, prefer,
-        combined, module_use, delta=scope,
+        atoms, k, preassigned, module_choice, prefer, combined, module_use
     )
     # De-duplicate: a separator vertex removed in one atom but coloured in
     # another must not be in both lists; colouring wins (its copy exists).
@@ -273,37 +265,6 @@ def color_graph(
     ]
     _repair_improper_edges(graph, combined, set(preassigned))
     return combined
-
-
-def _color_whole(
-    graph: ConflictGraph,
-    k: int,
-    preassigned: dict[int, int],
-    module_choice: str,
-    prefer: set[int] | None,
-    scope: "DeltaScope | None",
-) -> ColoringResult:
-    """The ``use_atoms=False`` path: the whole graph as one unit, with
-    optional delta reuse."""
-    from . import workunits
-
-    if scope is None or not graph.nodes:
-        return color_atom(graph, k, preassigned, module_choice, prefer=prefer)
-    task = workunits.atom_task(graph, k, module_choice, prefer)
-    pre = {v: m for v, m in preassigned.items() if v in graph.nodes}
-    payload = workunits.task_fingerprint(task, pre)
-    # color_atom's first-node branch keys off the *given* dict being
-    # empty, even when none of its keys are in the graph — preserve
-    # that in the content address.
-    key = scope.key(
-        "whole-color", {"unit": payload, "pre_empty": not preassigned}
-    )
-    fragment = scope.get(key)
-    if fragment is not None:
-        return workunits.decode_fragment(task, fragment)
-    result = color_atom(graph, k, preassigned, module_choice, prefer=prefer)
-    scope.put(key, workunits.encode_fragment(task, result))
-    return result
 
 
 def _repair_improper_edges(

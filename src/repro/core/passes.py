@@ -31,7 +31,6 @@ def _run_allocate(ctx: PassContext) -> None:
         method=opts.method,
         seed=opts.seed,
         metrics=stage_metrics,
-        delta=ctx.delta,
         **opts.knobs(),
     )
     for stage in stage_metrics.stages:

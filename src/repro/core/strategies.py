@@ -86,11 +86,7 @@ def _timed_assign(
     (``kernel_*``) accumulated during the call — masks built, placements
     enumerated, branches pruned, memo hits, ... — so ``--trace-json``
     exposes per-stage kernel effort (see
-    :class:`repro.core.bitset.KernelCounters`), plus the call's
-    ``delta_hits``/``delta_misses`` when it has a delta scope."""
-    scope = kwargs.get("delta")
-    hits0 = scope.hits if scope is not None else 0
-    misses0 = scope.misses if scope is not None else 0
+    :class:`repro.core.bitset.KernelCounters`)."""
     before = COUNTERS.snapshot()
     t0 = time.perf_counter()
     result = assign_modules(*args, **kwargs)
@@ -101,10 +97,6 @@ def _timed_assign(
             for name, n in COUNTERS.delta_since(before).items()
             if n
         }
-        delta_counts: dict[str, int] = {}
-        if scope is not None:
-            delta_counts["delta_hits"] = scope.hits - hits0
-            delta_counts["delta_misses"] = scope.misses - misses0
         metrics.add_stage(
             stage,
             wall,
@@ -115,7 +107,6 @@ def _timed_assign(
             colored=result.stats.colored,
             removed=result.stats.removed,
             copies_created=result.stats.copies_created,
-            **delta_counts,
             **kernel_counts,
         )
     return result
@@ -391,9 +382,7 @@ def validate_strategy_kwargs(name: str, kwargs: Mapping[str, object]) -> None:
             f"unknown method {method!r} for {sname}; valid methods: "
             f"{', '.join(METHODS)}"
         )
-    valid = (
-        "method", "seed", "metrics", "delta",
-    ) + STRATEGY_KNOBS[sname]
+    valid = ("method", "seed", "metrics") + STRATEGY_KNOBS[sname]
     unknown = sorted(set(kwargs) - set(valid))
     if unknown:
         raise ValueError(

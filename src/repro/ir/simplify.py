@@ -13,7 +13,10 @@ cycle, so the scheduler wants them gone:
 
 Both passes preserve the program's execution order exactly (they remove
 only unconditional control transfers), so interpreter and executor
-outputs are unchanged.
+outputs are unchanged.  Neither changes its input: rewritten
+terminators and all surviving blocks are new objects (instruction lists
+of untouched blocks are shared), so the ``Cfg`` that lowering produced,
+and a pass cache may hold, stays valid.
 """
 
 from __future__ import annotations
@@ -28,8 +31,10 @@ def _is_trivial_jump(block: BasicBlock) -> bool:
 
 def thread_jumps(cfg: Cfg) -> Cfg:
     """Redirect branches through jump-only blocks to their final target."""
-    # Resolve each block to its ultimate non-trivial target.
+    # Resolve each block to its ultimate non-trivial target.  A jump
+    # already retargeted is followed to its new target.
     final_target: dict[str, str] = {}
+    retargeted: dict[str, list[tac.TacInstr]] = {}
 
     def resolve(label: str, seen: frozenset[str]) -> str:
         if label in final_target:
@@ -38,8 +43,9 @@ def thread_jumps(cfg: Cfg) -> Cfg:
             return label
         block = cfg.block_of_label(label)
         if _is_trivial_jump(block):
+            jump = retargeted.get(label, block.instrs)[0]
             target = resolve(
-                block.instrs[0].target, seen | {label}  # type: ignore[attr-defined]
+                jump.target, seen | {label}  # type: ignore[attr-defined]
             )
         else:
             target = label
@@ -49,11 +55,19 @@ def thread_jumps(cfg: Cfg) -> Cfg:
     for block in cfg.blocks:
         last = block.instrs[-1]
         if isinstance(last, tac.Jump):
-            last.target = resolve(last.target, frozenset({block.label}))
+            new: tac.TacInstr = tac.Jump(
+                resolve(last.target, frozenset({block.label}))
+            )
         elif isinstance(last, tac.CJump):
-            last.then_target = resolve(last.then_target, frozenset())
-            last.else_target = resolve(last.else_target, frozenset())
-    return _rebuild(cfg)
+            new = tac.CJump(
+                last.cond,
+                resolve(last.then_target, frozenset()),
+                resolve(last.else_target, frozenset()),
+            )
+        else:
+            continue
+        retargeted[block.label] = block.instrs[:-1] + [new]
+    return _rebuild(cfg, retargeted)
 
 
 def merge_blocks(cfg: Cfg) -> Cfg:
@@ -71,18 +85,24 @@ def merge_blocks(cfg: Cfg) -> Cfg:
             # start predecessor) or a self-loop.
             if succ is block or succ.index == 0 or len(succ.preds) != 1:
                 continue
-            block.instrs = block.instrs[:-1] + succ.instrs
-            succ.instrs = [tac.Halt()]  # unreachable; dropped by rebuild
-            cfg = _rebuild(cfg)
+            cfg = _rebuild(
+                cfg,
+                {
+                    block.label: block.instrs[:-1] + succ.instrs,
+                    # unreachable now; dropped by the rebuild
+                    succ.label: [tac.Halt()],
+                },
+            )
             changed = True
             break
     return cfg
 
 
-def _rebuild(cfg: Cfg) -> Cfg:
-    """Recompute reachability and edges after rewiring."""
-    by_label = {b.label: b for b in cfg.blocks}
-    order: list[BasicBlock] = []
+def _rebuild(cfg: Cfg, rewritten: dict[str, list[tac.TacInstr]]) -> Cfg:
+    """A new ``Cfg`` of new blocks: ``cfg``'s blocks with the
+    instruction lists in ``rewritten`` (by label) swapped in,
+    unreachable blocks dropped, and indices and edges recomputed."""
+    code = {b.label: rewritten.get(b.label, b.instrs) for b in cfg.blocks}
     seen: set[str] = set()
     stack = [cfg.blocks[0].label]
     while stack:
@@ -90,9 +110,7 @@ def _rebuild(cfg: Cfg) -> Cfg:
         if label in seen:
             continue
         seen.add(label)
-        block = by_label[label]
-        order.append(block)
-        last = block.instrs[-1]
+        last = code[label][-1]
         if isinstance(last, tac.Jump):
             stack.append(last.target)
         elif isinstance(last, tac.CJump):
@@ -100,22 +118,20 @@ def _rebuild(cfg: Cfg) -> Cfg:
             stack.append(last.then_target)
 
     # Stable order: keep original relative order of surviving blocks.
-    surviving = {b.label for b in order}
-    blocks = [b for b in cfg.blocks if b.label in surviving]
-    index_of = {b.label: i for i, b in enumerate(blocks)}
-    for i, b in enumerate(blocks):
-        b.index = i
-        last = b.instrs[-1]
+    labels = [b.label for b in cfg.blocks if b.label in seen]
+    index_of = {label: i for i, label in enumerate(labels)}
+    blocks: list[BasicBlock] = []
+    for i, label in enumerate(labels):
+        last = code[label][-1]
         if isinstance(last, tac.Jump):
-            b.succs = [index_of[last.target]]
+            succs = [index_of[last.target]]
         elif isinstance(last, tac.CJump):
             then_i = index_of[last.then_target]
             else_i = index_of[last.else_target]
-            b.succs = [then_i, else_i] if then_i != else_i else [then_i]
+            succs = [then_i, else_i] if then_i != else_i else [then_i]
         else:
-            b.succs = []
-    for b in blocks:
-        b.preds = []
+            succs = []
+        blocks.append(BasicBlock(i, label, code[label], succs))
     for b in blocks:
         for s in b.succs:
             blocks[s].preds.append(b.index)

@@ -17,12 +17,15 @@ A ``for`` loop is unrolled only when it is safe and profitable:
 - bounds are evaluated once, exactly as the non-unrolled lowering does.
 
 The transformation runs before semantic analysis; synthetic bound
-variables are appended to the declarations.
+variables are appended to the declarations.  It leaves its input
+unchanged: every statement on the path to a rewritten loop is a new
+node, and untouched subtrees are shared with the input.
 """
 
 from __future__ import annotations
 
 import copy
+from dataclasses import replace
 
 from ..lang import ast_nodes as ast
 from ..lang.errors import SourceLocation
@@ -93,20 +96,30 @@ class Unroller:
         return name
 
     def transform(self, stmt: ast.Stmt) -> ast.Stmt:
+        """``stmt`` with its eligible loops unrolled: ``stmt`` itself
+        when nothing inside it changed, else a new node."""
         if isinstance(stmt, ast.Block):
-            stmt.body = [self.transform(s) for s in stmt.body]
-            return stmt
+            body = [self.transform(s) for s in stmt.body]
+            if all(new is old for new, old in zip(body, stmt.body)):
+                return stmt
+            return replace(stmt, body=body)
         if isinstance(stmt, ast.If):
-            stmt.then_body = self.transform(stmt.then_body)
-            if stmt.else_body is not None:
-                stmt.else_body = self.transform(stmt.else_body)
-            return stmt
+            then_body = self.transform(stmt.then_body)
+            else_body = (
+                None if stmt.else_body is None
+                else self.transform(stmt.else_body)
+            )
+            if then_body is stmt.then_body and else_body is stmt.else_body:
+                return stmt
+            return replace(stmt, then_body=then_body, else_body=else_body)
         if isinstance(stmt, ast.While):
-            stmt.body = self.transform(stmt.body)
-            return stmt
+            body = self.transform(stmt.body)
+            return stmt if body is stmt.body else replace(stmt, body=body)
         if isinstance(stmt, ast.For):
             inner = self.innermost_only and _contains_loop(stmt.body)
-            stmt.body = self.transform(stmt.body)
+            body = self.transform(stmt.body)
+            if body is not stmt.body:
+                stmt = replace(stmt, body=body)
             if inner:
                 return stmt  # only innermost loops are replicated
             return self._unroll_for(stmt)
@@ -169,7 +182,8 @@ class Unroller:
 def unroll_program(
     program: ast.Program, factor: int = 4, innermost_only: bool = True
 ) -> ast.Program:
-    """Unroll eligible ``for`` loops in place; returns the program.
+    """The program with eligible ``for`` loops unrolled; ``program``
+    itself is left unchanged (and returned when nothing unrolls).
 
     By default only innermost loops are replicated (nested unrolling
     multiplies code size by ``factor**depth`` for little extra ILP).
@@ -178,9 +192,11 @@ def unroll_program(
     if factor == 1:
         return program
     unroller = Unroller(factor, innermost_only)
-    program.body = unroller.transform(program.body)  # type: ignore[assignment]
-    if unroller.new_decls:
-        program.decls.append(
-            ast.VarDecl(program.location, unroller.new_decls, ast.INT)
-        )
-    return program
+    body = unroller.transform(program.body)
+    if body is program.body:
+        return program
+    decls = [
+        *program.decls,
+        ast.VarDecl(program.location, unroller.new_decls, ast.INT),
+    ]
+    return replace(program, decls=decls, body=body)

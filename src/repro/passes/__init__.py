@@ -12,9 +12,6 @@
     Chained content fingerprints — the stage-level cache keys.
 ``repro.passes.cache``
     :class:`ArtifactCache` — LRU reuse of per-pass artifacts.
-``repro.passes.delta``
-    :class:`DeltaCache`/:class:`DeltaScope` — sub-pass fragment reuse
-    (per-atom allocation fragments) across near-duplicate inputs.
 ``repro.passes.manager``
     :class:`Pass`, :class:`PassContext`, :class:`PassManager`.
 ``repro.passes.registry``
@@ -40,7 +37,6 @@ from .artifacts import (
     register_artifact,
 )
 from .cache import ArtifactCache
-from .delta import DeltaCache, DeltaScope, fragment_weight
 from .events import (
     CollectingTracer,
     Metrics,
@@ -89,8 +85,6 @@ __all__ = [
     "ArtifactStore",
     "CollectingTracer",
     "CompiledProgram",
-    "DeltaCache",
-    "DeltaScope",
     "Metrics",
     "MetricsTracer",
     "NullTracer",
@@ -108,7 +102,6 @@ __all__ = [
     "chain_fingerprint",
     "compiled_program",
     "digest",
-    "fragment_weight",
     "initial_fingerprint",
     "register_artifact",
     *_REGISTRY_EXPORTS,

@@ -9,55 +9,33 @@ ones the pass would have recomputed.
 This is an **in-memory, intra-process** cache of live Python objects
 (ASTs, CFGs, schedules) — the complement of the JSON-serialised,
 on-disk :class:`repro.service.cache.AllocationCache` that persists only
-final storage results.  Entries are shared by reference; downstream
-passes treat their inputs as immutable (they already do — every
-transformation in the pipeline builds new structures), so sharing is
-safe.
+final storage results.  Entries are shared by reference, so every pass
+must leave the artifacts it reads unchanged and build new structures
+for what it writes (``unroll`` and ``simplify`` copy the nodes they
+rewrite; ``tests/passes/test_pass_purity.py`` pins this).  The one
+stated exception is ``sema``, which annotates the AST with types in
+place; the annotations are idempotent, so a second run over a shared
+AST writes the same values.
 
-Eviction is LRU.  By default every entry costs one unit against
-``max_entries`` — the right accounting for whole-stage artifact dicts,
-which are all roughly program-sized.  Sub-pass *fragments* (the per-atom
-entries of :class:`repro.passes.delta.DeltaCache`) vary by orders of
-magnitude, so the cache optionally also tracks a **weight** per entry
-(``weigher``) against a ``max_weight`` budget; entries heavier than
-``max_entry_weight`` (default: a quarter of the budget) are rejected
-outright, so one huge program's fragments cannot evict the entire
-cache on admission.
+Eviction is LRU; every entry costs one unit against ``max_entries``.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable
 
 
 class ArtifactCache:
     """LRU cache: pass fingerprint -> {artifact name: value}."""
 
-    def __init__(
-        self,
-        max_entries: int = 256,
-        max_weight: int | None = None,
-        weigher: "Callable[[dict[str, object]], int] | None" = None,
-        max_entry_weight: int | None = None,
-    ):
+    def __init__(self, max_entries: int = 256):
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
-        if max_weight is not None and max_weight < 1:
-            raise ValueError("max_weight must be >= 1")
         self.max_entries = max_entries
-        self.max_weight = max_weight
-        if max_entry_weight is None and max_weight is not None:
-            max_entry_weight = max(1, max_weight // 4)
-        self.max_entry_weight = max_entry_weight
-        self._weigher = weigher
         self._entries: "OrderedDict[str, dict[str, object]]" = OrderedDict()
-        self._weights: dict[str, int] = {}
-        self.total_weight = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.rejected = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -74,55 +52,29 @@ class ArtifactCache:
         self.hits += 1
         return entry
 
-    def _drop(self, fingerprint: str) -> None:
-        if fingerprint in self._entries:
-            del self._entries[fingerprint]
-            self.total_weight -= self._weights.pop(fingerprint, 1)
-
     def put(self, fingerprint: str, artifacts: dict[str, object]) -> int:
         """Store an entry; returns how many LRU entries were evicted to
         make room (the pass manager surfaces the count on the pass's
         Tracer event)."""
-        entry = dict(artifacts)
-        weight = 1 if self._weigher is None else max(1, self._weigher(entry))
-        if self.max_entry_weight is not None and weight > self.max_entry_weight:
-            # Admitting an entry this large would churn out a big slice
-            # of the resident set for one improbable-to-repeat key.
-            self.rejected += 1
-            self._drop(fingerprint)
-            return 0
-        self._drop(fingerprint)
-        self._entries[fingerprint] = entry
-        self._weights[fingerprint] = weight
-        self.total_weight += weight
+        self._entries.pop(fingerprint, None)
+        self._entries[fingerprint] = dict(artifacts)
         evicted = 0
-        while len(self._entries) > self.max_entries or (
-            self.max_weight is not None
-            and self.total_weight > self.max_weight
-        ):
-            victim, _ = self._entries.popitem(last=False)
-            self.total_weight -= self._weights.pop(victim, 1)
+        while len(self._entries) > self.max_entries:
+            self._entries.popitem(last=False)
             evicted += 1
         self.evictions += evicted
         return evicted
 
     def clear(self) -> None:
         self._entries.clear()
-        self._weights.clear()
-        self.total_weight = 0
-        self.hits = self.misses = self.evictions = self.rejected = 0
+        self.hits = self.misses = self.evictions = 0
 
     def stats(self) -> dict[str, object]:
         lookups = self.hits + self.misses
-        out: dict[str, object] = {
+        return {
             "entries": len(self._entries),
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
             "hit_rate": self.hits / lookups if lookups else 0.0,
         }
-        if self.max_weight is not None:
-            out["weight"] = self.total_weight
-            out["max_weight"] = self.max_weight
-            out["rejected"] = self.rejected
-        return out

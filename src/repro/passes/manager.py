@@ -27,7 +27,6 @@ from typing import Callable, Sequence
 
 from .artifacts import ArtifactStore, PipelineOptions
 from .cache import ArtifactCache
-from .delta import DeltaCache, DeltaScope
 from .events import NullTracer, PassEvent, Tracer
 from .fingerprint import chain_fingerprint, encode_value, initial_fingerprint
 
@@ -37,15 +36,10 @@ class PassError(RuntimeError):
 
 
 class PassContext:
-    """What a pass run function sees: the store, the options, the
-    event channel for counters, warnings, and sub-stage timings, and —
-    when the manager carries a :class:`~repro.passes.delta.DeltaCache`
-    — a per-run :class:`~repro.passes.delta.DeltaScope` for sub-pass
-    fragment reuse."""
+    """What a pass run function sees: the store, the options, and the
+    event channel for counters, warnings, and sub-stage timings."""
 
-    __slots__ = (
-        "store", "options", "counts", "warnings", "delta", "_emit", "_name",
-    )
+    __slots__ = ("store", "options", "counts", "warnings", "_emit", "_name")
 
     def __init__(
         self,
@@ -53,13 +47,11 @@ class PassContext:
         options: PipelineOptions,
         name: str,
         emit: Callable[[PassEvent], None],
-        delta: DeltaScope | None = None,
     ):
         self.store = store
         self.options = options
         self.counts: dict[str, int | float] = {}
         self.warnings: list[str] = []
-        self.delta = delta
         self._emit = emit
         self._name = name
 
@@ -159,14 +151,6 @@ class PassManager:
         outside this set (e.g. runtime ``inputs``) never affect cache
         keys — which is why passes depending on them must be declared
         ``cacheable=False``.
-    delta:
-        Optional :class:`~repro.passes.delta.DeltaCache` for *sub-pass*
-        fragment reuse: each executed pass receives a
-        :class:`~repro.passes.delta.DeltaScope` bound to its name on
-        ``ctx.delta``, and its per-run hit/miss counts surface as
-        ``delta_hits``/``delta_misses`` on the pass's end event.
-        Unlike ``cache`` (whole-stage, exact fingerprint match), the
-        delta cache pays off on *near*-duplicate inputs.
     """
 
     def __init__(
@@ -175,7 +159,6 @@ class PassManager:
         tracer: Tracer | None = None,
         cache: ArtifactCache | None = None,
         fingerprint_artifacts: tuple[str, ...] = ("source",),
-        delta: DeltaCache | None = None,
     ):
         names = [p.name for p in passes]
         if len(set(names)) != len(names):
@@ -183,7 +166,6 @@ class PassManager:
         self.passes = tuple(passes)
         self.tracer: Tracer = tracer if tracer is not None else NullTracer()
         self.cache = cache
-        self.delta = delta
         self.fingerprint_artifacts = fingerprint_artifacts
 
     def run(
@@ -231,12 +213,7 @@ class PassManager:
                     f"earlier pass produced"
                 )
 
-            scope = (
-                DeltaScope(self.delta, p.name)
-                if self.delta is not None
-                else None
-            )
-            ctx = PassContext(store, options, p.name, emit, scope)
+            ctx = PassContext(store, options, p.name, emit)
             emit(PassEvent(p.name, "start", fingerprint=fp))
             t0 = time.perf_counter()
             try:
@@ -254,9 +231,6 @@ class PassManager:
                 )
                 raise
             wall = time.perf_counter() - t0
-            if scope is not None and scope.lookups:
-                ctx.counts.setdefault("delta_hits", scope.hits)
-                ctx.counts.setdefault("delta_misses", scope.misses)
 
             unwritten = [w for w in p.writes if not store.has(w)]
             if unwritten:

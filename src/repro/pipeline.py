@@ -37,7 +37,6 @@ from .passes.artifacts import (
     compiled_program,
 )
 from .passes.cache import ArtifactCache
-from .passes.delta import DeltaCache
 from .passes.events import Metrics, MetricsTracer, TeeTracer, Tracer
 from .passes.manager import Pass, PassManager, PassRunResult
 from .passes.registry import (
@@ -94,15 +93,12 @@ def run_pipeline(
     tracer: Tracer | None = None,
     metrics: Metrics | None = None,
     cache: ArtifactCache | None = None,
-    delta_cache: DeltaCache | None = None,
 ) -> PassRunResult:
     """Run a pass pipeline over ``source`` and return the full result
     (artifact store, per-pass fingerprints, events, cache counters).
 
     ``passes`` defaults to compile + allocate; pass ``inputs`` to run
-    the full pipeline including simulation.  ``delta_cache`` enables
-    sub-pass fragment reuse (per-atom allocation fragments) across
-    near-duplicate sources — see :mod:`repro.passes.delta`.
+    the full pipeline including simulation.
     """
     options = options if options is not None else PipelineOptions()
     if passes is None:
@@ -118,7 +114,6 @@ def run_pipeline(
         passes,
         tracer=_combined_tracer(tracer, metrics),
         cache=cache,
-        delta=delta_cache,
     )
     run = manager.run(initial, options)
     _note_cache_counters(metrics, run, cache)

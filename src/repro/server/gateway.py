@@ -375,38 +375,9 @@ class CompileGateway:
     async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        self.counters.connections += 1
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    self.counters.oversized_lines += 1
-                    self.counters.protocol_errors += 1
-                    writer.write(protocol.encode_message(
-                        protocol.error_response(
-                            None,
-                            f"request line exceeds "
-                            f"{protocol.MAX_LINE_BYTES} bytes",
-                        )
-                    ))
-                    await writer.drain()
-                    break
-                if not line:
-                    break
-                if line.strip() == b"":
-                    continue
-                reply = await self._handle_line(line)
-                writer.write(protocol.encode_message(reply))
-                await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
-                pass
+        await protocol.serve_lines(
+            reader, writer, self._handle_line, self.counters
+        )
 
     async def _handle_line(self, line: bytes) -> dict[str, object]:
         try:

@@ -51,13 +51,16 @@ so probes can tell a gateway from a worker.  A gateway relays compile
 requests with :func:`forward_envelope` — the original request plus a
 ``via`` provenance record and a rewritten ``deadline_ms`` holding the
 *remaining* budget — and both sender and receiver refuse relay depths
-past :data:`MAX_FORWARD_HOPS`.
+past :data:`MAX_FORWARD_HOPS`.  Both the server and the gateway read
+their sockets with :func:`serve_lines`.
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
 from dataclasses import dataclass
+from typing import Awaitable, Callable, Protocol
 
 from ..liw.machine import MachineConfig
 from ..passes.knobs import JOB_KNOBS
@@ -72,12 +75,13 @@ PROTOCOL_VERSION = 1
 #: Version of the ``health``/``stats`` payload schema.  Bumped when
 #: fields are added/renamed so dashboards and harnesses can detect
 #: what they are talking to; 2 added ``role``/``worker_id``; 3 added
-#: the ``delta_cache`` stats block (and the ``max_atom_nodes``/
-#: ``runner`` compile-request fields); 4 added the ``array_layout``
-#: compile-request field, the per-result ``array_opt`` summary, and the
-#: ``array_opt_compiles`` counter; 5 added the ``frontend``/``entry``
-#: compile-request fields (CPython-bytecode frontend).
-SCHEMA_VERSION = 5
+#: a stats block for the atom-fragment cache (and the
+#: ``max_atom_nodes``/``runner`` compile-request fields); 4 added the
+#: ``array_layout`` compile-request field, the per-result ``array_opt``
+#: summary, and the ``array_opt_compiles`` counter; 5 added the
+#: ``frontend``/``entry`` compile-request fields (CPython-bytecode
+#: frontend); 6 removed the fragment-cache stats block with the cache.
+SCHEMA_VERSION = 6
 
 OPS = ("compile", "health", "stats")
 STATUSES = ("ok", "error", "overloaded", "timeout", "shutting-down")
@@ -268,3 +272,52 @@ def response(
 
 def error_response(request_id: object, message: str) -> dict[str, object]:
     return response(request_id, "error", error=message)
+
+
+class LineCounters(Protocol):
+    """The counters :func:`serve_lines` updates."""
+
+    connections: int
+    oversized_lines: int
+    protocol_errors: int
+
+
+async def serve_lines(
+    reader: asyncio.StreamReader,
+    writer: asyncio.StreamWriter,
+    handle_line: Callable[[bytes], Awaitable[dict[str, object]]],
+    counters: LineCounters,
+) -> None:
+    """Answer one connection's request lines with ``handle_line``, in
+    order, until EOF.  Blank lines are skipped; a line over
+    :data:`MAX_LINE_BYTES` gets one error response and the connection
+    is closed; a client that resets the connection is not an error."""
+    counters.connections += 1
+    try:
+        while True:
+            try:
+                line = await reader.readline()
+            except (asyncio.LimitOverrunError, ValueError):
+                # A line longer than the stream limit: answer once,
+                # then close — the stream cannot be resynchronized.
+                counters.oversized_lines += 1
+                counters.protocol_errors += 1
+                writer.write(encode_message(error_response(
+                    None, f"request line exceeds {MAX_LINE_BYTES} bytes"
+                )))
+                await writer.drain()
+                break
+            if not line:
+                break  # EOF
+            if line.strip() == b"":
+                continue
+            writer.write(encode_message(await handle_line(line)))
+            await writer.drain()
+    except (ConnectionResetError, BrokenPipeError):
+        pass  # client vanished; any accepted work still completes
+    finally:
+        writer.close()
+        try:
+            await writer.wait_closed()
+        except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
+            pass

@@ -475,7 +475,6 @@ class WorkerCore:
             "latency": self.latency.as_dict(),
             "cache": self.compiler.cache.stats(),
             "frontend_cache": self.compiler.artifacts.stats(),
-            "delta_cache": self.compiler.delta.stats(),
             "stage_totals": dict(self._stage_totals),
             "metric_counters": dict(self._metric_counters),
             "upgrades": (
@@ -608,40 +607,9 @@ class CompileServer:
     async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        self.core.counters.connections += 1
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    # A line longer than the stream limit: answer once,
-                    # then close — the stream cannot be resynchronized.
-                    self.core.counters.oversized_lines += 1
-                    self.core.counters.protocol_errors += 1
-                    writer.write(protocol.encode_message(
-                        protocol.error_response(
-                            None,
-                            f"request line exceeds "
-                            f"{protocol.MAX_LINE_BYTES} bytes",
-                        )
-                    ))
-                    await writer.drain()
-                    break
-                if not line:
-                    break  # EOF
-                if line.strip() == b"":
-                    continue
-                reply = await self._handle_line(line)
-                writer.write(protocol.encode_message(reply))
-                await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):
-            pass  # client vanished; any accepted work still completes
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
-                pass
+        await protocol.serve_lines(
+            reader, writer, self._handle_line, self.core.counters
+        )
 
     async def _handle_line(self, line: bytes) -> dict[str, object]:
         try:

@@ -40,7 +40,6 @@ from ..core.strategies import StorageResult, run_strategy
 from ..liw.machine import MachineConfig
 from ..passes.artifacts import PipelineOptions, compiled_program
 from ..passes.cache import ArtifactCache
-from ..passes.delta import DeltaCache, DeltaScope
 from ..passes.events import Metrics
 from ..passes.knobs import JOB_KNOBS, KNOB, key_fields, pipeline_options
 from ..passes.registry import frontend_passes_for
@@ -58,12 +57,6 @@ from .cache import (
 #: sweeps strategies over the same sources only runs the front end once
 #: per (source, front-end knobs) in each process.
 _WORKER_ARTIFACTS = ArtifactCache(max_entries=64)
-
-#: Per-process delta cache: rank-space allocation fragments shared
-#: across the jobs a worker executes, so near-duplicate programs in a
-#: corpus (sweeps, mutated variants) re-colour only the atoms that
-#: changed.  Thread-safe; bounded by weight (see repro.passes.delta).
-_WORKER_DELTA = DeltaCache()
 
 
 @dataclass(frozen=True, slots=True)
@@ -169,8 +162,6 @@ class BatchReport:
     cache_stats: dict[str, object] = field(default_factory=dict)
     #: parent-side front-end artifact-cache statistics (stage-level reuse)
     artifact_stats: dict[str, object] = field(default_factory=dict)
-    #: parent-side delta-cache statistics (sub-pass fragment reuse)
-    delta_stats: dict[str, object] = field(default_factory=dict)
 
     @property
     def num_ok(self) -> int:
@@ -206,7 +197,6 @@ class BatchReport:
             "stage_totals": self.stage_totals(),
             "cache": dict(self.cache_stats),
             "frontend_cache": dict(self.artifact_stats),
-            "delta_cache": dict(self.delta_stats),
             "num_ok": self.num_ok,
             "num_cache_hits": self.num_cache_hits,
             "hit_rate": self.hit_rate,
@@ -228,25 +218,13 @@ def _compile_and_key(
     return program, key
 
 
-def _allocate(
-    job: BatchJob,
-    program,
-    metrics: Metrics,
-    delta: DeltaCache | None = None,
-) -> StorageResult:
+def _allocate(job: BatchJob, program, metrics: Metrics) -> StorageResult:
     opts = job.options()
-    # Same scope name the pass manager uses for the allocate pass, so
-    # fragments are shared across the batch and pipeline entry points.
-    scope = DeltaScope(delta, "allocate") if delta is not None else None
-    storage = run_strategy(
+    return run_strategy(
         opts.strategy, program.schedule, program.renamed, opts.k,
         method=opts.method, seed=opts.seed, metrics=metrics,
-        delta=scope, **opts.knobs(),
+        **opts.knobs(),
     )
-    if scope is not None and scope.lookups:
-        metrics.incr("delta_hits", scope.hits)
-        metrics.incr("delta_misses", scope.misses)
-    return storage
 
 
 def _optimize_plan(job: BatchJob, program, storage: StorageResult,
@@ -278,7 +256,7 @@ def _execute_job(
         storage = cache.get(key)
         hit = storage is not None
     if storage is None:
-        storage = _allocate(job, program, metrics, _WORKER_DELTA)
+        storage = _allocate(job, program, metrics)
     metrics.incr("cache_hits" if hit else "cache_misses")
     if cache is not None and not hit:
         cache.put(key, storage)
@@ -311,12 +289,6 @@ class BatchCompiler:
         front-end reuse on the parent's serial path; defaults to a
         fresh bounded cache.  Jobs sharing a source and front-end knobs
         (but differing in strategy/method) compile the front end once.
-    delta_cache:
-        A :class:`repro.passes.delta.DeltaCache` for sub-pass fragment
-        reuse on the parent's serial path: near-duplicate sources in a
-        corpus re-colour only the atoms whose rank-space fingerprint
-        changed.  Defaults to a fresh bounded cache.  (Pool workers use
-        a per-process module-level delta cache instead.)
     worker_fn:
         Replacement for the worker entry point — used by the tests to
         simulate hung and dying workers.
@@ -330,7 +302,6 @@ class BatchCompiler:
         timeout: float | None = None,
         cache: AllocationCache | None = None,
         artifact_cache: ArtifactCache | None = None,
-        delta_cache: DeltaCache | None = None,
         worker_fn=None,
     ):
         self.workers = max(1, workers if workers is not None
@@ -340,7 +311,6 @@ class BatchCompiler:
         self.artifacts = (
             artifact_cache if artifact_cache is not None else ArtifactCache()
         )
-        self.delta = delta_cache if delta_cache is not None else DeltaCache()
         self._worker_fn = worker_fn if worker_fn is not None else _execute_job
         self._index: dict[str, str] = {}
         self._load_index()
@@ -395,7 +365,7 @@ class BatchCompiler:
             storage = self.cache.get(key)
             hit = storage is not None
             if storage is None:
-                storage = _allocate(job, program, metrics, self.delta)
+                storage = _allocate(job, program, metrics)
                 self.cache.put(key, storage)
             metrics.incr("cache_hits" if hit else "cache_misses")
             plan = None
@@ -553,5 +523,4 @@ class BatchCompiler:
             self.workers,
             self.cache.stats(),
             self.artifacts.stats(),
-            self.delta.stats(),
         )

@@ -1,39 +1,40 @@
-"""Incremental-recompilation differential suite.
+"""Incremental-recompilation differential suite over shared caches.
 
-For ≥50 seeded generator programs, apply small source edits — the
-paper-compiler analogue of a developer touching one region — and check
-that compiling the mutated program against a delta cache warmed by the
-original produces **byte-identical** storage results to a cold compile
-of the mutated program (witnessed by ``encode_storage_result``, the
-same witness the golden suite uses).
+For 50 seeded generator programs, apply a small source edit — the
+paper-compiler analogue of a developer touching one region — and
+compile the original and the mutant at two unroll factors through
+**one** :class:`BatchCompiler`, whose front-end artifact cache and
+allocation cache are shared by all of those jobs.  Every job's key
+and storage result must be byte-identical to a cold compile of that
+job alone (witnessed by ``encode_storage_result``, the same witness
+the golden suite uses).  A pass that edited an artifact it read from
+the shared cache would break this: the next job would start from the
+edited artifact.
 
-Mutations are textual and validated by parse + semantic analysis:
+Mutations are textual and validated by parse + semantic analysis;
+seed ``s`` applies the first valid one starting from ``s mod 3``:
 
 - ``rename``: alpha-rename an identifier (ids and ranks untouched);
 - ``constant``: tweak one integer literal (same shape, new value);
 - ``region``: insert a statement into one region, shifting every later
-  value id — the case the rank-space fingerprints exist for.
-
-The suite also checks the aggregate effectiveness claim: across the
-corpus, warm recompiles must actually hit the delta cache.
+  value id.
 """
 
 import re
 
 import pytest
 
-from repro.core.strategies import run_strategy
 from repro.lang import analyze, parse
 from repro.lang.generator import random_source
 from repro.liw.machine import MachineConfig
-from repro.passes.delta import DeltaCache, DeltaScope
-from repro.pipeline import compile_source
+from repro.service.batch import BatchCompiler, BatchJob
 from repro.service.cache import encode_storage_result
 
 MACHINE = MachineConfig(num_fus=4, num_modules=4)
 SEEDS = range(50)
+UNROLLS = (2, 4)
 
-_TOTAL_WARM_HITS = {"hits": 0, "programs": 0}
+_SHARED_HITS = {"hits": 0, "seeds": 0}
 
 
 def _mutate_rename(source: str) -> str | None:
@@ -75,49 +76,66 @@ def _valid(source: str) -> bool:
     return True
 
 
-def _storage(source: str, strategy: str, scope: DeltaScope | None):
-    program = compile_source(source, MACHINE, constants_in_memory=True)
-    return run_strategy(
-        strategy, program.schedule, program.renamed, delta=scope
-    )
+def _mutant(seed: int, source: str) -> tuple[str, str]:
+    names = list(MUTATIONS)
+    for i in range(len(names)):
+        name = names[(seed + i) % len(names)]
+        mutated = MUTATIONS[name](source)
+        if mutated is not None and _valid(mutated):
+            return name, mutated
+    raise AssertionError("every generator program must admit a mutation")
+
+
+def _jobs(seed: int) -> list[BatchJob]:
+    """One generator program and its mutant, at every unroll factor."""
+    source = random_source(seed)
+    name, mutated = _mutant(seed, source)
+    strategy = ("STOR1", "STOR2", "STOR3")[seed % 3]
+    return [
+        BatchJob(
+            f"{seed}.{label}.u{unroll}", text, machine=MACHINE,
+            strategy=strategy, unroll=unroll, constants_in_memory=True,
+        )
+        for label, text in (("original", source), (name, mutated))
+        for unroll in UNROLLS
+    ]
+
+
+def _witness(result) -> tuple[str | None, object]:
+    assert result.ok, (result.job.name, result.error)
+    return result.key, encode_storage_result(result.storage)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_incremental_recompile_matches_cold(seed):
-    strategy = ("STOR1", "STOR2", "STOR3")[seed % 3]
-    source = random_source(seed)
-    mutants = {
-        name: mutated
-        for name, fn in MUTATIONS.items()
-        if (mutated := fn(source)) is not None and _valid(mutated)
-    }
-    assert mutants, "every generator program must admit some mutation"
-
-    cache = DeltaCache()
-    _storage(source, strategy, DeltaScope(cache))  # warm on the original
-
-    for name, mutated in mutants.items():
-        cold = encode_storage_result(_storage(mutated, strategy, None))
-        scope = DeltaScope(cache)
-        warm = encode_storage_result(_storage(mutated, strategy, scope))
-        assert warm == cold, (seed, name)
-        _TOTAL_WARM_HITS["hits"] += scope.hits
-    _TOTAL_WARM_HITS["programs"] += 1
+    jobs = _jobs(seed)
+    compiler = BatchCompiler(workers=1)
+    shared = compiler.run(jobs)
+    # The first job met empty caches: it is its own cold run.
+    for job, result in zip(jobs[1:], shared.results[1:]):
+        cold = BatchCompiler(workers=1).run([job]).results[0]
+        assert _witness(result) == _witness(cold), job.name
+    _SHARED_HITS["hits"] += int(compiler.artifacts.stats()["hits"])
+    _SHARED_HITS["seeds"] += 1
 
 
-def test_corpus_actually_reuses_fragments():
-    """Runs last in the module: the per-seed tests above must have
-    produced real delta hits, or 'incremental' is a no-op."""
-    assert _TOTAL_WARM_HITS["programs"] == len(SEEDS)
-    assert _TOTAL_WARM_HITS["hits"] > 10 * len(SEEDS)
+def test_corpus_actually_reuses_cached_artifacts():
+    """Runs after the per-seed tests above: the jobs of each seed must
+    really have been served from the shared artifact cache (the parse
+    of one source is reused across unroll factors), or the
+    differential would compare cold against cold."""
+    assert _SHARED_HITS["seeds"] == len(SEEDS)
+    assert _SHARED_HITS["hits"] >= 2 * len(SEEDS)
 
 
 def test_identical_recompile_is_all_hits():
-    """The degenerate edit (no change at all) misses nothing."""
-    source = random_source(5)
-    cache = DeltaCache()
-    first = _storage(source, "STOR1", DeltaScope(cache))
-    scope = DeltaScope(cache)
-    second = _storage(source, "STOR1", scope)
-    assert scope.misses == 0 and scope.hits > 0
-    assert encode_storage_result(first) == encode_storage_result(second)
+    """The degenerate edit (no change at all) is served entirely from
+    the allocation cache, with identical results."""
+    jobs = _jobs(5)
+    compiler = BatchCompiler(workers=1)
+    first = compiler.run(jobs)
+    second = compiler.run(jobs)
+    assert second.num_cache_hits == len(jobs)
+    assert [_witness(r) for r in second.results] == [
+        _witness(r) for r in first.results
+    ]

@@ -9,7 +9,7 @@ from repro.lang import analyze, parse
 
 def run_with_unroll(source: str, factor: int, inputs=None, innermost=False):
     tree = parse(source)
-    unroll_program(tree, factor, innermost_only=innermost)
+    tree = unroll_program(tree, factor, innermost_only=innermost)
     analyze(tree)
     cfg = build_cfg(lower_ast(tree))
     return run_cfg(cfg, inputs)
@@ -156,7 +156,7 @@ def test_variable_bounds_evaluated_once():
     """
     for factor in (1, 2, 4):
         tree = parse(src)
-        unroll_program(tree, factor)
+        tree = unroll_program(tree, factor)
         analyze(tree)
         cfg = build_cfg(lower_ast(tree))
         assert run_cfg(cfg, [5]).outputs == [6]
@@ -196,7 +196,7 @@ def test_invalid_factor_rejected():
 
 def test_synthetic_bound_vars_declared():
     tree = parse(SUM_SRC)
-    unroll_program(tree, 4)
+    tree = unroll_program(tree, 4)
     names = [n for d in tree.decls for n in d.names]
     assert any(n.startswith("__u") for n in names)
     analyze(tree)  # must still type-check

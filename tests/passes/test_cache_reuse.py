@@ -3,6 +3,8 @@ second compilation of the same source skip every pass whose fingerprint
 matches — the headline case being "same program, different storage
 strategy" reusing the whole front end."""
 
+import pytest
+
 from repro.passes.artifacts import PipelineOptions
 from repro.passes.cache import ArtifactCache
 from repro.passes.events import CollectingTracer
@@ -83,6 +85,20 @@ def test_cache_eviction_is_lru():
     assert stats["hits"] == 3
     assert stats["misses"] == 0
     assert stats["evictions"] == 1
+
+
+def test_unweighted_mode_is_unchanged():
+    cache = ArtifactCache(max_entries=2)
+    cache.put("a", {"x": 1})
+    cache.put("b", {"x": 2})
+    cache.put("c", {"x": 3})
+    assert len(cache) == 2 and "a" not in cache
+    assert "weight" not in cache.stats()
+
+
+def test_invalid_bounds_rejected():
+    with pytest.raises(ValueError):
+        ArtifactCache(max_entries=0)
 
 
 def test_cache_evictions_surface_in_tracer_events():

@@ -192,8 +192,9 @@ def test_parse_compile_array_layout_knob():
 
 
 def test_schema_version_covers_frontend_fields():
-    # v5 added the frontend/entry compile-request fields
-    assert SCHEMA_VERSION == 5
+    # v5 added the frontend/entry compile-request fields; v6 removed
+    # the delta_cache stats block
+    assert SCHEMA_VERSION == 6
 
 
 def test_parse_compile_frontend_knob():
@@ -305,7 +306,6 @@ def test_response_builders_are_jsonable():
 STATS_KEYS = [
     "cache",
     "config",
-    "delta_cache",
     "frontend_cache",
     "latency",
     "metric_counters",

@@ -40,12 +40,10 @@ class SlowCompiler:
         self.batches: list[int] = []
 
         from repro.passes.cache import ArtifactCache
-        from repro.passes.delta import DeltaCache
         from repro.service.cache import AllocationCache
 
         self.cache = AllocationCache()
         self.artifacts = ArtifactCache()
-        self.delta = DeltaCache()
 
     def run(self, jobs) -> BatchReport:
         time.sleep(self.delay)

@@ -6,9 +6,10 @@ import time
 import pytest
 
 from repro.liw.machine import MachineConfig
+from repro.passes.events import Metrics
 from repro.programs import all_programs
 from repro.service import AllocationCache, BatchCompiler, BatchJob
-from repro.service.batch import _execute_job
+from repro.service.batch import _compile_and_key, _execute_job
 from repro.service.cache import encode_storage_result
 
 
@@ -297,3 +298,20 @@ def test_report_metrics_and_stage_totals():
     assert stor["atoms"] >= 1
     assert stor["copies_created"] >= 0
     assert job_metrics["counters"]["cache_misses"] == 1
+
+
+def test_job_key_discipline():
+    """max_atom_nodes changes results -> in the keys (when set);
+    runner is accepted for compatibility only -> never in the keys."""
+    base = BatchJob("j", "program p; begin write(1) end.")
+    bounded = BatchJob(
+        "j", "program p; begin write(1) end.", max_atom_nodes=4
+    )
+    serial = BatchJob(
+        "j", "program p; begin write(1) end.", runner="serial"
+    )
+    assert bounded.source_key() != base.source_key()
+    assert serial.source_key() == base.source_key()
+    assert _compile_and_key(serial, Metrics())[1] == (
+        _compile_and_key(base, Metrics())[1]
+    )

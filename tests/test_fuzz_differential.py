@@ -51,7 +51,7 @@ def pipeline_outputs(
 ):
     tree = parse(source)
     if unroll > 1:
-        unroll_program(tree, unroll)
+        tree = unroll_program(tree, unroll)
     analyze(tree)
     cfg = build_cfg(lower_ast(tree, constants_in_memory=constants_in_memory))
     if simplify:
