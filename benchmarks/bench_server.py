@@ -26,31 +26,11 @@ script exits non-zero unless every check passes:
 - ``adaptive_latency_ok`` — that phase sees zero timeouts and its p99
   stays within an envelope of the non-adaptive baseline phase.
 
-A separate **fabric phase** exercises the distributed deployment
-(``serve --role fabric``: sharding gateway + N supervised workers) and
-emits ``BENCH_fabric.json`` with its own gates:
-
-- ``fabric_scaling`` — 4-worker throughput ≥ 2.5× the 1-worker fabric
-  on an all-unique load.  Both runs use the same synthetic per-job
-  service time (``--synthetic-delay-ms``), so the ratio measures
-  request-level concurrency across workers — deterministically, even on
-  a single-core CI host where raw compile CPU cannot scale;
-- ``fabric_cluster_dedup`` — on an all-duplicate load, the *cluster*
-  executes each distinct job key at most once (shard ownership composes
-  the workers' single-flight into cluster-wide single-flight);
-- ``fabric_kill_no_failures`` — SIGKILLing one worker mid-run yields
-  zero client-visible failures (ring failover + client retries absorb
-  it; shed/retry only);
-- ``fabric_kill_restarted`` — the supervisor restarts the killed worker
-  within the restart budget and the gateway repoints to the new port;
-- ``fabric_drain_clean`` — SIGTERM drains gateway-then-workers, exit 0.
-
 Usage::
 
     python benchmarks/bench_server.py [--out BENCH_server.json] [--check]
                                       [--clients 64] [--requests 256]
                                       [--dup-rate 0.4] [--smoke]
-                                      [--fabric-out BENCH_fabric.json]
 
 ``--smoke`` is the CI profile: 50 mixed requests over 16 clients.
 Standalone script (not collected by pytest), like ``bench_alloc.py``.
@@ -254,236 +234,9 @@ def run_adaptive_phase(
     return phase, checks
 
 
-def start_fabric(
-    cache_dir: str,
-    n_workers: int,
-    *,
-    synthetic_delay_ms: float = 0.0,
-    max_queue: int = 64,
-) -> tuple[subprocess.Popen, str, int]:
-    """Launch ``serve --role fabric`` and scrape the gateway port."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH", "")) if p
-    )
-    argv = [
-        sys.executable, "-m", "repro", "serve",
-        "--role", "fabric",
-        "--fabric-workers", str(n_workers),
-        "--port", "0", "--announce",
-        "--max-queue", str(max_queue),
-        "--max-batch", "8",
-        "--batch-window", "0.005",
-        "--cache-dir", cache_dir,
-    ]
-    if synthetic_delay_ms > 0:
-        argv += ["--synthetic-delay-ms", str(synthetic_delay_ms)]
-    proc = subprocess.Popen(
-        argv,
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        env=env,
-        text=True,
-        cwd=str(REPO_ROOT),
-    )
-    assert proc.stdout is not None
-    line = proc.stdout.readline()
-    if not line:
-        raise RuntimeError(
-            "fabric produced no announce line; stderr:\n"
-            + (proc.stderr.read() if proc.stderr else "")
-        )
-    event = json.loads(line)
-    assert event.get("event") == "serving", event
-    return proc, str(event["host"]), int(event["port"])
-
-
-def _stop_fabric(proc: subprocess.Popen) -> int:
-    proc.send_signal(signal.SIGTERM)
-    try:
-        proc.communicate(timeout=120)
-    except subprocess.TimeoutExpired:
-        proc.kill()
-        proc.communicate()
-        raise RuntimeError("fabric did not drain within 120s")
-    return proc.returncode
-
-
-def _fabric_throughput(
-    tmp: str, n_workers: int, config: LoadgenConfig, delay_ms: float
-) -> dict[str, object]:
-    """One timed all-unique run against an ``n_workers`` fabric."""
-    cache_dir = str(Path(tmp) / f"fabric-cache-{n_workers}w")
-    proc, host, port = start_fabric(
-        cache_dir, n_workers, synthetic_delay_ms=delay_ms
-    )
-    try:
-        report = asyncio.run(run_load(host, port, config))
-        exit_code = _stop_fabric(proc)
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.communicate()
-    return {
-        "workers": n_workers,
-        "wall_time": report["wall_time"],
-        "throughput_rps": report["throughput_rps"],
-        "outcomes": report["outcomes"],
-        "exit_code": exit_code,
-    }
-
-
-async def _fabric_kill_run(
-    host: str, port: int, config: LoadgenConfig, restart_budget_s: float
-) -> tuple[dict[str, object], dict[str, object]]:
-    """Drive the load while SIGKILLing one worker mid-run, then wait
-    for the supervisor to restart it (polling the gateway's fabric
-    stats block for the new pid/state)."""
-    probe = ServerClient(host, port, retries=4)
-    stats = await probe.stats()
-    victims = stats["fabric"]["workers"]
-    victim = victims[0]
-
-    async def killer() -> None:
-        await asyncio.sleep(0.2)  # land mid-run
-        os.kill(int(victim["pid"]), signal.SIGKILL)
-
-    load_task = asyncio.create_task(run_load(host, port, config))
-    await killer()
-    report = await load_task
-
-    restarted: dict[str, object] = {}
-    deadline = time.monotonic() + restart_budget_s
-    while time.monotonic() < deadline:
-        stats = await probe.stats()
-        for worker in stats["fabric"]["workers"]:
-            if (
-                worker["worker_id"] == victim["worker_id"]
-                and worker["state"] == "up"
-                and int(worker["restarts"]) >= 1
-            ):
-                restarted = worker
-                break
-        if restarted:
-            break
-        await asyncio.sleep(0.2)
-    await probe.close()
-    kill_info = {
-        "victim": victim,
-        "restarted": restarted,
-        "restart_budget_s": restart_budget_s,
-    }
-    return report, kill_info
-
-
-def run_fabric_phase(
-    tmp: str, args: argparse.Namespace
-) -> tuple[dict[str, object], dict[str, bool]]:
-    """The distributed-fabric phase behind ``BENCH_fabric.json``."""
-    # Large enough that per-request service time dominates the fixed
-    # routing/compile overhead, keeping the measured 4w/1w ratio well
-    # clear of the 2.5x gate even on noisy single-core CI hosts.
-    delay_ms = 120.0
-    unique = LoadgenConfig(
-        clients=16, requests=32, dup_rate=0.0, poison=False,
-        retries=8, seed=args.seed,
-    )
-
-    t1 = _fabric_throughput(tmp, 1, unique, delay_ms)
-    t4 = _fabric_throughput(tmp, 4, unique, delay_ms)
-    speedup = (
-        float(t1["wall_time"]) / float(t4["wall_time"])
-        if float(t4["wall_time"]) > 0 else 0.0
-    )
-
-    # Cluster-wide single-flight: every request a duplicate from a
-    # small pool; the whole fabric may execute each key at most once.
-    dedup_config = LoadgenConfig(
-        clients=16, requests=32, dup_rate=1.0, dup_pool=4,
-        poison=False, retries=8, seed=args.seed,
-    )
-    dedup_cache = str(Path(tmp) / "fabric-cache-dedup")
-    proc, host, port = start_fabric(
-        dedup_cache, 4, synthetic_delay_ms=20.0
-    )
-    try:
-        dedup_report = asyncio.run(run_load(host, port, dedup_config))
-        dedup_exit = _stop_fabric(proc)
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.communicate()
-    cluster = dedup_report["server_stats"].get("cluster", {})
-    dedup_executions = int(cluster.get("strategy_executions", -1))
-    dedup_ok = int(dedup_report["outcomes"].get("ok", 0))
-
-    # Worker-kill resilience: SIGKILL one worker mid-run.
-    kill_config = LoadgenConfig(
-        clients=12, requests=48, dup_rate=0.0, poison=False,
-        retries=8, seed=args.seed + 1,
-    )
-    kill_cache = str(Path(tmp) / "fabric-cache-kill")
-    proc, host, port = start_fabric(
-        kill_cache, 4, synthetic_delay_ms=30.0
-    )
-    try:
-        kill_report, kill_info = asyncio.run(
-            _fabric_kill_run(host, port, kill_config,
-                             restart_budget_s=10.0)
-        )
-        kill_exit = _stop_fabric(proc)
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.communicate()
-    kill_outcomes = kill_report["outcomes"]
-    client_failures = (
-        int(kill_outcomes.get("transport-failure", 0))
-        + int(kill_outcomes.get("timeout", 0))
-        + int(kill_outcomes.get("error", 0))
-    )
-
-    checks = {
-        "fabric_scaling": speedup >= 2.5,
-        "fabric_cluster_dedup": (
-            0 <= dedup_executions <= dedup_config.dup_pool
-            and dedup_ok == dedup_config.requests
-        ),
-        "fabric_kill_no_failures": client_failures == 0,
-        "fabric_kill_restarted": bool(kill_info["restarted"]),
-        "fabric_drain_clean": (
-            t1["exit_code"] == 0 and t4["exit_code"] == 0
-            and dedup_exit == 0 and kill_exit == 0
-        ),
-    }
-    phase = {
-        "synthetic_delay_ms": delay_ms,
-        "throughput": {"1w": t1, "4w": t4, "speedup_4w_over_1w": speedup},
-        "dedup": {
-            "config": dedup_config.as_dict(),
-            "ok": dedup_ok,
-            "distinct_keys": dedup_config.dup_pool,
-            "cluster_strategy_executions": dedup_executions,
-            "cluster": cluster,
-            "exit_code": dedup_exit,
-        },
-        "kill": {
-            "config": kill_config.as_dict(),
-            "outcomes": kill_outcomes,
-            "client_failures": client_failures,
-            "client_retries": kill_report["client"],
-            **kill_info,
-            "exit_code": kill_exit,
-        },
-        "checks": checks,
-    }
-    return phase, checks
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="BENCH_server.json")
-    parser.add_argument("--fabric-out", default="BENCH_fabric.json")
     parser.add_argument("--clients", type=int, default=64)
     parser.add_argument("--requests", type=int, default=256)
     parser.add_argument("--dup-rate", type=float, default=0.4)
@@ -541,8 +294,6 @@ def main(argv: list[str] | None = None) -> int:
             tmp, args, baseline_p99=float(report["latency"]["p99"])
         )
 
-        fabric, fabric_checks = run_fabric_phase(tmp, args)
-
     checks = dict(report["checks"])
     checks["drain_clean"] = (
         proc.returncode == 0
@@ -551,11 +302,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     checks["duplicate_share_configured"] = config.dup_rate >= 0.30
     checks.update(adaptive_checks)
-    checks.update(fabric_checks)
-
-    Path(args.fabric_out).write_text(
-        json.dumps(fabric, indent=2, sort_keys=True)
-    )
 
     bench = {
         "config": config.as_dict(),
@@ -588,17 +334,8 @@ def main(argv: list[str] | None = None) -> int:
           f"{adaptive['copies_saved']} copies saved, "
           f"p99 {adaptive['p99'] * 1e3:.1f}ms "
           f"(envelope {adaptive['p99_envelope'] * 1e3:.1f}ms)")
-    throughput = fabric["throughput"]
-    print(f"  fabric: 4w/1w speedup "
-          f"{throughput['speedup_4w_over_1w']:.2f}x "
-          f"({throughput['1w']['wall_time']:.2f}s -> "
-          f"{throughput['4w']['wall_time']:.2f}s); "
-          f"cluster executions "
-          f"{fabric['dedup']['cluster_strategy_executions']} for "
-          f"{fabric['dedup']['distinct_keys']} distinct keys; "
-          f"kill failures {fabric['kill']['client_failures']}")
     print(f"  checks: {checks}")
-    print(f"reports written to {args.out} and {args.fabric_out}")
+    print(f"report written to {args.out}")
 
     if args.check and not all(checks.values()):
         failing = [name for name, passed in checks.items() if not passed]

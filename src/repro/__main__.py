@@ -10,7 +10,7 @@ Usage::
     python -m repro run K.py --frontend python       # CPython-bytecode kernel
     python -m repro batch --frontend python          # pykernels corpus
     python -m repro serve [--port P ...]             # online compile service
-    python -m repro serve --role fabric --fabric-workers N   # sharded fabric
+    python -m repro serve --workers N                # N compile processes
     python -m repro loadgen [--clients N ...]        # drive a running server
     python -m repro report                           # all tables/figures
 
@@ -222,44 +222,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     def announce(event: dict[str, object]) -> None:
         # One JSON line per lifecycle event so harnesses (CI smoke,
-        # benchmarks/bench_server.py, the fabric supervisor) can scrape
-        # the bound port and the drain summary.
+        # benchmarks/bench_server.py) can scrape the bound port and the
+        # drain summary.
         print(json.dumps(event, sort_keys=True), flush=True)
-
-    announcer = announce if args.announce else None
-    synthetic_delay = args.synthetic_delay_ms / 1000.0
-
-    if args.role == "fabric":
-        from .server.fabric import FabricConfig, run_fabric
-
-        fabric_config = FabricConfig(
-            host=args.host,
-            port=args.port,
-            fabric_workers=args.fabric_workers,
-            cache_dir=args.cache_dir,
-            pool_workers=args.workers,
-            job_timeout=args.job_timeout,
-            max_queue=args.max_queue,
-            max_batch=args.max_batch,
-            batch_window=args.batch_window,
-            default_deadline=args.deadline,
-            adaptive=args.adaptive,
-            hot_threshold=args.hot_threshold,
-            upgrade_budget=args.upgrade_budget,
-            synthetic_delay=synthetic_delay,
-            failover=args.failover,
-        )
-        summary = asyncio.run(run_fabric(fabric_config, announce=announcer))
-        if not args.announce:
-            print(
-                f"; fabric drained: {summary['workers']} workers, "
-                f"{summary['restarts']} restarts",
-                file=sys.stderr,
-            )
-        return 0 if summary["failed_workers"] == 0 else 1
-
-    if args.role == "gateway":
-        return _serve_gateway(args, announcer)
 
     from .server import ServerConfig, serve
 
@@ -276,12 +241,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
         adaptive=args.adaptive,
         hot_threshold=args.hot_threshold,
         upgrade_budget=args.upgrade_budget,
-        role=args.role,
-        worker_id=args.worker_id,
-        synthetic_delay=synthetic_delay,
     )
 
-    summary = asyncio.run(serve(config, announce=announcer))
+    summary = asyncio.run(
+        serve(config, announce=announce if args.announce else None)
+    )
     if not args.announce:
         print(
             f"; drained: {summary['resolved']} resolved, "
@@ -290,66 +254,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     return 0 if summary["unanswered"] == 0 else 1
-
-
-def _serve_gateway(args: argparse.Namespace, announcer) -> int:
-    """Run a standalone gateway over externally managed workers
-    (``--worker-endpoint id@host:port``, repeatable)."""
-    import asyncio
-    import os
-
-    from .server.gateway import (
-        CompileGateway,
-        GatewayConfig,
-        WorkerEndpoint,
-    )
-
-    endpoints: list[WorkerEndpoint] = []
-    for spec in args.worker_endpoint:
-        try:
-            worker_id, addr = spec.split("@", 1)
-            host, port_text = addr.rsplit(":", 1)
-            endpoints.append(WorkerEndpoint(worker_id, host, int(port_text)))
-        except ValueError:
-            print(f"bad --worker-endpoint {spec!r} "
-                  f"(expected id@host:port)", file=sys.stderr)
-            return 2
-    if not endpoints:
-        print("--role gateway requires at least one --worker-endpoint",
-              file=sys.stderr)
-        return 2
-
-    async def _run() -> int:
-        gateway = CompileGateway(
-            GatewayConfig(
-                host=args.host,
-                port=args.port,
-                failover=args.failover,
-                default_deadline=args.deadline,
-            ),
-            endpoints,
-        )
-        await gateway.start()
-        import signal as _signal
-
-        loop = asyncio.get_running_loop()
-        for sig in (_signal.SIGTERM, _signal.SIGINT):
-            try:
-                loop.add_signal_handler(sig, gateway.begin_drain)
-            except (NotImplementedError, RuntimeError):  # pragma: no cover
-                pass
-        if announcer is not None:
-            host, port = gateway.address
-            announcer({"event": "serving", "host": host, "port": port,
-                       "pid": os.getpid(), "role": "gateway"})
-        await gateway.wait_drained()
-        await gateway.aclose()
-        if announcer is not None:
-            announcer({"event": "drained",
-                       **gateway.counters.as_dict()})
-        return 0
-
-    return asyncio.run(_run())
 
 
 def cmd_loadgen(args: argparse.Namespace) -> int:
@@ -498,25 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="served count before a key is upgraded")
     p_serve.add_argument("--upgrade-budget", type=float, default=5.0,
                          help="per-upgrade CPU budget (seconds)")
-    p_serve.add_argument("--role", default="single",
-                         choices=["single", "worker", "gateway", "fabric"],
-                         help="fabric role: 'single' is the classic one-"
-                              "process server; 'fabric' runs a gateway + "
-                              "N supervised workers")
-    p_serve.add_argument("--worker-id", default=None,
-                         help="stable shard identity of a --role worker")
-    p_serve.add_argument("--fabric-workers", type=int, default=2,
-                         help="worker processes under --role fabric")
-    p_serve.add_argument("--worker-endpoint", action="append", default=[],
-                         metavar="ID@HOST:PORT",
-                         help="a worker a --role gateway shards over "
-                              "(repeatable)")
-    p_serve.add_argument("--failover", type=int, default=1,
-                         help="ring successors tried after the shard "
-                              "owner fails")
-    p_serve.add_argument("--synthetic-delay-ms", type=float, default=0.0,
-                         help="synthetic per-job service time (load/"
-                              "capacity testing aid; 0 in production)")
     p_serve.set_defaults(fn=cmd_serve)
 
     p_load = sub.add_parser(

@@ -19,6 +19,7 @@ modules.  We model:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -32,14 +33,29 @@ class MachineConfig:
     delta: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.num_fus < 1:
-            raise ValueError("num_fus must be >= 1")
-        if self.num_modules < 1:
-            raise ValueError("num_modules must be >= 1")
-        if self.mem_ports is not None and self.mem_ports < 1:
-            raise ValueError("mem_ports must be >= 1")
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
+        # Every boundary (CLI, batch job, protocol) builds one of these,
+        # so the field types are checked here: JSON gives 2.5, true and
+        # NaN where an int or a finite number belongs.
+        for name in ("num_fus", "num_modules", "mem_ports"):
+            value = getattr(self, name)
+            if name == "mem_ports" and value is None:
+                continue  # defaults to num_modules
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(
+                    f"{name} must be an int, got {type(value).__name__}"
+                )
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if not isinstance(self.delta, (int, float)) or isinstance(
+            self.delta, bool
+        ):
+            raise TypeError(
+                f"delta must be a number, got {type(self.delta).__name__}"
+            )
+        if not (math.isfinite(self.delta) and self.delta > 0):
+            raise ValueError(
+                f"delta must be finite and > 0, got {self.delta}"
+            )
 
     @property
     def k(self) -> int:

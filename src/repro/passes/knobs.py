@@ -13,6 +13,7 @@ this module imports nothing else from the package.
 
 from __future__ import annotations
 
+import math
 from contextlib import suppress
 from dataclasses import dataclass
 from importlib import import_module
@@ -152,7 +153,8 @@ KNOBS: tuple[Knob, ...] = (
          choices=_registry("repro.memsim.interleave:LAYOUTS"),
          flag="--layout", help="array layout over the modules"),
     Knob("delta", float, 1.0, "delta must be a positive number",
-         check=lambda v: v > 0, flag="--delta", help="Δ: module transfer time"),
+         check=lambda v: 0 < v < math.inf, flag="--delta",
+         help="Δ: module transfer time"),
 )
 
 KNOB: dict[str, Knob] = {knob.name: knob for knob in KNOBS}

@@ -18,21 +18,10 @@ Modules:
     :class:`AdmissionQueue` — bounded admission, single-flight dedup,
     micro-batch coalescing, drain semantics.  Pure asyncio, no sockets.
 ``repro.server.server``
-    :class:`WorkerCore` (the socket-free dispatch core) +
     :class:`CompileServer` + :func:`serve` — the TCP service, deadline
-    handling, dispatch loop, ``health``/``stats`` endpoints.  The same
-    core serves both the single-process mode and the fabric's worker
-    role.
-``repro.server.gateway``
-    :class:`CompileGateway` — the distributed fabric's front door:
-    consistent-hash sharding of compile requests over worker processes
-    (cluster-wide single-flight by ownership), bounded ring failover,
-    deadline-propagating request forwarding, aggregated cluster stats.
-``repro.server.fabric``
-    :class:`Fabric` — the one-command supervisor behind
-    ``serve --role fabric``: spawns N workers over a shared allocation
-    cache, health-checks and restarts them with backoff, and drains
-    gateway-then-workers on SIGTERM.
+    handling, dispatch loop, ``health``/``stats`` endpoints.  With
+    ``serve --workers N`` the batch compiler runs on N processes over
+    one shared allocation cache.
 ``repro.server.adaptive``
     :class:`UpgradeEngine` — tiered adaptive recompilation: hot
     ``job_key`` s are background-upgraded with the exact solver and
@@ -51,13 +40,6 @@ the ops runbook.
 
 from .adaptive import AdaptiveConfig, UpgradeEngine, UpgradeOutcome
 from .client import ServerClient, TransportError
-from .fabric import Fabric, FabricConfig, run_fabric
-from .gateway import (
-    CompileGateway,
-    GatewayConfig,
-    ShardMap,
-    WorkerEndpoint,
-)
 from .loadgen import LoadgenConfig, run_load
 from .protocol import (
     MAX_LINE_BYTES,
@@ -70,19 +52,14 @@ from .server import (
     CompileServer,
     ServerConfig,
     ServerCounters,
-    WorkerCore,
     serve,
 )
 
 __all__ = [
     "AdaptiveConfig",
     "AdmissionQueue",
-    "CompileGateway",
     "CompileServer",
-    "Fabric",
-    "FabricConfig",
     "Flight",
-    "GatewayConfig",
     "LoadgenConfig",
     "MAX_LINE_BYTES",
     "MAX_SOURCE_BYTES",
@@ -91,13 +68,9 @@ __all__ = [
     "ServerClient",
     "ServerConfig",
     "ServerCounters",
-    "ShardMap",
     "TransportError",
     "UpgradeEngine",
     "UpgradeOutcome",
-    "WorkerCore",
-    "WorkerEndpoint",
-    "run_fabric",
     "run_load",
     "serve",
 ]

@@ -50,13 +50,6 @@ class ServerClient:
     rng:
         Jitter source; pass a seeded :class:`random.Random` for
         reproducible schedules.
-    endpoints:
-        Optional list of ``(host, port)`` pairs for a multi-instance
-        deployment (several gateways, or gateway + standby).  The
-        client talks to one endpoint at a time and *rotates* to the
-        next on every transport failure, so one dead instance costs a
-        transport retry, not the whole budget.  When given, ``host``/
-        ``port`` are ignored.
     """
 
     def __init__(
@@ -70,13 +63,9 @@ class ServerClient:
         connect_timeout: float = 5.0,
         response_timeout: float | None = None,
         rng: random.Random | None = None,
-        endpoints: list[tuple[str, int]] | None = None,
     ):
-        self.endpoints = (
-            [(h, p) for h, p in endpoints] if endpoints else [(host, port)]
-        )
-        self._endpoint_index = 0
-        self.host, self.port = self.endpoints[0]
+        self.host = host
+        self.port = port
         self.retries = retries
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
@@ -123,15 +112,6 @@ class ServerClient:
     async def __aexit__(self, *exc_info: object) -> None:
         await self.close()
 
-    def rotate_endpoint(self) -> None:
-        """Point the next connection at the next configured endpoint
-        (no-op with a single endpoint)."""
-        if len(self.endpoints) > 1:
-            self._endpoint_index = (
-                (self._endpoint_index + 1) % len(self.endpoints)
-            )
-            self.host, self.port = self.endpoints[self._endpoint_index]
-
     # -- request plumbing ----------------------------------------------------
 
     def backoff_delay(self, attempt: int, floor: float = 0.0) -> float:
@@ -173,7 +153,6 @@ class ServerClient:
                     asyncio.IncompleteReadError, socket.gaierror) as exc:
                 last_error = exc
                 await self.close()
-                self.rotate_endpoint()
                 if attempt < self.retries:
                     self.transport_retries += 1
                     await asyncio.sleep(self.backoff_delay(attempt))

@@ -177,17 +177,8 @@ async def run_load(
     host: str,
     port: int,
     config: LoadgenConfig | None = None,
-    *,
-    endpoints: list[tuple[str, int]] | None = None,
 ) -> dict[str, object]:
-    """Run the full workload; returns the JSON-able report.
-
-    ``endpoints`` drives a multi-instance deployment (e.g. several
-    gateways): each client rotates across them on transport failure;
-    ``host``/``port`` are then only used for the final stats probe
-    fallback.  Against a gateway, the dedup check reads the aggregated
-    ``cluster`` execution counts, making it a *cluster-wide*
-    single-flight assertion."""
+    """Run the full workload; returns the JSON-able report."""
     config = config or LoadgenConfig()
     specs = build_workload(config)
     queue: asyncio.Queue[dict[str, object]] = asyncio.Queue()
@@ -207,7 +198,6 @@ async def run_load(
             host, port,
             retries=config.retries,
             rng=random.Random(config.seed * 1000 + worker_id),
-            endpoints=endpoints,
         )
         clients.append(client)
         try:
@@ -242,7 +232,7 @@ async def run_load(
     wall_time = time.monotonic() - t_start
 
     # One last connection for the server-side snapshot.
-    stats_client = ServerClient(host, port, retries=2, endpoints=endpoints)
+    stats_client = ServerClient(host, port, retries=2)
     try:
         server_stats = await stats_client.stats()
     except (TransportError, ConnectionError, OSError):
@@ -251,13 +241,7 @@ async def run_load(
         await stats_client.close()
 
     ok = tally.outcomes.get("ok", 0)
-    # Against a worker/single server `requests` carries the execution
-    # count; against a gateway it lives in the aggregated `cluster`
-    # block (the gateway's own `requests` are routing counters).
-    if server_stats.get("role") == "gateway":
-        executions = _dig(server_stats, "cluster", "strategy_executions")
-    else:
-        executions = _dig(server_stats, "requests", "strategy_executions")
+    executions = _dig(server_stats, "requests", "strategy_executions")
     report: dict[str, object] = {
         "config": config.as_dict(),
         "wall_time": wall_time,

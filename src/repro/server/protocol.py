@@ -44,15 +44,9 @@ after an error response), and a ``source`` longer than
 :data:`MAX_SOURCE_BYTES` is rejected per-request — an oversized/poison
 program costs one error response, never a crash or an unbounded buffer.
 
-The distributed fabric speaks the same protocol.  Every process plays
-one of :data:`ROLES`; ``health``/``stats`` responses carry the
-:func:`identity` fields (``role``, ``worker_id``, ``schema_version``)
-so probes can tell a gateway from a worker.  A gateway relays compile
-requests with :func:`forward_envelope` — the original request plus a
-``via`` provenance record and a rewritten ``deadline_ms`` holding the
-*remaining* budget — and both sender and receiver refuse relay depths
-past :data:`MAX_FORWARD_HOPS`.  Both the server and the gateway read
-their sockets with :func:`serve_lines`.
+``health`` and ``stats`` responses carry ``schema_version``
+(:data:`SCHEMA_VERSION`) so probes can tell which payload shape they
+are reading.  The server reads its sockets with :func:`serve_lines`.
 """
 
 from __future__ import annotations
@@ -80,17 +74,13 @@ PROTOCOL_VERSION = 1
 #: ``array_layout`` compile-request field, the per-result ``array_opt``
 #: summary, and the ``array_opt_compiles`` counter; 5 added the
 #: ``frontend``/``entry`` compile-request fields (CPython-bytecode
-#: frontend); 6 removed the fragment-cache stats block with the cache.
-SCHEMA_VERSION = 6
+#: frontend); 6 removed the fragment-cache stats block with the cache;
+#: 7 removed ``role``, ``worker_id`` and the forwarded-in request
+#: counter with the distributed fabric.
+SCHEMA_VERSION = 7
 
 OPS = ("compile", "health", "stats")
 STATUSES = ("ok", "error", "overloaded", "timeout", "shutting-down")
-#: Process roles of the distributed fabric (``serve --role``).
-ROLES = ("single", "gateway", "worker", "fabric")
-#: Hard bound on gateway-to-worker forwarding depth: a request that
-#: has already been relayed this many times is refused instead of
-#: forwarded again, so a misconfigured ring can never loop.
-MAX_FORWARD_HOPS = 2
 
 
 class ProtocolError(ValueError):
@@ -106,16 +96,6 @@ class Request:
     job: BatchJob | None = None  # compile only
     deadline_ms: float | None = None
     include_allocation: bool = False
-    #: forwarding provenance when the request was relayed by a gateway:
-    #: ``{"gateway": <gateway_id>, "hop": <1..MAX_FORWARD_HOPS>}``
-    via: dict[str, object] | None = None
-
-    @property
-    def hop(self) -> int:
-        """Relay depth: 0 for a direct client request."""
-        if self.via is None:
-            return 0
-        return int(self.via["hop"])  # type: ignore[arg-type]
 
 
 def encode_message(payload: dict[str, object]) -> bytes:
@@ -192,21 +172,6 @@ def parse_request(obj: dict[str, object]) -> Request:
             "deadline_ms must be a positive number",
         )
 
-    via = obj.get("via")
-    if via is not None:
-        _require(isinstance(via, dict), "via must be an object")
-        assert isinstance(via, dict)
-        gateway = via.get("gateway")
-        _require(isinstance(gateway, str) and gateway != "",
-                 "via.gateway must be a non-empty string")
-        hop = via.get("hop")
-        _require(
-            isinstance(hop, int) and not isinstance(hop, bool)
-            and 1 <= hop <= MAX_FORWARD_HOPS,
-            f"via.hop must be an int in 1..{MAX_FORWARD_HOPS}",
-        )
-        via = {"gateway": gateway, "hop": hop}
-
     machine = machine_from_dict(obj.get("machine"))
     name = obj.get("name", "request")
     _require(isinstance(name, str), "name must be a string")
@@ -220,45 +185,7 @@ def parse_request(obj: dict[str, object]) -> Request:
         job=BatchJob(name, source, machine, **knobs),
         deadline_ms=None if deadline_ms is None else float(deadline_ms),
         include_allocation=include_allocation,
-        via=via,
     )
-
-
-def forward_envelope(
-    obj: dict[str, object],
-    *,
-    deadline_ms: float,
-    gateway: str,
-    hop: int = 1,
-) -> dict[str, object]:
-    """The request a gateway relays to the owning worker.
-
-    The original request object is preserved verbatim except for two
-    fields: ``deadline_ms`` is rewritten to the *remaining* budget (the
-    gateway already spent part of the client's deadline routing), and
-    ``via`` records provenance and relay depth.  A hop count past
-    :data:`MAX_FORWARD_HOPS` raises — loops are refused at the sender,
-    and :func:`parse_request` refuses them at the receiver too.
-    """
-    if not 1 <= hop <= MAX_FORWARD_HOPS:
-        raise ProtocolError(
-            f"refusing to forward at hop {hop} "
-            f"(max {MAX_FORWARD_HOPS}): forwarding loop?"
-        )
-    out = dict(obj)
-    out["deadline_ms"] = deadline_ms
-    out["via"] = {"gateway": gateway, "hop": hop}
-    return out
-
-
-def identity(role: str, worker_id: str | None = None) -> dict[str, object]:
-    """The identity fields every ``health``/``stats`` payload carries."""
-    assert role in ROLES, role
-    return {
-        "role": role,
-        "worker_id": worker_id,
-        "schema_version": SCHEMA_VERSION,
-    }
 
 
 def response(

@@ -10,12 +10,8 @@ content-addressed :class:`~repro.service.AllocationCache`, source index,
 and stage-level front-end artifact reuse — in a dedicated dispatch
 thread, so the event loop never blocks on compilation.
 
-The dispatch machinery lives in :class:`WorkerCore`, deliberately
-decoupled from sockets: the same core serves both the classic
-single-process ``serve`` and the ``worker`` role of the distributed
-fabric (:mod:`repro.server.gateway` routes to workers,
-:mod:`repro.server.fabric` supervises them).  :class:`CompileServer`
-is the TCP shell around one core.
+``serve --workers N`` runs the batch compiler on a pool of N
+processes that share one allocation cache; that is the multi-core mode.
 
 Operational properties:
 
@@ -28,14 +24,13 @@ Operational properties:
   not-yet-dispatched flight, cancels the flight entirely.
 - **Graceful drain** — SIGTERM/SIGINT (or :meth:`begin_drain`) stops
   admission, finishes every queued flight, answers every accepted
-  waiter, then exits; :meth:`drain_summary` asserts zero unanswered
-  accepted requests.
+  waiter, ends every open connection at EOF, then exits;
+  :meth:`drain_summary` asserts zero unanswered accepted requests.
 - **Observability** — ``health`` and ``stats`` answer instantly (they
-  bypass the queue) and expose the process identity (``role``,
-  ``worker_id``, ``schema_version``), queue depth, shed/dedup counters,
-  batch sizes, latency percentiles (:class:`repro.passes.events
-  .LatencyRecorder`), strategy-execution counts, and the allocation/
-  front-end cache statistics.
+  bypass the queue) and expose ``schema_version``, queue depth,
+  shed/dedup counters, batch sizes, latency percentiles
+  (:class:`repro.passes.events.LatencyRecorder`), strategy-execution
+  counts, and the allocation/front-end cache statistics.
 """
 
 from __future__ import annotations
@@ -48,7 +43,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from ..passes.events import LatencyRecorder
-from ..service.batch import BatchCompiler, BatchJob, JobResult
+from ..service.batch import BatchCompiler, JobResult
 from ..service.cache import AllocationCache
 from . import protocol
 from .adaptive import AdaptiveConfig, UpgradeEngine, UpgradeOutcome
@@ -58,7 +53,7 @@ from .queueing import AdmissionQueue, Flight
 
 @dataclass(frozen=True, slots=True)
 class ServerConfig:
-    """Tunables of one :class:`WorkerCore`/:class:`CompileServer`."""
+    """Tunables of one :class:`CompileServer`."""
 
     host: str = "127.0.0.1"
     port: int = 0  # 0 = ephemeral; read the bound port off `address`
@@ -84,16 +79,6 @@ class ServerConfig:
     hot_threshold: int = 3
     #: per-upgrade CPU budget in seconds
     upgrade_budget: float = 5.0
-    #: fabric identity: one of :data:`repro.server.protocol.ROLES`
-    role: str = "single"
-    #: stable worker name within a fabric (shard-map key); None for
-    #: the single-process role
-    worker_id: str | None = None
-    #: synthetic per-job service time (seconds) added in the dispatch
-    #: thread — a load/capacity-testing aid (``--synthetic-delay-ms``)
-    #: used by the fabric benchmark so throughput-scaling measurements
-    #: are not bottlenecked by the host's core count.  0 in production.
-    synthetic_delay: float = 0.0
 
 
 @dataclass(slots=True)
@@ -114,8 +99,6 @@ class ServerCounters:
     strategy_executions: int = 0
     connections: int = 0
     oversized_lines: int = 0
-    #: compile requests that arrived via a gateway forward (`via` set)
-    forwarded_in: int = 0
     #: compile requests served with ``array_layout='optimize'``
     array_opt_compiles: int = 0
     upgrades_attempted: int = 0
@@ -139,7 +122,6 @@ class ServerCounters:
             "strategy_executions": self.strategy_executions,
             "connections": self.connections,
             "oversized_lines": self.oversized_lines,
-            "forwarded_in": self.forwarded_in,
             "array_opt_compiles": self.array_opt_compiles,
             "upgrades_attempted": self.upgrades_attempted,
             "upgrades_improved": self.upgrades_improved,
@@ -162,16 +144,13 @@ class _Latencies:
         }
 
 
-class WorkerCore:
-    """The socket-free dispatch core of one compile worker.
+class CompileServer:
+    """One listening compile service; see the module docstring.
 
-    Owns the admission queue, the micro-batch dispatch loop (running
-    the :class:`~repro.service.BatchCompiler` on a dedicated thread),
-    the adaptive-upgrade lane, and every counter the ``stats``
-    endpoint reports.  :class:`CompileServer` wraps a core in a TCP
-    listener; the fabric's ``worker`` role is the *same* core behind
-    the same listener, so single-process behavior is pinned by the
-    same test suite that pins the worker role.
+    Owns the TCP listener, the admission queue, the micro-batch
+    dispatch loop (running the :class:`~repro.service.BatchCompiler` on
+    a dedicated thread), the adaptive-upgrade lane, and every counter
+    the ``stats`` endpoint reports.
     """
 
     def __init__(
@@ -210,8 +189,21 @@ class WorkerCore:
         )
         self._queue_drained = asyncio.Event()
         self._started_at = time.monotonic()
+        self._server: asyncio.AbstractServer | None = None
+        #: open connections: handler task -> its stream pair
+        self._connections: dict[
+            asyncio.Task, tuple[asyncio.StreamReader, asyncio.StreamWriter]
+        ] = {}
+        self._drain_watcher: asyncio.Task | None = None
+        self._drained = asyncio.Event()
 
     # -- lifecycle -----------------------------------------------------------
+
+    @property
+    def address(self) -> tuple[str, int]:
+        assert self._server is not None and self._server.sockets
+        host, port = self._server.sockets[0].getsockname()[:2]
+        return host, port
 
     @property
     def state(self) -> str:
@@ -219,25 +211,64 @@ class WorkerCore:
             return "stopped"
         return "draining" if self.queue.draining else "serving"
 
-    def start(self) -> None:
-        """Start the dispatch loop (and the upgrade lane, if enabled)
-        on the running event loop."""
+    async def start(self) -> None:
+        """Bind the listener and start the dispatch loop (and the
+        upgrade lane, if enabled) on the running event loop."""
+        self._server = await asyncio.start_server(
+            self._serve_connection,
+            self.config.host,
+            self.config.port,
+            limit=protocol.MAX_LINE_BYTES,
+        )
         self._started_at = time.monotonic()
         self._dispatch_task = asyncio.create_task(
             self._dispatch_loop(), name="repro-dispatch-loop"
         )
         if self.upgrades is not None:
             self.upgrades.start()
+        self._drain_watcher = asyncio.create_task(
+            self._close_when_drained(), name="repro-drain-watcher"
+        )
+
+    async def _close_when_drained(self) -> None:
+        """Once every accepted request is answered: close the listener,
+        end each open connection at EOF, and mark the server drained."""
+        await self._queue_drained.wait()
+        assert self._server is not None
+        self._server.close()
+        for reader, writer in self._connections.values():
+            # Lines already buffered are still answered (compiles with
+            # `shutting-down`); nothing new is read after EOF.
+            writer.transport.pause_reading()
+            reader.feed_eof()
+        await asyncio.gather(*self._connections, return_exceptions=True)
+        await self._server.wait_closed()
+        self._drained.set()
+
+    def install_signal_handlers(self) -> None:
+        loop = asyncio.get_running_loop()
+        for sig in (signal.SIGTERM, signal.SIGINT):
+            try:
+                loop.add_signal_handler(sig, self.begin_drain)
+            except (NotImplementedError, RuntimeError):  # pragma: no cover
+                pass  # platform without loop signal support
 
     def begin_drain(self) -> None:
         """Stop accepting work; already-accepted work still completes."""
         if not self.queue.draining:
             self.queue.close()
 
-    async def wait_queue_drained(self) -> None:
-        """Block until the dispatch loop has resolved every accepted
-        flight and exited (requires :meth:`begin_drain`)."""
-        await self._queue_drained.wait()
+    async def wait_drained(self) -> None:
+        """Block until the drain (triggered by :meth:`begin_drain`)
+        finishes: queue empty, every waiter answered, sockets closed."""
+        await self._drained.wait()
+
+    async def run_until_drained(self) -> dict[str, object]:
+        """Start (if needed), serve until drained, return the summary."""
+        if self._server is None:
+            await self.start()
+        await self.wait_drained()
+        return self.drain_summary()
 
     async def aclose(self) -> None:
         """Drain and shut down (idempotent)."""
@@ -247,6 +278,9 @@ class WorkerCore:
         if self.upgrades is not None:
             await self.upgrades.aclose()
         self._dispatch_pool.shutdown(wait=True)
+        if self._drain_watcher is not None:
+            await self._drain_watcher
+        self._drained.set()
 
     def drain_summary(self) -> dict[str, object]:
         """The post-drain invariant record: every accepted request must
@@ -273,7 +307,7 @@ class WorkerCore:
             return protocol.response(
                 request.id, "ok", state=self.state,
                 version=protocol.PROTOCOL_VERSION,
-                **protocol.identity(self.config.role, self.config.worker_id),
+                schema_version=protocol.SCHEMA_VERSION,
             )
         if request.op == "stats":
             self.counters.stats += 1
@@ -283,8 +317,6 @@ class WorkerCore:
     async def handle_compile(self, request: Request) -> dict[str, object]:
         assert request.job is not None
         self.counters.requests += 1
-        if request.via is not None:
-            self.counters.forwarded_in += 1
         t0 = time.monotonic()
         if self.queue.draining:
             self.counters.rejected_draining += 1
@@ -382,14 +414,6 @@ class WorkerCore:
 
     # -- dispatch ------------------------------------------------------------
 
-    def _run_batch(self, jobs: list[BatchJob]):
-        """Dispatch-thread body: one BatchCompiler run, plus the
-        optional synthetic per-job service time (capacity testing)."""
-        report = self.compiler.run(jobs)
-        if self.config.synthetic_delay > 0:
-            time.sleep(self.config.synthetic_delay * len(jobs))
-        return report
-
     async def _dispatch_loop(self) -> None:
         """Pull micro-batches off the queue and run them on the batch
         compiler in the dispatch thread until drained."""
@@ -402,7 +426,7 @@ class WorkerCore:
             t0 = time.monotonic()
             try:
                 report = await loop.run_in_executor(
-                    self._dispatch_pool, self._run_batch, jobs
+                    self._dispatch_pool, self.compiler.run, jobs
                 )
                 results = list(report.results)
             except Exception as exc:  # noqa: BLE001 - batch-level failure
@@ -425,7 +449,7 @@ class WorkerCore:
                         result.job, result.key, max(1, flight.waiters)
                     )
                 self.queue.resolve(flight, result)
-        # past this point nothing new can be admitted; the core is
+        # past this point nothing new can be admitted; the queue is
         # fully drained once every submitted flight above was resolved.
         self._queue_drained.set()
 
@@ -461,7 +485,7 @@ class WorkerCore:
         return {
             "state": self.state,
             "uptime_s": time.monotonic() - self._started_at,
-            **protocol.identity(self.config.role, self.config.worker_id),
+            "schema_version": protocol.SCHEMA_VERSION,
             "config": {
                 "workers": self.config.workers,
                 "max_queue": self.config.max_queue,
@@ -484,140 +508,28 @@ class WorkerCore:
             ),
         }
 
-
-class CompileServer:
-    """One listening compile service: a TCP shell around a
-    :class:`WorkerCore`; see the module docstring."""
-
-    def __init__(
-        self,
-        config: ServerConfig | None = None,
-        compiler: BatchCompiler | None = None,
-        core: WorkerCore | None = None,
-    ):
-        self.core = core if core is not None else WorkerCore(config, compiler)
-        self._server: asyncio.AbstractServer | None = None
-        self._drain_watcher: asyncio.Task | None = None
-        self._drained = asyncio.Event()
-
-    # -- delegation (the core owns all serving state) ------------------------
-
-    @property
-    def config(self) -> ServerConfig:
-        return self.core.config
-
-    @property
-    def compiler(self) -> BatchCompiler:
-        return self.core.compiler
-
-    @property
-    def queue(self) -> AdmissionQueue:
-        return self.core.queue
-
-    @property
-    def counters(self) -> ServerCounters:
-        return self.core.counters
-
-    @property
-    def latency(self) -> _Latencies:
-        return self.core.latency
-
-    @property
-    def upgrades(self) -> UpgradeEngine | None:
-        return self.core.upgrades
-
-    def stats(self) -> dict[str, object]:
-        return self.core.stats()
-
-    def drain_summary(self) -> dict[str, object]:
-        return self.core.drain_summary()
-
-    # -- lifecycle -----------------------------------------------------------
-
-    @property
-    def address(self) -> tuple[str, int]:
-        assert self._server is not None and self._server.sockets
-        host, port = self._server.sockets[0].getsockname()[:2]
-        return host, port
-
-    @property
-    def state(self) -> str:
-        if self._drained.is_set():
-            return "stopped"
-        return self.core.state
-
-    async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._serve_connection,
-            self.core.config.host,
-            self.core.config.port,
-            limit=protocol.MAX_LINE_BYTES,
-        )
-        self.core.start()
-        self._drain_watcher = asyncio.create_task(
-            self._close_when_drained(), name="repro-drain-watcher"
-        )
-
-    async def _close_when_drained(self) -> None:
-        """Close the listener once the core has resolved everything it
-        accepted, then mark the whole server drained."""
-        await self.core.wait_queue_drained()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        self._drained.set()
-
-    def install_signal_handlers(self) -> None:
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(sig, self.begin_drain)
-            except (NotImplementedError, RuntimeError):  # pragma: no cover
-                pass  # platform without loop signal support
-
-    def begin_drain(self) -> None:
-        """Stop accepting work; already-accepted work still completes."""
-        self.core.begin_drain()
-
-    async def wait_drained(self) -> None:
-        """Block until the drain (triggered by :meth:`begin_drain`)
-        finishes: queue empty, every waiter answered, sockets closed."""
-        await self._drained.wait()
-
-    async def run_until_drained(self) -> dict[str, object]:
-        """Start (if needed), serve until drained, return the summary."""
-        if self._server is None:
-            await self.start()
-        await self.wait_drained()
-        return self.drain_summary()
-
-    async def aclose(self) -> None:
-        """Drain and shut down (idempotent)."""
-        self.begin_drain()
-        await self.core.aclose()
-        if self._drain_watcher is not None:
-            await self._drain_watcher
-        elif self._server is not None:  # started listener, core never ran
-            self._server.close()
-            await self._server.wait_closed()
-        self._drained.set()
-
     # -- connection handling -------------------------------------------------
 
     async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        await protocol.serve_lines(
-            reader, writer, self._handle_line, self.core.counters
-        )
+        task = asyncio.current_task()
+        assert task is not None
+        self._connections[task] = (reader, writer)
+        try:
+            await protocol.serve_lines(
+                reader, writer, self._handle_line, self.counters
+            )
+        finally:
+            del self._connections[task]
 
     async def _handle_line(self, line: bytes) -> dict[str, object]:
         try:
             request = protocol.parse_request(protocol.decode_message(line))
         except ProtocolError as exc:
-            self.core.counters.protocol_errors += 1
+            self.counters.protocol_errors += 1
             return protocol.error_response(None, str(exc))
-        return await self.core.handle_request(request)
+        return await self.handle_request(request)
 
 
 async def serve(
@@ -641,8 +553,7 @@ async def serve(
         host, port = server.address
         announce({
             "event": "serving", "host": host, "port": port,
-            "pid": os.getpid(), "role": config.role,
-            "worker_id": config.worker_id,
+            "pid": os.getpid(),
         })
     await server.wait_drained()
     await server.aclose()

@@ -5,15 +5,12 @@ import json
 import pytest
 
 from repro.server.protocol import (
-    MAX_FORWARD_HOPS,
     MAX_SOURCE_BYTES,
     SCHEMA_VERSION,
     ProtocolError,
     decode_message,
     encode_message,
     error_response,
-    forward_envelope,
-    identity,
     machine_from_dict,
     parse_request,
     response,
@@ -193,8 +190,9 @@ def test_parse_compile_array_layout_knob():
 
 def test_schema_version_covers_frontend_fields():
     # v5 added the frontend/entry compile-request fields; v6 removed
-    # the delta_cache stats block
-    assert SCHEMA_VERSION == 6
+    # the delta_cache stats block; v7 removed the fabric identity
+    # fields and the forwarded-in counter
+    assert SCHEMA_VERSION == 7
 
 
 def test_parse_compile_frontend_knob():
@@ -225,66 +223,43 @@ def test_machine_defaults_to_paper_machine():
     assert (machine.num_fus, machine.num_modules) == (4, 8)
 
 
-def test_parse_direct_request_has_hop_zero():
-    req = parse_request({"op": "compile", "source": GOOD_SOURCE})
-    assert req.via is None and req.hop == 0
-
-
-def test_parse_forwarded_request_keeps_provenance():
-    req = parse_request({
-        "op": "compile",
-        "source": GOOD_SOURCE,
-        "via": {"gateway": "gw-0", "hop": 1, "extra": "dropped"},
-    })
-    assert req.via == {"gateway": "gw-0", "hop": 1}
-    assert req.hop == 1
-
-
 @pytest.mark.parametrize(
-    "via",
+    "machine,message",
     [
-        "gw-0",
-        {"hop": 1},
-        {"gateway": "", "hop": 1},
-        {"gateway": "gw-0"},
-        {"gateway": "gw-0", "hop": 0},
-        {"gateway": "gw-0", "hop": MAX_FORWARD_HOPS + 1},
-        {"gateway": "gw-0", "hop": True},
+        ({"num_modules": 2.5}, "num_modules must be an int, got float"),
+        ({"num_modules": True}, "num_modules must be an int, got bool"),
+        ({"num_fus": 4.0}, "num_fus must be an int, got float"),
+        ({"num_fus": "4"}, "num_fus must be an int, got str"),
+        ({"mem_ports": False}, "mem_ports must be an int, got bool"),
+        ({"delta": True}, "delta must be a number, got bool"),
+        ({"delta": "1"}, "delta must be a number, got str"),
+        ({"delta": float("nan")}, "delta must be finite and > 0"),
+        ({"delta": float("inf")}, "delta must be finite and > 0"),
+        ({"delta": 0}, "delta must be finite and > 0"),
     ],
 )
-def test_parse_rejects_bad_via(via):
+def test_machine_fields_are_typed(machine, message):
+    # json.loads accepts NaN/Infinity, so they can arrive on the wire
+    line = encode_message({"op": "compile", "source": GOOD_SOURCE,
+                           "machine": machine})
     with pytest.raises(ProtocolError) as err:
-        parse_request({"op": "compile", "source": GOOD_SOURCE, "via": via})
-    assert "via" in str(err.value)
+        parse_request(decode_message(line))
+    assert str(err.value).startswith(f"bad machine config: {message}")
 
 
-def test_forward_envelope_rewrites_deadline_and_stamps_via():
-    original = {"op": "compile", "source": GOOD_SOURCE,
-                "id": 4, "deadline_ms": 5000}
-    fwd = forward_envelope(original, deadline_ms=3200.0, gateway="gw-0")
-    assert fwd["deadline_ms"] == 3200.0
-    assert fwd["via"] == {"gateway": "gw-0", "hop": 1}
-    assert fwd["id"] == 4 and fwd["source"] == GOOD_SOURCE
-    assert original["deadline_ms"] == 5000  # input untouched
-    assert "via" not in original
-    # the forwarded object round-trips through the normal parser
-    req = parse_request(fwd)
-    assert req.hop == 1 and req.deadline_ms == 3200.0
+def test_machine_accepts_int_and_float_delta():
+    for delta in (2, 2.5):
+        req = parse_request({"op": "compile", "source": GOOD_SOURCE,
+                             "machine": {"delta": delta, "mem_ports": 4}})
+        assert req.job is not None and req.job.machine.delta == delta
 
 
-def test_forward_envelope_refuses_hop_overflow():
-    obj = {"op": "compile", "source": GOOD_SOURCE}
-    with pytest.raises(ProtocolError):
-        forward_envelope(obj, deadline_ms=100.0, gateway="gw-0",
-                         hop=MAX_FORWARD_HOPS + 1)
+def test_batch_job_machine_is_typed_before_compiling():
+    from repro.liw.machine import MachineConfig
+    from repro.service.batch import BatchJob
 
-
-def test_identity_fields():
-    ident = identity("worker", "w0")
-    assert ident == {"role": "worker", "worker_id": "w0",
-                     "schema_version": SCHEMA_VERSION}
-    with pytest.raises(AssertionError):
-        identity("not-a-role")
+    with pytest.raises(TypeError, match="num_modules must be an int"):
+        BatchJob("j", GOOD_SOURCE, MachineConfig(num_modules=2.5))
 
 
 def test_response_builders_are_jsonable():
@@ -311,13 +286,11 @@ STATS_KEYS = [
     "metric_counters",
     "queue",
     "requests",
-    "role",
     "schema_version",
     "stage_totals",
     "state",
     "upgrades",
     "uptime_s",
-    "worker_id",
 ]
 
 REQUEST_COUNTER_KEYS = [
@@ -326,7 +299,6 @@ REQUEST_COUNTER_KEYS = [
     "connections",
     "dedup_hits",
     "errors",
-    "forwarded_in",
     "health",
     "ok",
     "overloaded",
@@ -382,7 +354,6 @@ def test_stats_payload_schema_is_golden(adaptive):
     assert sorted(stats["requests"].keys()) == REQUEST_COUNTER_KEYS
     assert sorted(stats["upgrades"].keys()) == UPGRADES_KEYS
     assert stats["upgrades"]["enabled"] is adaptive
-    assert stats["role"] == "single" and stats["worker_id"] is None
     assert stats["schema_version"] == SCHEMA_VERSION
     json.dumps(stats)  # the whole payload must stay JSON-able
 

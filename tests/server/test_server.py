@@ -1,12 +1,21 @@
-"""CompileServer end-to-end over real sockets (in-process, port 0)."""
+"""CompileServer end-to-end over real sockets (in-process on port 0, and
+one `python -m repro serve` subprocess for the SIGTERM drain)."""
 
 import asyncio
+import json
+import os
+import signal
+import socket
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 from repro.core.allocation import Allocation
 from repro.core.strategies import StorageResult
 from repro.server import CompileServer, ServerConfig, ServerClient
 from repro.server import protocol
+from repro.server.loadgen import make_program
 from repro.service.batch import BatchReport, JobResult
 
 SOURCE = """
@@ -337,3 +346,75 @@ def test_array_layout_optimize_round_trip():
         await _shutdown(server)
 
     asyncio.run(main())
+
+
+def test_process_pool_matches_serial_and_shares_the_cache(tmp_path):
+    """``workers=2`` compiles concurrent distinct requests on a process
+    pool to the same keys and allocations as ``workers=1``, and a second
+    server on the same cache directory answers them all from disk."""
+    sources = [make_program(i, 2 + i) for i in range(6)]
+
+    async def compile_all(config: ServerConfig) -> list[dict]:
+        server = await _started(config)
+        host, port = server.address
+
+        async def one(source: str) -> dict:
+            async with ServerClient(host, port) as client:
+                return await client.compile(source, include_allocation=True)
+
+        replies = await asyncio.gather(*(one(s) for s in sources))
+        await _shutdown(server)
+        assert all(r["status"] == "ok" for r in replies), replies
+        return [r["result"] for r in replies]
+
+    def run(workers: int, cache: str) -> list[dict]:
+        return asyncio.run(compile_all(_config(
+            workers=workers, cache_dir=str(tmp_path / cache),
+            max_batch=8, batch_window=0.1,
+        )))
+
+    serial = run(1, "serial")
+    pooled = run(2, "pooled")
+    warm = run(2, "pooled")
+    assert "parallel" in {r["mode"] for r in pooled}
+    for cold, hot, expected in zip(pooled, warm, serial):
+        assert not cold["cache_hit"] and hot["cache_hit"]
+        for result in (cold, hot):
+            assert result["key"] == expected["key"]
+            assert result["allocation"] == expected["allocation"]
+
+
+def test_sigterm_drain_with_an_idle_connection_exits_cleanly():
+    """A client that leaves its connection open must not turn the
+    SIGTERM drain into a traceback: the server ends the connection at
+    EOF once everything it accepted is answered."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).parents[2] / "src"),
+                    env.get("PYTHONPATH", "")) if p
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--announce"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    )
+    try:
+        assert proc.stdout is not None
+        serving = json.loads(proc.stdout.readline())
+        with socket.create_connection(
+            (serving["host"], serving["port"]), timeout=30
+        ) as sock:
+            sock.sendall(protocol.encode_message({"op": "health", "id": 1}))
+            reply = json.loads(sock.makefile("rb").readline())
+            assert reply["status"] == "ok"
+            proc.send_signal(signal.SIGTERM)
+            out, err = proc.communicate(timeout=60)
+            assert sock.recv(1) == b""  # the server hung up
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert proc.returncode == 0, err
+    drained = json.loads(out.splitlines()[-1])
+    assert drained["event"] == "drained" and drained["unanswered"] == 0
+    assert "Traceback" not in err, err
