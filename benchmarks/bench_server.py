@@ -19,12 +19,7 @@ script exits non-zero unless every check passes:
   instead of sitting on requests until they timed out;
 - ``dedup_effective`` — strictly fewer strategy executions than
   successful responses (single-flight + content-addressed cache);
-- ``drain_clean`` — SIGTERM drain answered everything it had accepted;
-- ``adaptive_upgraded`` — a second ``--adaptive`` server phase on the
-  dup-heavy mix background-upgrades at least one hot program with
-  ``copies_saved > 0`` (memsim-verified before the swap);
-- ``adaptive_latency_ok`` — that phase sees zero timeouts and its p99
-  stays within an envelope of the non-adaptive baseline phase.
+- ``drain_clean`` — SIGTERM drain answered everything it had accepted.
 
 Usage::
 
@@ -61,7 +56,7 @@ from repro.server.loadgen import (  # noqa: E402
 
 
 def start_server(
-    cache_dir: str, max_queue: int, extra: list[str] | None = None
+    cache_dir: str, max_queue: int
 ) -> tuple[subprocess.Popen, str, int]:
     """Launch ``python -m repro serve --announce`` and scrape its port."""
     env = dict(os.environ)
@@ -76,7 +71,7 @@ def start_server(
             "--max-batch", "8",
             "--batch-window", "0.005",
             "--cache-dir", cache_dir,
-        ] + (extra or []),
+        ],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=env,
@@ -128,110 +123,6 @@ async def drain_wave(
         "all_accounted": set(counts) <= allowed,
         "completed_ok": counts.get("ok", 0),
     }
-
-
-async def settle_upgrades(
-    host: str, port: int, timeout_s: float = 90.0
-) -> dict[str, object]:
-    """Poll ``stats`` until the adaptive lane is idle (no queued and no
-    executing upgrades, at least one attempted) or the timeout expires;
-    returns the final ``upgrades`` block."""
-    client = ServerClient(host, port, retries=2)
-    upgrades: dict[str, object] = {}
-    deadline = time.monotonic() + timeout_s
-    try:
-        while time.monotonic() < deadline:
-            stats = await client.stats()
-            upgrades = stats.get("upgrades", {})
-            if (
-                upgrades.get("attempted", 0) >= 1
-                and upgrades.get("pending") == 0
-                and upgrades.get("in_progress") == 0
-            ):
-                break
-            await asyncio.sleep(0.2)
-    finally:
-        await client.close()
-    return upgrades
-
-
-def run_adaptive_phase(
-    tmp: str, args: argparse.Namespace, baseline_p99: float
-) -> tuple[dict[str, object], dict[str, bool]]:
-    """Phase 2: a fresh ``--adaptive`` server on the dup-heavy mix at
-    2 memory modules (where the heuristic leaves copies on the table),
-    settled until the upgrade lane drains, then gated.
-
-    Gates:
-
-    - ``adaptive_upgraded`` — at least one hot program was background-
-      upgraded with a strictly positive copies-saved total (every
-      published upgrade was memsim-verified by the engine before the
-      swap);
-    - ``adaptive_latency_ok`` — zero client-visible timeouts, and the
-      adaptive run's p99 stays within a generous envelope of the
-      non-adaptive baseline phase (the upgrade lane must not steal the
-      serving path's latency).
-    """
-    cache_dir = str(Path(tmp) / "adaptive-cache")
-    config = LoadgenConfig(
-        clients=min(args.clients, 16),
-        requests=min(args.requests, 60),
-        dup_rate=0.5,
-        dup_pool=3,
-        seed=args.seed,
-        poison=False,
-        retries=8,
-        num_modules=2,
-    )
-    proc, host, port = start_server(
-        cache_dir, args.max_queue,
-        extra=["--adaptive", "--hot-threshold", "3",
-               "--upgrade-budget", "10.0"],
-    )
-    try:
-        t0 = time.perf_counter()
-        report = asyncio.run(run_load(host, port, config))
-        load_time = time.perf_counter() - t0
-        upgrades = asyncio.run(settle_upgrades(host, port))
-        proc.send_signal(signal.SIGTERM)
-        try:
-            proc.communicate(timeout=120)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            proc.communicate()
-            raise RuntimeError("adaptive server did not drain within 120s")
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.communicate()
-
-    latency = report["latency"]
-    p99 = float(latency["p99"])
-    envelope = max(2.5 * baseline_p99, baseline_p99 + 0.25)
-    checks = {
-        "adaptive_upgraded": (
-            int(upgrades.get("improved", 0)) >= 1
-            and int(upgrades.get("copies_saved", 0)) > 0
-        ),
-        "adaptive_latency_ok": (
-            report["outcomes"].get("timeout", 0) == 0
-            and p99 <= envelope
-        ),
-    }
-    phase = {
-        "config": config.as_dict(),
-        "load_wall_time": load_time,
-        "latency": latency,
-        "outcomes": report["outcomes"],
-        "upgrades": upgrades,
-        "upgrades_improved": int(upgrades.get("improved", 0)),
-        "copies_saved": int(upgrades.get("copies_saved", 0)),
-        "p99": p99,
-        "p99_envelope": envelope,
-        "server_exit_code": proc.returncode,
-    }
-    return phase, checks
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -290,10 +181,6 @@ def main(argv: list[str] | None = None) -> int:
                 drained = event
                 break
 
-        adaptive, adaptive_checks = run_adaptive_phase(
-            tmp, args, baseline_p99=float(report["latency"]["p99"])
-        )
-
     checks = dict(report["checks"])
     checks["drain_clean"] = (
         proc.returncode == 0
@@ -301,7 +188,6 @@ def main(argv: list[str] | None = None) -> int:
         and bool(wave["all_accounted"])
     )
     checks["duplicate_share_configured"] = config.dup_rate >= 0.30
-    checks.update(adaptive_checks)
 
     bench = {
         "config": config.as_dict(),
@@ -311,8 +197,6 @@ def main(argv: list[str] | None = None) -> int:
         "drain_wave": wave,
         "drain_summary": drained,
         "server_exit_code": proc.returncode,
-        "adaptive": adaptive,
-        "upgrades_improved": adaptive["upgrades_improved"],
         "checks": checks,
     }
     Path(args.out).write_text(json.dumps(bench, indent=2, sort_keys=True))
@@ -330,10 +214,6 @@ def main(argv: list[str] | None = None) -> int:
           f"overload retries: {report['client']['overload_retries']}")
     print(f"  drain: exit={proc.returncode} "
           f"unanswered={drained.get('unanswered')} wave={wave['outcomes']}")
-    print(f"  adaptive: {adaptive['upgrades_improved']} improved, "
-          f"{adaptive['copies_saved']} copies saved, "
-          f"p99 {adaptive['p99'] * 1e3:.1f}ms "
-          f"(envelope {adaptive['p99_envelope'] * 1e3:.1f}ms)")
     print(f"  checks: {checks}")
     print(f"report written to {args.out}")
 

@@ -24,6 +24,7 @@ SORT, COLOR), or with ``--frontend python`` a
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from contextlib import suppress
 from pathlib import Path
@@ -64,14 +65,30 @@ def _source_file(path: str) -> str:
         ) from None
 
 
-def _positive_int(text: str) -> int:
-    """A ``--fus``/``--modules`` count."""
-    value = 0
-    with suppress(ValueError):
-        value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an int >= 1, got {text!r}")
-    return value
+def _checked(convert, ok, rule: str):
+    """An argparse type: ``convert(text)``, accepted only if ``ok``."""
+
+    def parse(text: str):
+        value = None
+        with suppress(ValueError):
+            value = convert(text)
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _checked(int, lambda v: v >= 1, "an int >= 1")
+_port = _checked(int, lambda v: 0 <= v <= 65535, "a port in 0..65535")
+#: seconds, by the protocol's ``deadline_ms`` rule
+_seconds = _checked(
+    float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0"
+)
+_window = _checked(
+    float, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0"
+)
+_fraction = _checked(float, lambda v: 0 <= v <= 1, "a number in [0, 1]")
 
 
 def _input_value(text: str) -> int | float:
@@ -238,9 +255,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         batch_window=args.batch_window,
         default_deadline=args.deadline,
         cache_dir=args.cache_dir,
-        adaptive=args.adaptive,
-        hot_threshold=args.hot_threshold,
-        upgrade_budget=args.upgrade_budget,
     )
 
     summary = asyncio.run(
@@ -271,7 +285,6 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
         deadline_ms=args.deadline * 1000.0,
         seed=args.seed,
         poison=not args.no_poison,
-        num_modules=args.num_modules,
     )
     report = asyncio.run(run_load(args.host, args.port, config))
     print(format_loadgen_report(report))
@@ -359,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="registry programs (default: all six; with --frontend "
              "python, pykernels registry names, default all)",
     )
-    p_batch.add_argument("--workers", "-j", type=int, default=None,
+    p_batch.add_argument("--workers", "-j", type=_positive_int, default=None,
                          help="process-pool size (1 = serial)")
     p_batch.add_argument("--timeout", type=float, default=None,
                          help="per-job seconds before serial fallback")
@@ -377,52 +390,43 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="run the asyncio compile service (JSON over TCP)"
     )
     p_serve.add_argument("--host", default="127.0.0.1")
-    p_serve.add_argument("--port", type=int, default=7070,
+    p_serve.add_argument("--port", type=_port, default=7070,
                          help="0 picks an ephemeral port (see --announce)")
-    p_serve.add_argument("--workers", type=int, default=1,
+    p_serve.add_argument("--workers", type=_positive_int, default=1,
                          help="BatchCompiler pool width (1 = in-thread)")
-    p_serve.add_argument("--job-timeout", type=float, default=120.0,
+    p_serve.add_argument("--job-timeout", type=_seconds, default=120.0,
                          help="per-job seconds inside the batch compiler")
-    p_serve.add_argument("--max-queue", type=int, default=64,
+    p_serve.add_argument("--max-queue", type=_positive_int, default=64,
                          help="admission-queue bound (backpressure point)")
-    p_serve.add_argument("--max-batch", type=int, default=8,
+    p_serve.add_argument("--max-batch", type=_positive_int, default=8,
                          help="micro-batch size cap")
-    p_serve.add_argument("--batch-window", type=float, default=0.01,
+    p_serve.add_argument("--batch-window", type=_window, default=0.01,
                          help="seconds to coalesce arrivals into a batch")
-    p_serve.add_argument("--deadline", type=float, default=60.0,
+    p_serve.add_argument("--deadline", type=_seconds, default=60.0,
                          help="default per-request deadline (seconds)")
     p_serve.add_argument("--cache-dir", default=None,
                          help="persist the allocation cache here")
     p_serve.add_argument("--announce", action="store_true",
                          help="print JSON lifecycle events (port, drain)")
-    p_serve.add_argument("--adaptive", action="store_true",
-                         help="background-upgrade hot programs with the "
-                              "exact/profiled allocators")
-    p_serve.add_argument("--hot-threshold", type=int, default=3,
-                         help="served count before a key is upgraded")
-    p_serve.add_argument("--upgrade-budget", type=float, default=5.0,
-                         help="per-upgrade CPU budget (seconds)")
     p_serve.set_defaults(fn=cmd_serve)
 
     p_load = sub.add_parser(
         "loadgen", help="drive a running compile server with mixed load"
     )
     p_load.add_argument("--host", default="127.0.0.1")
-    p_load.add_argument("--port", type=int, default=7070)
-    p_load.add_argument("--clients", type=int, default=8,
+    p_load.add_argument("--port", type=_port, default=7070)
+    p_load.add_argument("--clients", type=_positive_int, default=8,
                         help="concurrent client connections")
-    p_load.add_argument("--requests", type=int, default=64,
+    p_load.add_argument("--requests", type=_positive_int, default=64,
                         help="total compile requests")
-    p_load.add_argument("--dup-rate", type=float, default=0.4,
+    p_load.add_argument("--dup-rate", type=_fraction, default=0.4,
                         help="fraction of duplicate requests")
     _add_knob(p_load, KNOB["strategy"])
-    p_load.add_argument("--deadline", type=float, default=30.0,
+    p_load.add_argument("--deadline", type=_seconds, default=30.0,
                         help="per-request deadline (seconds)")
     p_load.add_argument("--seed", type=int, default=0)
     p_load.add_argument("--no-poison", action="store_true",
                         help="skip the oversized/broken poison requests")
-    p_load.add_argument("--num-modules", type=int, default=None,
-                        help="request this many memory modules per job")
     p_load.add_argument("--json", dest="json_path", default=None,
                         help="write the load report JSON to this file")
     p_load.set_defaults(fn=cmd_loadgen)

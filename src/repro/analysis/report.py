@@ -273,17 +273,6 @@ def format_server_stats(stats: dict[str, object]) -> str:
         f" / {cache.get('corrupt', 0)} quarantined "
         f"({float(cache.get('hit_rate', 0.0) or 0.0):.0%})",
     ]
-    upgrades = block("upgrades")
-    if upgrades.get("enabled"):
-        lines.append(
-            f"upgrades: {upgrades.get('attempted', 0)} attempted, "
-            f"{upgrades.get('improved', 0)} improved, "
-            f"{upgrades.get('rejected', 0)} rejected, "
-            f"{upgrades.get('failed', 0)} failed; "
-            f"{upgrades.get('copies_saved', 0)} copies saved, "
-            f"t_ave −"
-            f"{float(upgrades.get('t_ave_delta', 0.0) or 0.0):.2f}"
-        )
     return "\n".join(lines)
 
 

@@ -125,31 +125,6 @@ class TeeTracer:
             tracer.emit(event)
 
 
-class EventLog:
-    """Bounded sliding-window tracer for long-running services.
-
-    Unlike :class:`CollectingTracer` (which grows without bound and
-    suits one compilation), an ``EventLog`` keeps only the most recent
-    ``maxlen`` events plus a lifetime total — the shape a server's
-    ``stats`` endpoint can expose indefinitely.  The compile server's
-    adaptive upgrade lane emits one event per attempted upgrade here.
-    """
-
-    def __init__(self, maxlen: int = 256):
-        from collections import deque
-
-        self.events: "deque[PassEvent]" = deque(maxlen=maxlen)
-        self.total = 0
-
-    def emit(self, event: PassEvent) -> None:
-        self.events.append(event)
-        self.total += 1
-
-    def as_rows(self) -> list[dict[str, object]]:
-        """JSON-able rendering of the window, oldest first."""
-        return [e.as_dict() for e in self.events]
-
-
 # --------------------------------------------------------------------------
 # Stage metrics (moved verbatim from repro.service.metrics)
 # --------------------------------------------------------------------------

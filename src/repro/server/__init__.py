@@ -22,11 +22,6 @@ Modules:
     handling, dispatch loop, ``health``/``stats`` endpoints.  With
     ``serve --workers N`` the batch compiler runs on N processes over
     one shared allocation cache.
-``repro.server.adaptive``
-    :class:`UpgradeEngine` — tiered adaptive recompilation: hot
-    ``job_key`` s are background-upgraded with the exact solver and
-    profile-weighted allocators, verified, and atomically swapped into
-    the allocation cache.
 ``repro.server.client``
     :class:`ServerClient` — retries, exponential backoff with jitter,
     overload-aware request policy.
@@ -38,7 +33,6 @@ See ``docs/server.md`` for the protocol, backpressure semantics, and
 the ops runbook.
 """
 
-from .adaptive import AdaptiveConfig, UpgradeEngine, UpgradeOutcome
 from .client import ServerClient, TransportError
 from .loadgen import LoadgenConfig, run_load
 from .protocol import (
@@ -56,7 +50,6 @@ from .server import (
 )
 
 __all__ = [
-    "AdaptiveConfig",
     "AdmissionQueue",
     "CompileServer",
     "Flight",
@@ -69,8 +62,6 @@ __all__ = [
     "ServerConfig",
     "ServerCounters",
     "TransportError",
-    "UpgradeEngine",
-    "UpgradeOutcome",
     "run_load",
     "serve",
 ]

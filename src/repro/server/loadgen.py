@@ -83,10 +83,6 @@ class LoadgenConfig:
     #: include one oversized and one syntactically broken request
     poison: bool = True
     retries: int = 6
-    #: override the server-side machine shape (None = server default).
-    #: The adaptive bench runs at 2 modules, where the heuristic
-    #: allocation leaves headroom the upgrade lane can reclaim.
-    num_modules: int | None = None
 
     def as_dict(self) -> dict[str, object]:
         return {
@@ -99,7 +95,6 @@ class LoadgenConfig:
             "seed": self.seed,
             "poison": self.poison,
             "retries": self.retries,
-            "num_modules": self.num_modules,
         }
 
 
@@ -187,11 +182,6 @@ async def run_load(
 
     tally = _Tally()
     clients: list[ServerClient] = []
-    machine = (
-        {"num_modules": config.num_modules}
-        if config.num_modules is not None
-        else None
-    )
 
     async def worker(worker_id: int) -> None:
         client = ServerClient(
@@ -213,7 +203,6 @@ async def run_load(
                         name=str(spec["name"]),
                         strategy=config.strategy,
                         deadline_ms=config.deadline_ms,
-                        machine=machine,
                     )
                 except TransportError:
                     tally.transport_failures += 1

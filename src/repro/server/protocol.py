@@ -76,8 +76,10 @@ PROTOCOL_VERSION = 1
 #: ``frontend``/``entry`` compile-request fields (CPython-bytecode
 #: frontend); 6 removed the fragment-cache stats block with the cache;
 #: 7 removed ``role``, ``worker_id`` and the forwarded-in request
-#: counter with the distributed fabric.
-SCHEMA_VERSION = 7
+#: counter with the distributed fabric; 8 removed the ``upgrades``
+#: block, its four request counters and ``config.adaptive`` with the
+#: background upgrade lane.
+SCHEMA_VERSION = 8
 
 OPS = ("compile", "health", "stats")
 STATUSES = ("ok", "error", "overloaded", "timeout", "shutting-down")

@@ -46,7 +46,6 @@ from ..passes.events import LatencyRecorder
 from ..service.batch import BatchCompiler, JobResult
 from ..service.cache import AllocationCache
 from . import protocol
-from .adaptive import AdaptiveConfig, UpgradeEngine, UpgradeOutcome
 from .protocol import ProtocolError, Request
 from .queueing import AdmissionQueue, Flight
 
@@ -72,18 +71,11 @@ class ServerConfig:
     cache_dir: str | None = None
     #: backoff hint attached to `overloaded` responses
     retry_after_ms: float = 50.0
-    #: enable the background adaptive-recompilation lane
-    #: (:mod:`repro.server.adaptive`)
-    adaptive: bool = False
-    #: waiter-weighted served count before a job_key is upgrade-eligible
-    hot_threshold: int = 3
-    #: per-upgrade CPU budget in seconds
-    upgrade_budget: float = 5.0
 
 
 @dataclass(slots=True)
 class ServerCounters:
-    """Request-outcome and background-work counters for ``stats``."""
+    """Request-outcome counters for ``stats``."""
 
     requests: int = 0
     ok: int = 0
@@ -101,10 +93,6 @@ class ServerCounters:
     oversized_lines: int = 0
     #: compile requests served with ``array_layout='optimize'``
     array_opt_compiles: int = 0
-    upgrades_attempted: int = 0
-    upgrades_improved: int = 0
-    upgrades_rejected: int = 0
-    upgrades_failed: int = 0
 
     def as_dict(self) -> dict[str, int]:
         return {
@@ -123,10 +111,6 @@ class ServerCounters:
             "connections": self.connections,
             "oversized_lines": self.oversized_lines,
             "array_opt_compiles": self.array_opt_compiles,
-            "upgrades_attempted": self.upgrades_attempted,
-            "upgrades_improved": self.upgrades_improved,
-            "upgrades_rejected": self.upgrades_rejected,
-            "upgrades_failed": self.upgrades_failed,
         }
 
 
@@ -149,8 +133,8 @@ class CompileServer:
 
     Owns the TCP listener, the admission queue, the micro-batch
     dispatch loop (running the :class:`~repro.service.BatchCompiler` on
-    a dedicated thread), the adaptive-upgrade lane, and every counter
-    the ``stats`` endpoint reports.
+    a dedicated thread), and every counter the ``stats`` endpoint
+    reports.
     """
 
     def __init__(
@@ -171,16 +155,6 @@ class CompileServer:
         )
         self.counters = ServerCounters()
         self.latency = _Latencies()
-        self.upgrades: UpgradeEngine | None = None
-        if self.config.adaptive:
-            self.upgrades = UpgradeEngine(
-                self.compiler.cache,
-                AdaptiveConfig(
-                    hot_threshold=self.config.hot_threshold,
-                    budget_s=self.config.upgrade_budget,
-                ),
-                on_outcome=self._absorb_upgrade,
-            )
         self._stage_totals: dict[str, float] = {}
         self._metric_counters: dict[str, float] = {}
         self._dispatch_task: asyncio.Task | None = None
@@ -212,8 +186,8 @@ class CompileServer:
         return "draining" if self.queue.draining else "serving"
 
     async def start(self) -> None:
-        """Bind the listener and start the dispatch loop (and the
-        upgrade lane, if enabled) on the running event loop."""
+        """Bind the listener and start the dispatch loop on the running
+        event loop."""
         self._server = await asyncio.start_server(
             self._serve_connection,
             self.config.host,
@@ -224,8 +198,6 @@ class CompileServer:
         self._dispatch_task = asyncio.create_task(
             self._dispatch_loop(), name="repro-dispatch-loop"
         )
-        if self.upgrades is not None:
-            self.upgrades.start()
         self._drain_watcher = asyncio.create_task(
             self._close_when_drained(), name="repro-drain-watcher"
         )
@@ -275,8 +247,6 @@ class CompileServer:
         self.begin_drain()
         if self._dispatch_task is not None:
             await self._dispatch_task
-        if self.upgrades is not None:
-            await self.upgrades.aclose()
         self._dispatch_pool.shutdown(wait=True)
         if self._drain_watcher is not None:
             await self._drain_watcher
@@ -440,14 +410,6 @@ class CompileServer:
                 self.latency.queue_wait.record(flight.queued_for)
                 self.latency.execute.record(elapsed)
                 self._absorb_metrics(result)
-                if (
-                    self.upgrades is not None
-                    and result.ok
-                    and result.key is not None
-                ):
-                    self.upgrades.note_served(
-                        result.job, result.key, max(1, flight.waiters)
-                    )
                 self.queue.resolve(flight, result)
         # past this point nothing new can be admitted; the queue is
         # fully drained once every submitted flight above was resolved.
@@ -468,16 +430,6 @@ class CompileServer:
                 self._metric_counters.get(key, 0) + value
             )
 
-    def _absorb_upgrade(self, outcome: UpgradeOutcome) -> None:
-        """UpgradeEngine outcome callback (runs on the event loop)."""
-        self.counters.upgrades_attempted += 1
-        if outcome.status == "improved":
-            self.counters.upgrades_improved += 1
-        elif outcome.status == "rejected":
-            self.counters.upgrades_rejected += 1
-        else:
-            self.counters.upgrades_failed += 1
-
     # -- observability -------------------------------------------------------
 
     def stats(self) -> dict[str, object]:
@@ -492,7 +444,6 @@ class CompileServer:
                 "max_batch": self.config.max_batch,
                 "batch_window": self.config.batch_window,
                 "default_deadline": self.config.default_deadline,
-                "adaptive": self.config.adaptive,
             },
             "requests": self.counters.as_dict(),
             "queue": self.queue.as_dict(),
@@ -501,11 +452,6 @@ class CompileServer:
             "frontend_cache": self.compiler.artifacts.stats(),
             "stage_totals": dict(self._stage_totals),
             "metric_counters": dict(self._metric_counters),
-            "upgrades": (
-                self.upgrades.stats()
-                if self.upgrades is not None
-                else UpgradeEngine.disabled_stats()
-            ),
         }
 
     # -- connection handling -------------------------------------------------

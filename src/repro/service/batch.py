@@ -338,9 +338,10 @@ class BatchCompiler:
         path = self._index_path()
         if path is None:
             return
-        # A name unique to this writer: fabric workers share the
-        # directory, and with one fixed name a worker's os.replace could
-        # move another worker's half-saved file away.
+        # A name unique to this writer: pool workers and separate
+        # `batch`/`serve` processes share the directory, and with one
+        # fixed name one writer's os.replace could move another's
+        # half-saved file away.
         fd, tmp = tempfile.mkstemp(
             dir=os.path.dirname(path), prefix=self.INDEX_FILE + ".",
             suffix=".tmp",

@@ -138,9 +138,9 @@ class AllocationCache:
 
     def __init__(self, directory: str | os.PathLike[str] | None = None):
         self._memory: dict[str, dict[str, object]] = {}
-        #: serialises writers within one process (``put`` racing the
-        #: background upgrade lane's ``swap``); cross-process atomicity
-        #: still rests on the tmp-file + ``os.replace`` protocol.
+        #: serialises ``put`` calls from concurrent threads of one
+        #: process; cross-process atomicity rests on the tmp-file +
+        #: ``os.replace`` protocol.
         self._lock = threading.Lock()
         self.directory = Path(directory) if directory is not None else None
         if self.directory is not None:
@@ -240,46 +240,6 @@ class AllocationCache:
             self._memory[key] = entry
             if self.directory is not None:
                 self._write_disk(key, entry)
-
-    def swap(
-        self,
-        key: str,
-        result: StorageResult,
-        expected: dict[str, object] | None = None,
-    ) -> bool:
-        """Compare-and-swap ``key`` to ``result``; the upgrade lane's
-        publication primitive.
-
-        When ``expected`` is given (the encoded entry the caller based
-        its improvement decision on, as returned by :meth:`peek`), the
-        swap succeeds only if the entry still equals it — a concurrent
-        writer having replaced the baseline means the improvement claim
-        is stale, and the swap is refused rather than clobbering newer
-        work.
-
-        Ordering is crash-safe: the disk file is replaced *before* the
-        in-memory entry, and the disk replace itself is atomic
-        (tmp + ``os.replace``), so a worker dying mid-swap leaves the
-        entry either fully old or fully new — never absent, never torn.
-        An ``OSError`` during the disk write propagates with the
-        original entry still intact and readable.
-        """
-        entry = encode_storage_result(result)
-        with self._lock:
-            current = self._memory.get(key)
-            if current is None and self.directory is not None:
-                path = self._path(key)
-                if path.is_file():
-                    try:
-                        current = json.loads(path.read_text())
-                    except (OSError, json.JSONDecodeError):
-                        current = None
-            if expected is not None and current != expected:
-                return False
-            if self.directory is not None:
-                self._write_disk(key, entry)
-            self._memory[key] = entry
-            return True
 
     def clear(self, *, disk: bool = False) -> None:
         self._memory.clear()

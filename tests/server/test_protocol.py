@@ -191,8 +191,9 @@ def test_parse_compile_array_layout_knob():
 def test_schema_version_covers_frontend_fields():
     # v5 added the frontend/entry compile-request fields; v6 removed
     # the delta_cache stats block; v7 removed the fabric identity
-    # fields and the forwarded-in counter
-    assert SCHEMA_VERSION == 7
+    # fields and the forwarded-in counter; v8 removed the upgrade-lane
+    # block, its counters and config.adaptive
+    assert SCHEMA_VERSION == 8
 
 
 def test_parse_compile_frontend_knob():
@@ -289,7 +290,6 @@ STATS_KEYS = [
     "schema_version",
     "stage_totals",
     "state",
-    "upgrades",
     "uptime_s",
 ]
 
@@ -309,36 +309,24 @@ REQUEST_COUNTER_KEYS = [
     "stats",
     "strategy_executions",
     "timeouts",
-    "upgrades_attempted",
-    "upgrades_failed",
-    "upgrades_improved",
-    "upgrades_rejected",
 ]
 
-UPGRADES_KEYS = [
-    "attempted",
-    "copies_saved",
-    "enabled",
-    "failed",
-    "hot_threshold",
-    "improved",
-    "in_progress",
-    "pending",
-    "recent",
-    "rejected",
-    "shed",
-    "t_ave_delta",
-    "tracked",
+CONFIG_KEYS = [
+    "batch_window",
+    "default_deadline",
+    "max_batch",
+    "max_queue",
+    "workers",
 ]
 
 
-def _stats_for(adaptive: bool) -> dict[str, object]:
+def _stats() -> dict[str, object]:
     import asyncio
 
     from repro.server import CompileServer, ServerConfig
 
     async def snapshot():
-        server = CompileServer(ServerConfig(port=0, adaptive=adaptive))
+        server = CompileServer(ServerConfig(port=0))
         try:
             return server.stats()
         finally:
@@ -347,13 +335,11 @@ def _stats_for(adaptive: bool) -> dict[str, object]:
     return asyncio.run(snapshot())
 
 
-@pytest.mark.parametrize("adaptive", [False, True])
-def test_stats_payload_schema_is_golden(adaptive):
-    stats = _stats_for(adaptive)
+def test_stats_payload_schema_is_golden():
+    stats = _stats()
     assert sorted(stats.keys()) == STATS_KEYS
     assert sorted(stats["requests"].keys()) == REQUEST_COUNTER_KEYS
-    assert sorted(stats["upgrades"].keys()) == UPGRADES_KEYS
-    assert stats["upgrades"]["enabled"] is adaptive
+    assert sorted(stats["config"].keys()) == CONFIG_KEYS
     assert stats["schema_version"] == SCHEMA_VERSION
     json.dumps(stats)  # the whole payload must stay JSON-able
 

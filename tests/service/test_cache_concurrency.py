@@ -115,8 +115,9 @@ def _put_one(directory: str, worker_id: int) -> None:
 
 
 def _save_index_rounds(directory: str, worker_id: int) -> None:
-    """Fabric workers share one cache directory and each saves the
-    batch service's source-key index into it."""
+    """Pool workers and separate ``batch``/``serve`` processes share
+    one cache directory and each saves the batch service's source-key
+    index into it."""
     compiler = BatchCompiler(workers=1, cache=AllocationCache(directory))
     for i in range(100):
         compiler._index[f"w{worker_id}-{i}"] = "key"
@@ -138,57 +139,20 @@ def test_concurrent_index_saves_never_fail(tmp_path):
 
 
 # --------------------------------------------------------------------------
-# swap(): the adaptive upgrade lane's compare-and-swap (ISSUE 6)
+# put() against readers on one key, in memory and on disk
 # --------------------------------------------------------------------------
 
 
-def test_swap_cas_semantics(tmp_path):
-    cache = AllocationCache(str(tmp_path))
-    cache.put("k", _make_storage(1))
-    current = dict(cache.peek("k"))
-    newer, stale = _make_storage(2), _make_storage(3)
-
-    # stale expectation: refused, entry untouched
-    assert not cache.swap("k", stale, expected=encode_storage_result(newer))
-    assert cache.peek("k") == current
-
-    # matching expectation: published in memory and on disk
-    assert cache.swap("k", newer, expected=current)
-    assert cache.peek("k") == encode_storage_result(newer)
-    assert json.loads(
-        (tmp_path / "k.json").read_text()
-    ) == encode_storage_result(newer)
-
-    # unconditional swap (no expected) always wins
-    assert cache.swap("k", stale)
-    assert cache.peek("k") == encode_storage_result(stale)
-
-
-def test_swap_checks_disk_when_memory_cold(tmp_path):
-    """A fresh process (empty in-memory map) must CAS against the disk
-    entry, not against 'nothing'."""
-    writer = AllocationCache(str(tmp_path))
-    writer.put("k", _make_storage(1))
-    original = dict(writer.peek("k"))
-
-    fresh = AllocationCache(str(tmp_path))
-    assert not fresh.swap(
-        "k", _make_storage(3), expected=encode_storage_result(_make_storage(2))
-    )
-    assert writer.peek("k") == original
-    assert fresh.swap("k", _make_storage(2), expected=original)
-
-
-def test_swap_vs_reader_race_property(tmp_path):
-    """ISSUE-6 property: N reader threads hammering ``get`` while a
-    swapper flips one key between two payloads never observe a missing,
+def test_put_vs_reader_race_property(tmp_path):
+    """N reader threads hammering ``get`` while a writer ``put`` s one
+    key back and forth between two payloads never observe a missing,
     partial, or foreign entry — every read is one of the two complete
     candidates, in memory and on disk."""
     import threading
 
     directory = str(tmp_path)
     cache = AllocationCache(directory)
-    key = "swap-target"
+    key = "put-target"
     payloads = [
         json.dumps(encode_storage_result(_make_storage(c)), sort_keys=True)
         for c in (1, 2)
@@ -214,16 +178,16 @@ def test_swap_vs_reader_race_property(tmp_path):
                 violations.append(f"reader observed a torn entry: {seen}")
                 return
 
-    def swapper() -> None:
+    def writer() -> None:
         for round_no in range(400):
-            cache.swap(key, _make_storage(round_no % 2 + 1))
+            cache.put(key, _make_storage(round_no % 2 + 1))
         stop.set()
 
     readers = [
         threading.Thread(target=reader, args=(i % 2 == 0,))
         for i in range(6)
     ]
-    flipper = threading.Thread(target=swapper)
+    flipper = threading.Thread(target=writer)
     for t in readers:
         t.start()
     flipper.start()
@@ -236,40 +200,4 @@ def test_swap_vs_reader_race_property(tmp_path):
     assert cache.corrupt == 0
     survivor = (tmp_path / f"{key}.json").read_text()
     assert survivor in payloads
-    assert not list(tmp_path.glob("*.tmp"))
-
-
-def _swap_hammer(directory: str, worker_id: int, rounds: int) -> None:
-    """Cross-process variant: every worker CAS-loops on one key."""
-    cache = AllocationCache(directory)
-    for round_no in range(rounds):
-        current = cache.peek("cas")
-        cache.swap("cas", _make_storage((worker_id + round_no) % 4 + 1),
-                   expected=current)
-        result = cache.get("cas")
-        assert result is not None
-        encode_storage_result(result)
-    assert cache.corrupt == 0
-
-
-def test_concurrent_swappers_across_processes(tmp_path):
-    directory = str(tmp_path)
-    AllocationCache(directory).put("cas", _make_storage(1))
-    with ProcessPoolExecutor(max_workers=4) as pool:
-        futures = [
-            pool.submit(_swap_hammer, directory, wid, 30)
-            for wid in range(4)
-        ]
-        for f in futures:
-            f.result(timeout=120)
-
-    candidates = {
-        json.dumps(encode_storage_result(_make_storage(c)), sort_keys=True)
-        for c in range(1, 5)
-    }
-    survivor = (tmp_path / "cas.json").read_text()
-    assert survivor in candidates
-    fresh = AllocationCache(directory)
-    assert fresh.get("cas") is not None
-    assert fresh.corrupt == 0
     assert not list(tmp_path.glob("*.tmp"))

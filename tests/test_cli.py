@@ -170,6 +170,59 @@ def test_bad_names_and_paths_exit_2_with_one_error_line(
 
 
 @pytest.mark.parametrize(
+    "argv,fragment",
+    [
+        (["batch", "--workers", "0"],
+         "argument --workers/-j: must be an int >= 1, got '0'"),
+        (["serve", "--workers", "0"],
+         "argument --workers: must be an int >= 1, got '0'"),
+        (["serve", "--max-queue", "0"],
+         "argument --max-queue: must be an int >= 1, got '0'"),
+        (["serve", "--max-batch", "0"],
+         "argument --max-batch: must be an int >= 1, got '0'"),
+        (["serve", "--port", "99999"],
+         "argument --port: must be a port in 0..65535, got '99999'"),
+        (["serve", "--port", "-1"],
+         "argument --port: must be a port in 0..65535, got '-1'"),
+        (["serve", "--deadline", "0"],
+         "argument --deadline: must be a finite number > 0, got '0'"),
+        (["serve", "--deadline", "nan"],
+         "argument --deadline: must be a finite number > 0, got 'nan'"),
+        (["serve", "--job-timeout", "inf"],
+         "argument --job-timeout: must be a finite number > 0, got 'inf'"),
+        (["serve", "--batch-window", "-0.5"],
+         "argument --batch-window: must be a finite number >= 0"),
+        (["loadgen", "--clients", "0"],
+         "argument --clients: must be an int >= 1, got '0'"),
+        (["loadgen", "--requests", "-1"],
+         "argument --requests: must be an int >= 1, got '-1'"),
+        (["loadgen", "--dup-rate", "1.5"],
+         "argument --dup-rate: must be a number in [0, 1], got '1.5'"),
+        (["loadgen", "--port", "70000"],
+         "argument --port: must be a port in 0..65535, got '70000'"),
+        (["loadgen", "--deadline", "0"],
+         "argument --deadline: must be a finite number > 0, got '0'"),
+        (["serve", "--adaptive"], "unrecognized arguments: --adaptive"),
+        (["serve", "--hot-threshold", "3"],
+         "unrecognized arguments: --hot-threshold 3"),
+        (["serve", "--upgrade-budget", "5"],
+         "unrecognized arguments: --upgrade-budget 5"),
+        (["loadgen", "--num-modules", "2"],
+         "unrecognized arguments: --num-modules 2"),
+    ],
+)
+def test_bad_service_flags_exit_2_without_traceback(argv, fragment, capsys):
+    # Parsed only: a flag that slipped through would start a server.
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [ln for ln in err.splitlines() if ": error: " in ln]
+    assert len(errors) == 1 and fragment in errors[0]
+
+
+@pytest.mark.parametrize(
     "flags",
     [["--layout", "single"], ["--rename-mode", "variable"],
      ["--no-simplify"]],
