@@ -1,8 +1,8 @@
 """CPython-bytecode frontend benchmark: the pykernels corpus end to end.
 
 Every :mod:`repro.programs.pykernels` registry kernel is compiled
-through the :class:`~repro.frontends.PyBytecodeFrontend`
-(``--frontend python``), storage-allocated, and executed on the memory
+through the CPython-bytecode frontend (:mod:`repro.frontends.pybytecode`,
+``--frontend python``), storage-allocated, and executed on the memory
 simulator at the paper machine widths (k = 8 and k = 4) — once under
 the default interleaved layout (the baseline t_min/t_ave/t_actual) and
 once under the array-layout optimizer's plan (t_opt).  The outputs of

@@ -85,5 +85,3 @@ ARRAY_OPT = Pass(
     config_keys=("array_layout", "seed", "machine", "scheduled_transfers"),
     enabled=lambda opts: opts.array_layout == "optimize",
 )
-
-PASSES = (ALLOCATE, ARRAY_OPT)

@@ -1,50 +1,24 @@
-"""Pluggable source-language frontends (``repro.frontends``).
+"""Source-language frontends (``repro.frontends``).
 
 Everything from the ``simplify`` pass onward is frontend-agnostic; a
-frontend supplies the source -> ``tac``/``cfg`` section of the
-pipeline.  ``mini`` is the original mini-language (byte-identical to
-the pre-frontend pipeline); ``python`` compiles a real Python function
-via CPython bytecode destackification.  See :mod:`repro.frontends.base`
-for the protocol and registry.
+frontend is the source -> ``tac``/``cfg`` section of the pipeline, one
+row of :data:`repro.passes.registry.FRONTENDS`.  ``mini`` is the
+original mini-language (the ``lang``/``ir`` passes); ``python``
+compiles a real Python function via CPython bytecode destackification
+(:mod:`repro.frontends.pybytecode`).
 """
 
-from .base import (
-    DEFAULT_FRONTEND,
-    FRONTENDS,
-    Frontend,
-    frontend_names,
-    get_frontend,
-    register_frontend,
-    validate_frontend_name,
-)
 from .errors import (
     FrontendError,
     UnknownFrontendError,
     UnsupportedPythonError,
 )
-from .minilang import MINI_FRONTEND, MiniLangFrontend
-from .pybytecode import (
-    PYFRONT,
-    PYTHON_FRONTEND,
-    PyBytecodeFrontend,
-    compile_python_kernel,
-)
+from .pybytecode import PYFRONT, compile_python_kernel
 
 __all__ = [
-    "DEFAULT_FRONTEND",
-    "FRONTENDS",
-    "Frontend",
     "FrontendError",
-    "MINI_FRONTEND",
-    "MiniLangFrontend",
     "PYFRONT",
-    "PYTHON_FRONTEND",
-    "PyBytecodeFrontend",
     "UnknownFrontendError",
     "UnsupportedPythonError",
     "compile_python_kernel",
-    "frontend_names",
-    "get_frontend",
-    "register_frontend",
-    "validate_frontend_name",
 ]

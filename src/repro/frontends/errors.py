@@ -5,10 +5,10 @@
 :class:`repro.service.BatchJob`, server protocol) validates frontend
 names with.
 
-:class:`UnsupportedPythonError` is the
-:class:`~repro.frontends.pybytecode.PyBytecodeFrontend`'s rejection
-channel: every Python construct outside the supported numeric subset is
-refused at compile time with the offending opcode and source line, so a
+:class:`UnsupportedPythonError` is the rejection channel of the
+CPython-bytecode frontend (:mod:`repro.frontends.pybytecode`): every
+Python construct outside the supported numeric subset is refused at
+compile time with the offending opcode and source line, so a
 kernel author sees *what* to rewrite, not a crash deep in the pipeline.
 """
 
@@ -20,7 +20,7 @@ class FrontendError(ValueError):
 
 
 class UnknownFrontendError(FrontendError):
-    """A frontend name outside the registry."""
+    """A frontend name outside :data:`repro.passes.registry.FRONTENDS`."""
 
 
 class UnsupportedPythonError(FrontendError):

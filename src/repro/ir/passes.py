@@ -100,5 +100,3 @@ RENAME = Pass(
     writes=("renamed",),
     config_keys=("rename_mode",),
 )
-
-PASSES = (UNROLL, LOWER, SIMPLIFY, RENAME)

@@ -1,8 +1,8 @@
 """Front-end passes: parsing and semantic analysis.
 
 Pass wrappers over :func:`repro.lang.parser.parse` and
-:func:`repro.lang.sema.analyze`, registered into the standard pipeline
-by :mod:`repro.passes.registry`.
+:func:`repro.lang.sema.analyze`; :mod:`repro.passes.registry` places them
+in the ``mini`` frontend's pipelines.
 """
 
 from __future__ import annotations
@@ -37,5 +37,3 @@ SEMA = Pass(
     reads=("ast",),
     writes=("symbols",),
 )
-
-PASSES = (PARSE, SEMA)

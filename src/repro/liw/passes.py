@@ -26,5 +26,3 @@ SCHEDULE = Pass(
     writes=("schedule",),
     config_keys=("machine",),
 )
-
-PASSES = (SCHEDULE,)

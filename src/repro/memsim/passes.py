@@ -108,5 +108,3 @@ SIMULATE = Pass(
     config_keys=("layout", "delta", "max_cycles", "scheduled_transfers"),
     cacheable=False,
 )
-
-PASSES = (SIMULATE,)

@@ -6,7 +6,7 @@
     neutral home that breaks the old ``pipeline`` <-> ``service``
     import cycle).
 ``repro.passes.artifacts``
-    Typed artifact registry, the :class:`ArtifactStore`, the frozen
+    The artifact type table, the :class:`ArtifactStore`, the frozen
     :class:`PipelineOptions`, and the public result records.
 ``repro.passes.fingerprint``
     Chained content fingerprints — the stage-level cache keys.
@@ -15,26 +15,20 @@
 ``repro.passes.manager``
     :class:`Pass`, :class:`PassContext`, :class:`PassManager`.
 ``repro.passes.registry``
-    The standard presets assembled from every layer's pass wrappers.
-
-The registry (which imports every subpackage) is loaded lazily so that
-low-level modules may import ``repro.passes.events`` and friends without
-creating import cycles.
+    The pipelines: one table of passes per frontend.  It imports every
+    subpackage, so this package does not import it; low-level modules
+    may import ``repro.passes.events`` and friends without cycles.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from .artifacts import (
     ARTIFACTS,
-    ArtifactSpec,
     ArtifactStore,
     CompiledProgram,
     PipelineOptions,
     SimulationResult,
     compiled_program,
-    register_artifact,
 )
 from .cache import ArtifactCache
 from .events import (
@@ -50,38 +44,9 @@ from .events import (
 from .fingerprint import chain_fingerprint, digest, initial_fingerprint
 from .manager import Pass, PassContext, PassError, PassManager, PassRunResult
 
-if TYPE_CHECKING:
-    from .registry import (  # noqa: F401
-        COMPILE_PASSES,
-        FRONTEND_PASSES,
-        FULL_PIPELINE,
-        PASS_REGISTRY,
-        default_manager,
-        get_pass,
-    )
-
-_REGISTRY_EXPORTS = (
-    "FRONTEND_PASSES",
-    "COMPILE_PASSES",
-    "FULL_PIPELINE",
-    "PASS_REGISTRY",
-    "default_manager",
-    "get_pass",
-)
-
-
-def __getattr__(name: str) -> object:
-    if name in _REGISTRY_EXPORTS:
-        from . import registry
-
-        return getattr(registry, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "ARTIFACTS",
     "ArtifactCache",
-    "ArtifactSpec",
     "ArtifactStore",
     "CollectingTracer",
     "CompiledProgram",
@@ -103,6 +68,4 @@ __all__ = [
     "compiled_program",
     "digest",
     "initial_fingerprint",
-    "register_artifact",
-    *_REGISTRY_EXPORTS,
 ]

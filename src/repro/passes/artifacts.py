@@ -7,9 +7,9 @@ result, the simulation result.  Each has a declared type in
 when a pass publishes a value, so a mis-wired pipeline fails loudly at
 the pass boundary instead of deep inside a later pass.
 
-Type declarations are dotted paths resolved lazily (on first check), so
-this module imports nothing from the rest of the package and every
-layer can depend on it without cycles.
+Type declarations are ``"module:attr"`` paths resolved lazily (on first
+check), so this module imports nothing from the rest of the package and
+every layer can depend on it without cycles.
 
 :class:`CompiledProgram` and :class:`SimulationResult` — the public
 result types of :mod:`repro.pipeline` — live here for the same reason:
@@ -20,8 +20,9 @@ facade both need them.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 from importlib import import_module
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from .knobs import KNOB
 
@@ -39,66 +40,31 @@ if TYPE_CHECKING:  # annotation-only; no runtime imports (cycle-free)
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class ArtifactSpec:
-    """One named, typed artifact a pass may read or write."""
-
-    name: str
-    type_path: str  # dotted "module:attr" path, resolved lazily
-    description: str = ""
-
-    def resolve(self) -> type:
-        cached = _RESOLVED.get(self.name)
-        if cached is None:
-            module_name, _, attr = self.type_path.partition(":")
-            cached = getattr(import_module(module_name), attr)
-            _RESOLVED[self.name] = cached
-        return cached
-
-
-_RESOLVED: dict[str, type] = {}
-ARTIFACTS: dict[str, ArtifactSpec] = {}
-
-
-def register_artifact(
-    name: str, type_path: str, description: str = ""
-) -> ArtifactSpec:
-    """Declare (or re-declare) an artifact name and its expected type."""
-    spec = ArtifactSpec(name, type_path, description)
-    ARTIFACTS[name] = spec
-    _RESOLVED.pop(name, None)
-    return spec
+#: Every artifact a pass may read or write, and its type as a
+#: ``"module:attr"`` path (resolved on first use, so this module imports
+#: nothing from the rest of the package).
+ARTIFACTS: dict[str, str] = {
+    "source": "builtins:str",  # source text
+    "inputs": "builtins:list",  # runtime input value stream
+    "ast": "repro.lang.ast_nodes:Program",
+    "symbols": "repro.lang.sema:SymbolTable",
+    "tac": "repro.ir.tac:TacProgram",
+    "cfg": "repro.ir.cfg:Cfg",
+    "renamed": "repro.ir.rename:RenamedProgram",  # program over data values
+    "schedule": "repro.liw.schedule:Schedule",  # long-instruction schedule
+    # storage assignment (allocation + residual conflicts)
+    "storage": "repro.core.strategies:StorageResult",
+    # optimized per-array layouts + schedule moves (array-opt pass)
+    "array_plan": "repro.core.arraylayout:ArrayLayoutPlan",
+    # execution outputs + Δ-model memory report
+    "simulation": "repro.passes.artifacts:SimulationResult",
+}
 
 
-register_artifact("source", "builtins:str", "mini-language source text")
-register_artifact("inputs", "builtins:list", "runtime input value stream")
-register_artifact("ast", "repro.lang.ast_nodes:Program", "parse tree")
-register_artifact(
-    "symbols", "repro.lang.sema:SymbolTable", "semantic-analysis symbol table"
-)
-register_artifact("tac", "repro.ir.tac:TacProgram", "three-address code")
-register_artifact("cfg", "repro.ir.cfg:Cfg", "control-flow graph")
-register_artifact(
-    "renamed", "repro.ir.rename:RenamedProgram", "program over data values"
-)
-register_artifact(
-    "schedule", "repro.liw.schedule:Schedule", "long-instruction schedule"
-)
-register_artifact(
-    "storage",
-    "repro.core.strategies:StorageResult",
-    "storage assignment (allocation + residual conflicts)",
-)
-register_artifact(
-    "array_plan",
-    "repro.core.arraylayout:ArrayLayoutPlan",
-    "optimized per-array layouts + schedule moves (array-opt pass)",
-)
-register_artifact(
-    "simulation",
-    "repro.passes.artifacts:SimulationResult",
-    "execution outputs + Δ-model memory report",
-)
+@cache
+def _artifact_type(path: str) -> type:
+    module_name, _, attr = path.partition(":")
+    return getattr(import_module(module_name), attr)
 
 
 class ArtifactStore:
@@ -112,13 +78,13 @@ class ArtifactStore:
             self.set(name, value)
 
     def set(self, name: str, value: object) -> None:
-        spec = ARTIFACTS.get(name)
-        if spec is None:
+        path = ARTIFACTS.get(name)
+        if path is None:
             raise KeyError(
-                f"unknown artifact {name!r}; declare it with "
-                f"repro.passes.register_artifact first"
+                f"unknown artifact {name!r}; declare it in "
+                f"repro.passes.artifacts.ARTIFACTS first"
             )
-        expected = spec.resolve()
+        expected = _artifact_type(path)
         if not isinstance(value, expected):
             raise TypeError(
                 f"artifact {name!r} must be {expected.__name__}, "
@@ -251,18 +217,11 @@ def compiled_program(store: ArtifactStore) -> CompiledProgram:
     )
 
 
-def iter_specs() -> Iterable[ArtifactSpec]:
-    return ARTIFACTS.values()
-
-
 __all__ = [
     "ARTIFACTS",
-    "ArtifactSpec",
     "ArtifactStore",
     "CompiledProgram",
     "PipelineOptions",
     "SimulationResult",
     "compiled_program",
-    "iter_specs",
-    "register_artifact",
 ]

@@ -133,7 +133,7 @@ KNOBS: tuple[Knob, ...] = (
          job=True, source_key=NON_DEFAULT, job_key=NON_DEFAULT,
          flag="--array-layout", help="'optimize' minimizes bank conflicts"),
     Knob("frontend", str, "mini", "unknown frontend {value!r} (valid: {valid})",
-         choices=_registry("repro.frontends.base:frontend_names"),
+         choices=_registry("repro.passes.registry:FRONTENDS"),
          error=_unknown_frontend, job=True, source_key=NON_DEFAULT,
          flag="--frontend", help="source language"),
     Knob("entry", str, "", "entry must be a string", option="py_entry",

@@ -1,97 +1,60 @@
-"""The standard pass pipelines, assembled from every layer's wrappers.
+"""The pass pipelines, declared once: one table of passes per frontend.
 
-Each subpackage contributes its own pass wrappers
-(``repro.lang.passes``, ``repro.ir.passes``, ``repro.liw.passes``,
-``repro.core.passes``, ``repro.memsim.passes``); this module stitches
-them into the presets the pipeline facade, the CLI, and the batch
-service run:
+:data:`FRONTENDS` maps each source language to its source -> tac/cfg
+section.  Every pipeline is that section followed by the shared,
+frontend-agnostic passes, built once here:
 
-``FRONTEND_PASSES``
-    parse -> unroll -> sema -> lower -> simplify -> rename -> schedule
-    (what :func:`repro.pipeline.compile_source` runs).
-``COMPILE_PASSES``
-    the front end plus ``allocate`` and the conditional ``array-opt``
-    layout optimizer (``python -m repro compile``).
-``FULL_PIPELINE``
-    everything including ``simulate`` (``python -m repro run``).
+front end
+    the section + simplify -> rename -> schedule
+    (what :func:`repro.pipeline.compile_source` runs);
+compile
+    the front end + ``allocate`` and the conditional ``array-opt``
+    layout optimizer (``python -m repro compile``);
+full
+    the compile pipeline + ``simulate`` (``python -m repro run``).
 
-The constants above are the *mini-language* presets, kept byte-for-byte
-identical (same pass objects, same fingerprints) now that frontends are
-pluggable.  For other source languages use the per-frontend builders
-:func:`frontend_passes_for` / :func:`compile_passes_for` /
-:func:`full_pipeline_for`, which splice a registered
-:class:`repro.frontends.Frontend`'s source -> tac/cfg section in front
-of the shared frontend-agnostic tail (simplify/rename/schedule/...).
+The ``frontend`` knob of :mod:`repro.passes.knobs` takes its choices
+from the table, so the CLI, :class:`repro.service.BatchJob` and the
+server protocol reject an unknown name with the same typed error.
 """
 
 from __future__ import annotations
 
 from ..core.passes import ALLOCATE, ARRAY_OPT
-from ..frontends.base import DEFAULT_FRONTEND, get_frontend
 from ..frontends.pybytecode import PYFRONT
 from ..ir.passes import LOWER, RENAME, SIMPLIFY, UNROLL
 from ..lang.passes import PARSE, SEMA
 from ..liw.passes import SCHEDULE
 from ..memsim.passes import SIMULATE
-from .cache import ArtifactCache
-from .events import Tracer
-from .manager import Pass, PassManager
+from .knobs import KNOB
+from .manager import Pass
 
-FRONTEND_PASSES: tuple[Pass, ...] = (
-    PARSE, UNROLL, SEMA, LOWER, SIMPLIFY, RENAME, SCHEDULE,
-)
-COMPILE_PASSES: tuple[Pass, ...] = FRONTEND_PASSES + (ALLOCATE, ARRAY_OPT)
-FULL_PIPELINE: tuple[Pass, ...] = COMPILE_PASSES + (SIMULATE,)
+FRONTENDS: dict[str, tuple[Pass, ...]] = {
+    "mini": (PARSE, UNROLL, SEMA, LOWER),
+    "python": (PYFRONT,),
+}
 
-#: The frontend-agnostic tail shared by every source language.
-MIDDLE_PASSES: tuple[Pass, ...] = (SIMPLIFY, RENAME, SCHEDULE)
-
-PASS_REGISTRY: dict[str, Pass] = {p.name: p for p in FULL_PIPELINE}
-PASS_REGISTRY[PYFRONT.name] = PYFRONT
-
-
-def frontend_passes_for(frontend: str = DEFAULT_FRONTEND) -> tuple[Pass, ...]:
-    """source -> schedule for one frontend.  For ``mini`` this is the
-    exact :data:`FRONTEND_PASSES` tuple (identical pass objects, so the
-    default path's fingerprints are unchanged)."""
-    if frontend == DEFAULT_FRONTEND:
-        return FRONTEND_PASSES
-    return get_frontend(frontend).passes() + MIDDLE_PASSES
+_KNOB = KNOB["frontend"]
+_FRONT_END = {
+    name: section + (SIMPLIFY, RENAME, SCHEDULE)
+    for name, section in FRONTENDS.items()
+}
+_COMPILE = {
+    name: passes + (ALLOCATE, ARRAY_OPT) for name, passes in _FRONT_END.items()
+}
+_FULL = {name: passes + (SIMULATE,) for name, passes in _COMPILE.items()}
 
 
-def compile_passes_for(frontend: str = DEFAULT_FRONTEND) -> tuple[Pass, ...]:
-    """Frontend passes plus allocation and the array-layout optimizer."""
-    if frontend == DEFAULT_FRONTEND:
-        return COMPILE_PASSES
-    return frontend_passes_for(frontend) + (ALLOCATE, ARRAY_OPT)
+def frontend_passes_for(frontend: str = _KNOB.default) -> tuple[Pass, ...]:
+    """source -> schedule for one frontend."""
+    return _FRONT_END[_KNOB.parse(frontend)]
 
 
-def full_pipeline_for(frontend: str = DEFAULT_FRONTEND) -> tuple[Pass, ...]:
+def compile_passes_for(frontend: str = _KNOB.default) -> tuple[Pass, ...]:
+    """The front end plus allocation and the array-layout optimizer."""
+    return _COMPILE[_KNOB.parse(frontend)]
+
+
+def full_pipeline_for(frontend: str = _KNOB.default) -> tuple[Pass, ...]:
     """Everything including simulation, for one frontend."""
-    if frontend == DEFAULT_FRONTEND:
-        return FULL_PIPELINE
-    return compile_passes_for(frontend) + (SIMULATE,)
-
-
-def get_pass(name: str) -> Pass:
-    try:
-        return PASS_REGISTRY[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown pass {name!r}; registered passes: "
-            f"{sorted(PASS_REGISTRY)}"
-        ) from None
-
-
-def default_manager(
-    passes: tuple[Pass, ...] | None = None,
-    tracer: Tracer | None = None,
-    cache: ArtifactCache | None = None,
-) -> PassManager:
-    """A pass manager over one of the standard presets (front end by
-    default)."""
-    return PassManager(
-        passes if passes is not None else FRONTEND_PASSES,
-        tracer=tracer,
-        cache=cache,
-    )
+    return _FULL[_KNOB.parse(frontend)]

@@ -8,7 +8,7 @@ The staged pipeline the paper's compiler describes::
            --(core)--> storage allocation (STOR1/2/3)
            --(memsim)--> transfer-time report
 
-runs as the registered pass sequence
+runs as the pass sequence
 ``parse -> unroll -> sema -> lower -> simplify -> rename -> schedule
 -> allocate -> simulate`` (see :mod:`repro.passes.registry`), each pass
 with typed artifacts, a chained content fingerprint, and structured

@@ -44,7 +44,6 @@ def register(spec: ProgramSpec) -> ProgramSpec:
 
 
 def get_program(name: str) -> ProgramSpec:
-    _ensure_loaded()
     try:
         return _REGISTRY[name.upper()]
     except KeyError:
@@ -55,7 +54,6 @@ def get_program(name: str) -> ProgramSpec:
 
 def all_programs() -> list[ProgramSpec]:
     """The six paper benchmarks, in the paper's table order."""
-    _ensure_loaded()
     order = ["TAYLOR1", "TAYLOR2", "EXACT", "FFT", "SORT", "COLOR"]
     return [_REGISTRY[name] for name in order]
 
@@ -73,15 +71,3 @@ def outputs_match(got: Sequence[object], want: Sequence[object]) -> bool:
         else math.isclose(float(a), float(b), rel_tol=1e-9, abs_tol=1e-9)
         for a, b in zip(got, want)
     )
-
-
-_loaded = False
-
-
-def _ensure_loaded() -> None:
-    global _loaded
-    if _loaded:
-        return
-    _loaded = True
-    # Import for side effects: each module registers its spec.
-    from . import color, exact_solver, fft, sort, taylor1, taylor2  # noqa: F401

@@ -1,4 +1,4 @@
-"""Golden equivalence of the pluggable-frontend refactor.
+"""Golden equivalence of the frontend table.
 
 The mini-language path must be *byte-identical* to the pre-refactor
 pipeline: the same pass objects, the same chained fingerprints, the
@@ -9,22 +9,16 @@ default path, which is a regression even if outputs still agree.
 
 import pytest
 
-from repro.frontends import (
-    DEFAULT_FRONTEND,
-    MINI_FRONTEND,
-    MiniLangFrontend,
-    UnknownFrontendError,
-    frontend_names,
-    get_frontend,
-    validate_frontend_name,
-)
-from repro.ir.passes import LOWER, UNROLL
+from repro.core.passes import ALLOCATE, ARRAY_OPT
+from repro.frontends import PYFRONT, UnknownFrontendError
+from repro.ir.passes import LOWER, RENAME, SIMPLIFY, UNROLL
 from repro.lang.passes import PARSE, SEMA
 from repro.liw.machine import MachineConfig
+from repro.liw.passes import SCHEDULE
+from repro.memsim.passes import SIMULATE
+from repro.passes.knobs import KNOB
 from repro.passes.registry import (
-    COMPILE_PASSES,
-    FRONTEND_PASSES,
-    FULL_PIPELINE,
+    FRONTENDS,
     compile_passes_for,
     frontend_passes_for,
     full_pipeline_for,
@@ -34,23 +28,25 @@ from repro.programs import get_program
 from repro.service.batch import BatchJob
 from repro.service.cache import job_key, program_fingerprint
 
-# -- registry ---------------------------------------------------------------
+# -- the frontend table -----------------------------------------------------
 
 
 def test_frontend_registry():
-    assert DEFAULT_FRONTEND == "mini"
-    assert frontend_names() == ("mini", "python")
-    assert isinstance(get_frontend("mini"), MiniLangFrontend)
-    assert get_frontend("mini") is MINI_FRONTEND
-    assert "Python" in get_frontend("python").source_kind
+    assert KNOB["frontend"].default == "mini"
+    assert sorted(FRONTENDS) == ["mini", "python"]
+    assert FRONTENDS["python"] == (PYFRONT,)
 
 
-def test_validate_frontend_name():
-    assert validate_frontend_name("mini") == "mini"
-    assert validate_frontend_name("python") == "python"
+def test_frontend_knob_validates_names():
+    assert KNOB["frontend"].parse("mini") == "mini"
+    assert KNOB["frontend"].parse("python") == "python"
     with pytest.raises(UnknownFrontendError) as err:
-        validate_frontend_name("cobol")
-    assert "cobol" in str(err.value) and "mini" in str(err.value)
+        KNOB["frontend"].parse("cobol")
+    assert str(err.value) == (
+        "unknown frontend 'cobol' (valid: ['mini', 'python'])"
+    )
+    with pytest.raises(UnknownFrontendError):
+        frontend_passes_for("cobol")
 
 
 def test_batchjob_validates_frontend():
@@ -62,25 +58,31 @@ def test_batchjob_validates_frontend():
 
 
 def test_mini_builders_return_the_exact_preset_tuples():
-    # identity, not equality: the same Pass objects mean the same
-    # chained fingerprints on the default path
-    assert frontend_passes_for("mini") is FRONTEND_PASSES
-    assert compile_passes_for("mini") is COMPILE_PASSES
-    assert full_pipeline_for("mini") is FULL_PIPELINE
-    assert frontend_passes_for() is FRONTEND_PASSES
+    # the same Pass objects mean the same chained fingerprints on the
+    # default path; each pipeline is built once
+    front = (PARSE, UNROLL, SEMA, LOWER, SIMPLIFY, RENAME, SCHEDULE)
+    assert frontend_passes_for("mini") == front
+    assert compile_passes_for("mini") == front + (ALLOCATE, ARRAY_OPT)
+    assert full_pipeline_for("mini") == front + (ALLOCATE, ARRAY_OPT, SIMULATE)
+    assert frontend_passes_for() is frontend_passes_for("mini")
+    assert compile_passes_for() is compile_passes_for("mini")
+    assert full_pipeline_for() is full_pipeline_for("mini")
 
 
 def test_mini_frontend_exposes_the_original_passes():
-    assert MINI_FRONTEND.passes() == (PARSE, UNROLL, SEMA, LOWER)
-    assert MINI_FRONTEND.passes()[0] is PARSE
+    assert FRONTENDS["mini"] == (PARSE, UNROLL, SEMA, LOWER)
+    assert FRONTENDS["mini"][0] is PARSE
 
 
 def test_python_builders_share_the_frontend_agnostic_tail():
     py = frontend_passes_for("python")
-    assert py[0].name == "pyfront"
+    assert py[0] is PYFRONT
     assert [p.name for p in py[1:]] == ["simplify", "rename", "schedule"]
-    # the tail is shared with the mini preset object-for-object
-    assert py[1] is FRONTEND_PASSES[4]
+    # the tail is shared with the mini pipeline object-for-object
+    assert py[1] is frontend_passes_for("mini")[4]
+    assert full_pipeline_for("python")[-4:] == (
+        SCHEDULE, ALLOCATE, ARRAY_OPT, SIMULATE,
+    )
 
 
 # -- pinned digests (recorded before the refactor) --------------------------

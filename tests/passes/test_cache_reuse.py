@@ -8,7 +8,7 @@ import pytest
 from repro.passes.artifacts import PipelineOptions
 from repro.passes.cache import ArtifactCache
 from repro.passes.events import CollectingTracer
-from repro.passes.registry import COMPILE_PASSES
+from repro.passes.registry import compile_passes_for
 from repro.pipeline import compile_source, run_pipeline
 from repro.programs import all_programs
 from repro.service.batch import BatchCompiler, BatchJob
@@ -19,7 +19,7 @@ SRC = all_programs()[0].source
 
 def _run(options: PipelineOptions, cache: ArtifactCache):
     tracer = CollectingTracer()
-    run = run_pipeline(SRC, options, passes=COMPILE_PASSES,
+    run = run_pipeline(SRC, options, passes=compile_passes_for(),
                        tracer=tracer, cache=cache)
     return run, tracer
 
@@ -30,12 +30,12 @@ def test_identical_rerun_hits_every_pass():
     assert cold.cache_hits == 0
     # unroll (factor 1) and array-opt (array_layout='fixed') are
     # disabled (skip): neither hit nor miss
-    assert cold.cache_misses == len(COMPILE_PASSES) - 2
+    assert cold.cache_misses == len(compile_passes_for()) - 2
 
     warm, tracer = _run(PipelineOptions(), cache)
     assert warm.cache_misses == 0
     # the disabled passes skip, everything else served from cache
-    assert warm.cache_hits == len(COMPILE_PASSES) - 2
+    assert warm.cache_hits == len(compile_passes_for()) - 2
     assert len(tracer.cache_hits()) == warm.cache_hits
     assert encode_storage_result(warm.artifact("storage")) == \
         encode_storage_result(cold.artifact("storage"))

@@ -18,7 +18,7 @@ from repro.lang.sema import analyze
 from repro.liw.machine import MachineConfig
 from repro.passes.artifacts import PipelineOptions
 from repro.passes.cache import ArtifactCache
-from repro.passes.registry import FULL_PIPELINE
+from repro.passes.registry import full_pipeline_for
 from repro.pipeline import compile_source, run_pipeline
 from repro.programs import get_program
 
@@ -48,7 +48,7 @@ def test_no_pass_changes_what_it_reads(unroll):
     changed: list[str] = []
     passes = tuple(
         p if p.name == "sema" else _checked(p, changed)
-        for p in FULL_PIPELINE
+        for p in full_pipeline_for()
     )
     options = PipelineOptions(
         machine=MACHINE, unroll=unroll, constants_in_memory=True,
