@@ -164,10 +164,9 @@ def format_trace(events: "Iterable[PassEvent]") -> str:
     for e in rows:
         status = {"end": "ran", "cache-hit": "cached"}.get(e.status, e.status)
         name = e.name
-        if "." in name:  # sub-stage of a pass
+        if e.is_substage:
             name = "  " + name.split(".", 1)[1]
-        else:
-            total += e.wall_time if e.executed else 0.0
+        total += e.wall_time if e.executed else 0.0
         details = " ".join(f"{k}={v}" for k, v in e.counts.items())
         if e.warnings:
             details += ("  " if details else "") + "! " + "; ".join(e.warnings)

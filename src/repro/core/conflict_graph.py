@@ -198,12 +198,6 @@ class ConflictGraph:
                     sub.instructions.append(proj)
         return sub
 
-    def edge_data(self) -> tuple[list[frozenset[int]], list[int]]:
-        """The edge-bearing instruction rows and their weights, in
-        recorded order — the structural payload of the delta cache's
-        atom fingerprints (see :mod:`repro.core.workunits`)."""
-        return list(self._edge_ops), list(self._edge_weights)
-
     def components(self) -> list[set[int]]:
         """Connected components, each sorted-deterministic."""
         kern = self.kernel()

@@ -46,10 +46,18 @@ class PassEvent:
         return self.status != "start"
 
     @property
+    def is_substage(self) -> bool:
+        """A sub-stage of a pass (``allocate.STOR2.region1``), reported
+        by :meth:`~repro.passes.manager.PassContext.emit_sub`.  Pass
+        names hold no dot."""
+        return "." in self.name
+
+    @property
     def executed(self) -> bool:
-        """Did the pass actually run (as opposed to being served from
-        cache or skipped)?"""
-        return self.status in ("end", "error")
+        """Did a pass actually run (as opposed to being served from
+        cache or skipped)?  Sub-stages never count: their time is
+        already inside their pass's."""
+        return self.status in ("end", "error") and not self.is_substage
 
     def as_dict(self) -> dict[str, object]:
         out: dict[str, object] = {
@@ -64,6 +72,15 @@ class PassEvent:
         if self.warnings:
             out["warnings"] = list(self.warnings)
         return out
+
+
+def pass_times(events: Iterable[PassEvent]) -> dict[str, float]:
+    """Total wall time per executed pass name (sub-stages excluded)."""
+    out: dict[str, float] = {}
+    for e in events:
+        if e.executed:
+            out[e.name] = out.get(e.name, 0.0) + e.wall_time
+    return out
 
 
 @runtime_checkable
@@ -103,12 +120,7 @@ class CollectingTracer:
         return [e for e in self.events if e.status == "cache-hit"]
 
     def pass_times(self) -> dict[str, float]:
-        """Total wall time per executed pass name."""
-        out: dict[str, float] = {}
-        for e in self.events:
-            if e.executed:
-                out[e.name] = out.get(e.name, 0.0) + e.wall_time
-        return out
+        return pass_times(self.events)
 
     def as_rows(self) -> list[dict[str, object]]:
         return [e.as_dict() for e in self.completed()]

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 from .artifacts import ArtifactStore, PipelineOptions
 from .cache import ArtifactCache
-from .events import NullTracer, PassEvent, Tracer
+from .events import NullTracer, PassEvent, Tracer, pass_times
 from .fingerprint import chain_fingerprint, encode_value, initial_fingerprint
 
 
@@ -123,11 +123,7 @@ class PassRunResult:
         return self.store.get(name)
 
     def pass_times(self) -> dict[str, float]:
-        out: dict[str, float] = {}
-        for e in self.events:
-            if e.executed:
-                out[e.name] = out.get(e.name, 0.0) + e.wall_time
-        return out
+        return pass_times(self.events)
 
     @property
     def total_time(self) -> float:

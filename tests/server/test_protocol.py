@@ -131,6 +131,17 @@ def test_parse_compile_full():
         ({"op": "compile", "source": GOOD_SOURCE, "name": 7}, "name"),
         ({"op": "compile", "source": GOOD_SOURCE, "runner": "processes"},
          "unknown runner 'processes' (valid: ['serial'])"),
+        # fields outside the envelope and the job knobs
+        ({"op": "compile", "source": GOOD_SOURCE, "strat": "STOR2"},
+         "unknown compile fields: ['strat']"),
+        ({"op": "compile", "source": GOOD_SOURCE, "bogus": 1},
+         "unknown compile fields: ['bogus']"),
+        ({"op": "compile", "source": GOOD_SOURCE, "strat": "STOR2",
+          "bogus": 1}, "unknown compile fields: ['bogus', 'strat']"),
+        ({"op": "compile", "source": GOOD_SOURCE, "layout": "blocked"},
+         "unknown compile fields: ['layout']"),
+        ({"op": "compile", "source": GOOD_SOURCE, "max_cycles": 10},
+         "unknown compile fields: ['max_cycles']"),
     ],
 )
 def test_parse_rejects_invalid_requests(obj, fragment):
@@ -192,8 +203,9 @@ def test_schema_version_covers_frontend_fields():
     # v5 added the frontend/entry compile-request fields; v6 removed
     # the delta_cache stats block; v7 removed the fabric identity
     # fields and the forwarded-in counter; v8 removed the upgrade-lane
-    # block, its counters and config.adaptive
-    assert SCHEMA_VERSION == 8
+    # block, its counters and config.adaptive; v9 rejects unknown
+    # compile-request fields
+    assert SCHEMA_VERSION == 9
 
 
 def test_parse_compile_frontend_knob():
