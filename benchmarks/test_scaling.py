@@ -3,7 +3,11 @@
 The paper quotes O((n+e)·log(n+e)) for colouring and polynomial bounds
 for duplication/placement; these benchmarks chart the implementation's
 cost against instruction-stream size (pytest-benchmark records the
-timings; the assertions only guard correctness).
+timings; the assertions only guard correctness).  Colouring meets the
+paper's bound: the most urgent node comes off a lazy-deletion heap
+that re-keys only the neighbours of each coloured node.  The guard
+against a quadratic regression is
+``tests/core/test_coloring.py::test_coloring_scales_like_the_kernel_build``.
 """
 
 import pytest

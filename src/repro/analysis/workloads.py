@@ -9,6 +9,7 @@ measurable at any chosen operating point.
 from __future__ import annotations
 
 import random
+from itertools import accumulate
 from typing import Sequence
 
 
@@ -32,13 +33,15 @@ def random_instructions(
     rng = random.Random(seed)
     n_hot = max(1, int(n_values * hot_fraction))
     weights = [hot_weight] * n_hot + [1.0] * (n_values - n_hot)
+    # Accumulated once: ``choices(weights=...)`` would redo it per draw.
+    cum_weights = list(accumulate(weights))
     values = list(range(n_values))
 
     sets: list[frozenset[int]] = []
     for _ in range(n_instructions):
         chosen: set[int] = set()
         while len(chosen) < operands_per_instr:
-            chosen.add(rng.choices(values, weights=weights)[0])
+            chosen.add(rng.choices(values, cum_weights=cum_weights)[0])
         sets.append(frozenset(chosen))
     return sets
 

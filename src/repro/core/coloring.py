@@ -14,6 +14,11 @@ Faithful implementation notes (all from §2.1):
 - ties (urgency, first node, module choice) are resolved deterministically
   by smallest node id / module index, so runs are reproducible.
 
+The most urgent node comes off a lazy-deletion min-heap whose exact
+integer key is described in :func:`color_atom`; colouring an atom of
+``n`` nodes and ``e`` edges costs O((n + e)·log(n + e)), the bound the
+paper states for the heuristic.
+
 The atom driver decomposes the graph with
 :func:`repro.core.atoms.decompose_atoms` and colours atoms sequentially;
 vertices shared with previously-coloured atoms (separator cliques) enter
@@ -23,6 +28,8 @@ colouring proper without a permutation step.
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass, field
 
 from .atoms import DEFAULT_MAX_NODES
@@ -105,6 +112,19 @@ def color_atom(
     ``wt(a -> b) = 0 if d(a) < k else conf(a, b)`` are evaluated
     lazily from instruction-membership masks instead of being
     materialised as a pair-keyed dict.
+
+    The next node comes off a lazy-deletion min-heap keyed
+    ``(class, finite, -incoming * (L // K_v), dense index)``: ``class``
+    is 0 for ``prefer`` nodes and 1 otherwise; ``K_v`` is the number of
+    modules still legal for the node and ``finite`` is 0 when it is 0
+    (infinite urgency, which beats every finite one); ``L = lcm(1..k)``
+    makes the urgency ``incoming / K_v`` an exact integer, so equal
+    urgencies compare equal (``0/3 == 0/5``) and the smallest dense
+    index, i.e. the smallest node id, breaks every tie.  Assigning a
+    node re-keys only its uncoloured neighbours, pushing an entry when
+    the key changed; a popped entry that is not its node's current key
+    is skipped.  Each assignment costs O(degree · log(n + e)), so the
+    atom costs O((n + e)·log(n + e)).
     """
     result = ColoringResult(k)
     preassigned = preassigned or {}
@@ -175,22 +195,30 @@ def color_atom(
             first_module = 0
         assign(first, first_module, "first", first_val)
 
-    while rest_mask:
-        # Pick max urgency  U = incoming / K  (K = 0 -> infinite),
-        # preferred (non-duplicable) nodes strictly first.
-        pool_mask = prefer_mask & rest_mask or rest_mask
-        best = -1
-        best_num, best_den = -1, 1  # urgency as a fraction num/den
-        for i in iter_bits(pool_mask):
-            k_v = k - (neighbor_colors[i] & all_modules).bit_count()
-            if k_v == 0:
-                best = i
-                break  # smallest-id infinite-urgency node wins
-            num = incoming[i]
-            # num/k_v > best_num/best_den  <=>  num*best_den > best_num*k_v
-            if best < 0 or num * best_den > best_num * k_v:
-                best, best_num, best_den = i, num, k_v
-        assert best >= 0
+    # The urgency heap (key described in the docstring).  ``live[i]`` is
+    # the entry holding node i's current key; any other entry popped
+    # for i is stale and skipped.
+    lcm_k = math.lcm(*range(1, k + 1))
+
+    def urgency_key(i: int) -> tuple[int, int, int, int]:
+        cls = 0 if (prefer_mask >> i) & 1 else 1
+        k_v = k - (neighbor_colors[i] & all_modules).bit_count()
+        if k_v == 0:
+            return (cls, 0, 0, i)
+        return (cls, 1, -incoming[i] * (lcm_k // k_v), i)
+
+    live: list[tuple[int, int, int, int] | None] = [None] * n
+    for i in iter_bits(rest_mask):
+        live[i] = urgency_key(i)
+    heap = [entry for entry in live if entry is not None]
+    heapq.heapify(heap)
+
+    while heap:
+        entry = heapq.heappop(heap)
+        best = entry[3]
+        if live[best] is not entry:
+            continue
+        live[best] = None
         rest_mask &= ~(1 << best)
 
         free = ~neighbor_colors[best] & all_modules
@@ -207,6 +235,13 @@ def color_atom(
         else:
             raise ValueError(f"unknown module_choice {module_choice!r}")
         assign(best, module, "assigned", incoming[best])
+        # Only the uncoloured neighbours' urgencies moved (upwards, so a
+        # stale entry always sorts after the live one).
+        for j in iter_bits(adj[best] & rest_mask):
+            fresh = urgency_key(j)
+            if fresh != live[j]:
+                live[j] = fresh
+                heapq.heappush(heap, fresh)
 
     return result
 

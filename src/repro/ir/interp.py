@@ -147,6 +147,7 @@ class TacInterpreter:
     # -- main loop ----------------------------------------------------------
 
     def run(self) -> InterpResult:
+        by_label = {b.label: b for b in self._cfg.blocks}
         block = self._cfg.entry
         pos = 0
         while True:
@@ -187,7 +188,7 @@ class TacInterpreter:
             elif isinstance(instr, tac.CJump):
                 taken = bool(self._value(instr.cond))
                 target = instr.then_target if taken else instr.else_target
-                block = self._cfg.block_of_label(target)
+                block = by_label[target]
                 pos = 0
                 continue
             elif isinstance(instr, tac.Halt):

@@ -35,13 +35,14 @@ def thread_jumps(cfg: Cfg) -> Cfg:
     # already retargeted is followed to its new target.
     final_target: dict[str, str] = {}
     retargeted: dict[str, list[tac.TacInstr]] = {}
+    by_label = {block.label: block for block in cfg.blocks}
 
     def resolve(label: str, seen: frozenset[str]) -> str:
         if label in final_target:
             return final_target[label]
         if label in seen:  # jump cycle (infinite loop): leave as is
             return label
-        block = cfg.block_of_label(label)
+        block = by_label[label]
         if _is_trivial_jump(block):
             jump = retargeted.get(label, block.instrs)[0]
             target = resolve(

@@ -1,10 +1,13 @@
 """Unit and differential tests for AST loop unrolling."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.ir import build_cfg, lower_ast, run_cfg
 from repro.ir.unroll import unroll_program
-from repro.lang import analyze, parse
+from repro.lang import analyze, ast_nodes as ast, parse
+from repro.lang.unparse import unparse
 
 
 def run_with_unroll(source: str, factor: int, inputs=None, innermost=False):
@@ -200,3 +203,101 @@ def test_synthetic_bound_vars_declared():
     names = [n for d in tree.decls for n in d.names]
     assert any(n.startswith("__u") for n in names)
     analyze(tree)  # must still type-check
+
+
+NESTED_SRC = """
+program p; var i, n, acc: int; x: real; a: array[16] of int;
+begin
+  read(n);
+  acc := 0;
+  x := 0.5;
+  for i := 1 to n do
+  begin
+    a[i mod 16] := (acc + i * (i - 1)) div 2 - a[(i + 3) mod 16];
+    if a[i mod 16] > acc then acc := acc + 1 else x := sqrt(x + i);
+    write(-a[i mod 16])
+  end;
+  write(acc)
+end.
+"""
+
+#: One replica of NESTED_SRC's loop body, as the unparser prints it.
+REPLICA = """\
+        begin
+          a[i mod 16] := (acc + i * (i - 1)) div 2 - a[(i + 3) mod 16];
+          if a[i mod 16] > acc then
+            acc := acc + 1
+          else
+            x := sqrt(x + i);
+          write(-a[i mod 16])
+        end;
+        i := i + 1"""
+
+#: NESTED_SRC unrolled by 4, as unrolling with ``copy.deepcopy``
+#: replicas printed it.
+NESTED_UNROLLED_4 = f"""\
+program p;
+var
+  i, n, acc: int;
+  x: real;
+  a: array[16] of int;
+  __u1_hi: int;
+begin
+  read(n);
+  acc := 0;
+  x := 0.5;
+  begin
+    __u1_hi := n;
+    i := 1;
+    while i <= __u1_hi - 3 do
+      begin
+{REPLICA};
+{REPLICA};
+{REPLICA};
+{REPLICA}
+      end;
+    while i <= __u1_hi do
+      begin
+{REPLICA}
+      end
+  end;
+  write(acc)
+end
+."""
+
+
+def _owned(node):
+    """Ids of every AST node and list reachable from ``node``."""
+    found = set()
+    stack = [node]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, list):
+            found.add(id(value))
+            stack.extend(value)
+        elif isinstance(value, ast.Node):
+            found.add(id(value))
+            stack.extend(getattr(value, f.name) for f in fields(value))
+    return found
+
+
+def test_replicas_share_no_node_or_list():
+    """Each replica of the body is its own tree: no node or list is
+    shared between two replicas or with the input, and the text is what
+    deep-copied replicas gave."""
+    tree = parse(NESTED_SRC)
+    analyze(tree)  # replicas must carry the expression types too
+    loop = tree.body.body[3]
+    assert isinstance(loop, ast.For)
+    unrolled = unroll_program(tree, 4)
+    assert unparse(unrolled) == NESTED_UNROLLED_4
+
+    main, remainder = unrolled.body.body[3].body[2:]
+    replicas = main.body.body[0::2] + remainder.body.body[0::2]
+    assert len(replicas) == 5
+    seen = _owned(loop.body)
+    for replica in replicas:
+        assert replica == loop.body  # dataclass equality, types included
+        owned = _owned(replica)
+        assert not owned & seen
+        seen |= owned
