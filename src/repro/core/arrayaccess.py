@@ -43,6 +43,7 @@ __all__ = [
     "AccessProfile",
     "analyze_accesses",
     "block_index_exprs",
+    "word_profile",
     "LOOP_WEIGHT",
 ]
 
@@ -218,8 +219,8 @@ def block_index_exprs(
         return AffineExpr.symbol(f"d{block.index}.{pos}")
 
     for pos, instr in enumerate(block.body):
-        if isinstance(instr, (tac.Load, tac.Store, tac.ReadArr)):
-            out[pos] = _operand_expr(instr.index, env)
+        if instr.ARRAY_ACCESS:
+            out[pos] = _operand_expr(instr.index, env)  # type: ignore[attr-defined]
 
         if isinstance(instr, tac.Binary):
             a = _operand_expr(instr.a, env)
@@ -310,29 +311,39 @@ def analyze_accesses(schedule) -> AccessProfile:
             LOOP_WEIGHT if bs.block_index in cyclic else 1,
         )
         for cycle, liw in enumerate(bs.liws):
-            refs: list[ArrayRef] = []
-            for op in liw.all_ops():
-                if not isinstance(op, (tac.Load, tac.Store, tac.ReadArr)):
-                    continue
-                pos = pos_of.get(id(op), -1)
-                refs.append(
-                    ArrayRef(
-                        op.array,
-                        exprs.get(pos) if pos >= 0 else None,
-                        not isinstance(op, tac.Load),
-                        pos,
-                    )
-                )
-            bp.liws.append(
-                LiwProfile(
-                    cycle,
-                    frozenset(liw.scalar_sources()),
-                    frozenset(liw.scalar_dests()),
-                    tuple(refs),
-                )
-            )
+            bp.liws.append(word_profile(liw, cycle, pos_of, exprs))
         profile.blocks.append(bp)
     return profile
+
+
+def word_profile(
+    liw,
+    cycle: int,
+    pos_of: dict[int, int],
+    exprs: dict[int, AffineExpr | None],
+) -> LiwProfile:
+    """One long instruction's profile: its scalar sources and dests and
+    its array accesses, each with the affine index of its body position
+    (``pos_of`` maps ``id(op)`` to that position; -1 when unknown)."""
+    refs: list[ArrayRef] = []
+    for op in liw.all_ops():
+        if not op.ARRAY_ACCESS:
+            continue
+        pos = pos_of.get(id(op), -1)
+        refs.append(
+            ArrayRef(
+                op.array,
+                exprs.get(pos) if pos >= 0 else None,
+                op.ARRAY_ACCESS == tac.STORE,
+                pos,
+            )
+        )
+    return LiwProfile(
+        cycle,
+        frozenset(liw.scalar_sources()),
+        frozenset(liw.scalar_dests()),
+        tuple(refs),
+    )
 
 
 def _op_positions(block: BasicBlock) -> dict[int, int]:

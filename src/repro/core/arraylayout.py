@@ -49,12 +49,12 @@ from .arrayaccess import (
     ArrayRef,
     LiwProfile,
     analyze_accesses,
+    word_profile,
 )
 
 if TYPE_CHECKING:
-    from ..ir import tac
     from ..liw.ddg import DependenceGraph
-    from ..liw.schedule import LiwInstruction, Schedule
+    from ..liw.schedule import Schedule
     from .allocation import Allocation
     from .strategies import StorageResult
 
@@ -431,36 +431,6 @@ def _search_layouts(
 # --------------------------------------------------------------------------
 
 
-def _word_profile(
-    liw: "LiwInstruction",
-    cycle: int,
-    pos_of: dict[int, int],
-    exprs: dict[int, AffineExpr | None],
-) -> LiwProfile:
-    """Recompute one word's profile from its current ops (the move
-    stage changes which scalars and accesses share a word)."""
-    from ..ir import tac as _tac
-
-    refs: list[ArrayRef] = []
-    for op in liw.all_ops():
-        if isinstance(op, (_tac.Load, _tac.Store, _tac.ReadArr)):
-            pos = pos_of.get(id(op), -1)
-            refs.append(
-                ArrayRef(
-                    op.array,
-                    exprs.get(pos) if pos >= 0 else None,
-                    not isinstance(op, _tac.Load),
-                    pos,
-                )
-            )
-    return LiwProfile(
-        cycle,
-        frozenset(liw.scalar_sources()),
-        frozenset(liw.scalar_dests()),
-        tuple(refs),
-    )
-
-
 def _optimize_moves(
     schedule: "Schedule",
     model: _CostModel,
@@ -469,7 +439,6 @@ def _optimize_moves(
 ) -> tuple["Schedule", tuple[Move, ...], float]:
     """Greedy adjacent-word moves of array operations; returns the
     reordered copy, the replayable move list, and the cost change."""
-    from ..ir import tac as _tac
     from ..liw.ddg import build_ddg
 
     working = copy_schedule(schedule)
@@ -482,11 +451,7 @@ def _optimize_moves(
         body = block.body
         if len(bs.liws) < 2 or not body:
             continue
-        has_arrays = any(
-            isinstance(op, (_tac.Load, _tac.Store, _tac.ReadArr))
-            for op in body
-        )
-        if not has_arrays:
+        if not any(op.ARRAY_ACCESS for op in body):
             continue
         pos_of = {id(instr): pos for pos, instr in enumerate(body)}
         if len(pos_of) != len(body):
@@ -499,7 +464,7 @@ def _optimize_moves(
         weight = weights.get(bs.block_index, 1)
 
         def cost_of(cycle: int) -> float:
-            lp = _word_profile(bs.liws[cycle], cycle, pos_of, exprs)
+            lp = word_profile(bs.liws[cycle], cycle, pos_of, exprs)
             return model.word_cost(bs.block_index, lp, specs)
 
         word_costs = [cost_of(c) for c in range(len(bs.liws))]
@@ -508,7 +473,7 @@ def _optimize_moves(
             changed = False
             for pos in sorted(cycles):
                 op = body[pos]
-                if not isinstance(op, (_tac.Load, _tac.Store, _tac.ReadArr)):
+                if not op.ARRAY_ACCESS:
                     continue
                 from_cycle = cycles[pos]
                 best: tuple[float, int] | None = None

@@ -159,9 +159,9 @@ class ConflictGraph:
 
     @property
     def num_edges(self) -> int:
-        if self._edges_cache is None:
-            self._edges_cache = self.kernel().edge_pairs()
-        return len(self._edges_cache)
+        # Each edge sets one bit in both endpoints' rows (the kernel
+        # clears a node's own bit), so no pair list is needed.
+        return sum(row.bit_count() for row in self.kernel().adj) // 2
 
     def is_clique(self, vertices: Iterable[int]) -> bool:
         kern = self.kernel()

@@ -135,12 +135,14 @@ def stor1(
         seed=seed,
         **kwargs,
     )
-    return StorageResult(
-        "STOR1",
-        result.allocation,
-        [result],
-        conflicting_instructions(operand_sets, result.allocation),
+    # assign_modules checked the same sets less the empty ones, which
+    # never conflict; with ``weights`` it also skips zero-weight ones.
+    residual = (
+        result.stats.residual_instructions
+        if kwargs.get("weights") is None
+        else conflicting_instructions(operand_sets, result.allocation)
     )
+    return StorageResult("STOR1", result.allocation, [result], residual)
 
 
 def stor2(

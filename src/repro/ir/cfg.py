@@ -113,13 +113,9 @@ def build_cfg(program: tac.TacProgram) -> Cfg:
                 block.instrs.append(tac.Jump(blocks[bi + 1].label))
             else:
                 block.instrs.append(tac.Halt())
-        last = block.instrs[-1]
-        if isinstance(last, tac.Jump):
-            block.succs = [block_of(last.target)]
-        elif isinstance(last, tac.CJump):
-            then_b = block_of(last.then_target)
-            else_b = block_of(last.else_target)
-            block.succs = [then_b, else_b] if then_b != else_b else [then_b]
+        # dict.fromkeys: a CJump whose arms meet has one successor.
+        targets = block.instrs[-1].targets()
+        block.succs = list(dict.fromkeys(block_of(t) for t in targets))
 
     # Pass 3: drop unreachable blocks, recompute indices and edges.
     reachable: set[int] = set()

@@ -158,7 +158,7 @@ class TacInterpreter:
             instr = block.instrs[pos]
             self.steps += 1
             accesses = len({u.name for u in instr.uses()}) + len(instr.defs())
-            if isinstance(instr, (tac.Load, tac.Store, tac.ReadArr)):
+            if instr.ARRAY_ACCESS:
                 accesses += 1
             self.memory_accesses += accesses
             self.sequential_time += max(1, accesses)

@@ -168,41 +168,19 @@ def rename(cfg: Cfg, mode: str = "web") -> RenamedProgram:
         for pos, instr in enumerate(block.instrs):
             new_instr = copy.copy(instr)
 
-            def rewrite_use(op: tac.Operand) -> tac.Operand:
+            # Uses before defs: that fixes the order of ``use_sites``.
+            for slot in new_instr.USES:
+                op = getattr(new_instr, slot)
                 if isinstance(op, tac.Sym):
                     def_ids = reaching.use_defs[(block.index, pos, op.name)]
                     dv = value_of_def(next(iter(def_ids)))
                     dv.use_sites.append((block.index, pos))
-                    return tac.Value(dv.id)
-                return op
-
-            def rewrite_def(op: tac.Scalar) -> tac.Scalar:
+                    setattr(new_instr, slot, tac.Value(dv.id))
+            for slot in new_instr.DEFS:
+                op = getattr(new_instr, slot)
                 assert isinstance(op, tac.Sym)
                 dv = value_of_def(def_at[(block.index, pos, op.name)])
-                return tac.Value(dv.id)
-
-            if isinstance(new_instr, tac.Binary):
-                new_instr.a = rewrite_use(new_instr.a)
-                new_instr.b = rewrite_use(new_instr.b)
-                new_instr.dest = rewrite_def(new_instr.dest)
-            elif isinstance(new_instr, tac.Unary):
-                new_instr.a = rewrite_use(new_instr.a)
-                new_instr.dest = rewrite_def(new_instr.dest)
-            elif isinstance(new_instr, tac.Load):
-                new_instr.index = rewrite_use(new_instr.index)
-                new_instr.dest = rewrite_def(new_instr.dest)
-            elif isinstance(new_instr, tac.Store):
-                new_instr.index = rewrite_use(new_instr.index)
-                new_instr.src = rewrite_use(new_instr.src)
-            elif isinstance(new_instr, tac.CJump):
-                new_instr.cond = rewrite_use(new_instr.cond)
-            elif isinstance(new_instr, tac.ReadIn):
-                new_instr.dest = rewrite_def(new_instr.dest)
-            elif isinstance(new_instr, tac.ReadArr):
-                new_instr.index = rewrite_use(new_instr.index)
-            elif isinstance(new_instr, tac.WriteOut):
-                new_instr.src = rewrite_use(new_instr.src)
-            # Jump / Halt / Label have no scalar operands.
+                setattr(new_instr, slot, tac.Value(dv.id))
             new_instrs.append(new_instr)
         new_blocks.append(
             BasicBlock(

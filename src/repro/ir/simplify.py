@@ -15,11 +15,14 @@ Both passes preserve the program's execution order exactly (they remove
 only unconditional control transfers), so interpreter and executor
 outputs are unchanged.  Neither changes its input: rewritten
 terminators and all surviving blocks are new objects (instruction lists
-of untouched blocks are shared), so the ``Cfg`` that lowering produced,
-and a pass cache may hold, stays valid.
+of untouched blocks, and of blocks whose branch targets stay, are
+shared), so the ``Cfg`` that lowering produced, and a pass cache may
+hold, stays valid.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 from . import tac
 from .cfg import BasicBlock, Cfg
@@ -55,19 +58,20 @@ def thread_jumps(cfg: Cfg) -> Cfg:
 
     for block in cfg.blocks:
         last = block.instrs[-1]
-        if isinstance(last, tac.Jump):
-            new: tac.TacInstr = tac.Jump(
-                resolve(last.target, frozenset({block.label}))
-            )
-        elif isinstance(last, tac.CJump):
-            new = tac.CJump(
-                last.cond,
-                resolve(last.then_target, frozenset()),
-                resolve(last.else_target, frozenset()),
-            )
-        else:
+        if not last.TARGETS:
             continue
-        retargeted[block.label] = block.instrs[:-1] + [new]
+        # Only a jump-only block can reach itself through jump-only
+        # blocks, so seeding ``seen`` with the block's own label changes
+        # nothing for a CJump.
+        seen = frozenset({block.label})
+        moved: dict[str, str] = {}
+        for slot in last.TARGETS:
+            target = resolve(getattr(last, slot), seen)
+            if target != getattr(last, slot):
+                moved[slot] = target
+        if moved:  # a terminator whose targets stay is kept, not copied
+            new = replace(last, **moved)
+            retargeted[block.label] = block.instrs[:-1] + [new]
     return _rebuild(cfg, retargeted)
 
 
@@ -104,34 +108,24 @@ def _rebuild(cfg: Cfg, rewritten: dict[str, list[tac.TacInstr]]) -> Cfg:
     instruction lists in ``rewritten`` (by label) swapped in,
     unreachable blocks dropped, and indices and edges recomputed."""
     code = {b.label: rewritten.get(b.label, b.instrs) for b in cfg.blocks}
-    seen: set[str] = set()
+    targets: dict[str, tuple[str, ...]] = {}  # of the reachable blocks
     stack = [cfg.blocks[0].label]
     while stack:
         label = stack.pop()
-        if label in seen:
+        if label in targets:
             continue
-        seen.add(label)
-        last = code[label][-1]
-        if isinstance(last, tac.Jump):
-            stack.append(last.target)
-        elif isinstance(last, tac.CJump):
-            stack.append(last.else_target)
-            stack.append(last.then_target)
+        targets[label] = code[label][-1].targets()
+        stack.extend(reversed(targets[label]))
 
     # Stable order: keep original relative order of surviving blocks.
-    labels = [b.label for b in cfg.blocks if b.label in seen]
+    labels = [b.label for b in cfg.blocks if b.label in targets]
     index_of = {label: i for i, label in enumerate(labels)}
     blocks: list[BasicBlock] = []
     for i, label in enumerate(labels):
-        last = code[label][-1]
-        if isinstance(last, tac.Jump):
-            succs = [index_of[last.target]]
-        elif isinstance(last, tac.CJump):
-            then_i = index_of[last.then_target]
-            else_i = index_of[last.else_target]
-            succs = [then_i, else_i] if then_i != else_i else [then_i]
-        else:
-            succs = []
+        succs: list[int] = []
+        for target in targets[label]:
+            if index_of[target] not in succs:  # a CJump's arms may meet
+                succs.append(index_of[target])
         blocks.append(BasicBlock(i, label, code[label], succs))
     for b in blocks:
         for s in b.succs:

@@ -6,15 +6,24 @@ operands before renaming and as :class:`Value` operands afterwards
 :class:`Load`/:class:`Store` only, since only scalar placement is the
 paper's subject.
 
-Every instruction knows the scalar operands it reads (``uses``) and the
-scalar it writes (``defs``), which drives dataflow analysis, renaming,
-dependence construction, and the memory-access model.
+Each instruction class declares its operand slots once, as class
+constants naming its fields: ``USES`` (read, in operand order), ``DEFS``
+(written), ``TARGETS`` (branch labels), plus its array-access kind
+(``ARRAY_ACCESS``), whether it does I/O (``IO``) and whether it ends a
+block (``is_terminator``).  ``uses()``/``defs()``/``operands()``/
+``targets()`` are compiled from those declarations, and the passes —
+dataflow, renaming, dependence construction, CFG edges, the
+memory-access model — loop over the slots instead of dispatching on the
+instruction class.  Only code that gives each operation its meaning
+(the TAC interpreter, the LIW executor, the affine index recogniser,
+the frontends) still tests the class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Union
+from functools import cache
+from typing import ClassVar, Iterator, Union
 
 
 # --------------------------------------------------------------------------
@@ -78,8 +87,34 @@ UNARY_OPS = frozenset(
 )
 
 
-def _is_scalar(op: object) -> bool:
-    return isinstance(op, (Sym, Value))
+_SCALAR = (Sym, Value)
+
+#: Array-access kinds (``TacInstr.ARRAY_ACCESS``).
+LOAD = "load"
+STORE = "store"
+
+
+@cache  # classes with the same slots share one compiled reader
+def _slot_reader(name: str, slots: tuple[str, ...], scalars_only: bool):
+    """Compile ``name(self)``: the values of the fields ``slots`` as a
+    tuple, keeping only ``Sym``/``Value`` ones when ``scalars_only``
+    (a use slot may hold a ``Const``; a def slot always holds a scalar).
+
+    The body is straight-line code over the named fields, as fast as a
+    hand-written method (like the ``__init__`` that ``dataclass``
+    generates): ``uses``/``defs`` run per interpreted instruction.
+    """
+    if scalars_only:
+        terms = [
+            f"((self.{s},) if isinstance(self.{s}, _SCALAR) else ())"
+            for s in slots
+        ]
+        body = " + ".join(terms) or "()"
+    else:
+        body = "(" + "".join(f"self.{s}, " for s in slots) + ")"
+    namespace = {"_SCALAR": _SCALAR}
+    exec(f"def {name}(self):\n    return {body}\n", namespace)
+    return namespace[name]
 
 
 # --------------------------------------------------------------------------
@@ -89,7 +124,32 @@ def _is_scalar(op: object) -> bool:
 
 @dataclass(slots=True)
 class TacInstr:
-    """Base class.  Subclasses fill in ``uses``/``defs`` semantics."""
+    """Base class.  Each subclass declares its operand layout once:
+
+    - ``USES``: the fields it reads, in operand order;
+    - ``DEFS``: the fields it writes;
+    - ``TARGETS``: the fields holding branch-target labels;
+    - ``ARRAY_ACCESS``: ``None``, :data:`LOAD` or :data:`STORE` (a
+      ``ReadArr`` writes an array element, so it is a store);
+    - ``IO``: whether it consumes input or produces output;
+    - ``is_terminator``: whether it ends a basic block.
+
+    ``uses``/``defs``/``operands``/``targets`` are compiled from these
+    declarations for each subclass.
+    """
+
+    USES: ClassVar[tuple[str, ...]] = ()
+    DEFS: ClassVar[tuple[str, ...]] = ()
+    TARGETS: ClassVar[tuple[str, ...]] = ()
+    ARRAY_ACCESS: ClassVar[str | None] = None
+    IO: ClassVar[bool] = False
+    is_terminator: ClassVar[bool] = False
+
+    def __init_subclass__(cls) -> None:
+        cls.uses = _slot_reader("uses", cls.USES, True)  # type: ignore[method-assign]
+        cls.defs = _slot_reader("defs", cls.DEFS, False)  # type: ignore[method-assign]
+        cls.operands = _slot_reader("operands", cls.USES, False)  # type: ignore[method-assign]
+        cls.targets = _slot_reader("targets", cls.TARGETS, False)  # type: ignore[method-assign]
 
     def uses(self) -> tuple[Scalar, ...]:
         """Scalar operands read by this instruction."""
@@ -103,9 +163,9 @@ class TacInstr:
         """All source operands, including constants."""
         return ()
 
-    @property
-    def is_terminator(self) -> bool:
-        return False
+    def targets(self) -> tuple[str, ...]:
+        """Branch-target labels, in ``TARGETS`` order."""
+        return ()
 
 
 @dataclass(slots=True)
@@ -115,18 +175,12 @@ class Binary(TacInstr):
     a: Operand
     b: Operand
 
+    USES = ("a", "b")
+    DEFS = ("dest",)
+
     def __post_init__(self) -> None:
         if self.op not in BINARY_OPS:
             raise ValueError(f"unknown binary op {self.op!r}")
-
-    def uses(self) -> tuple[Scalar, ...]:
-        return tuple(x for x in (self.a, self.b) if _is_scalar(x))  # type: ignore[misc]
-
-    def defs(self) -> tuple[Scalar, ...]:
-        return (self.dest,)
-
-    def operands(self) -> tuple[Operand, ...]:
-        return (self.a, self.b)
 
     def __str__(self) -> str:
         return f"{self.dest} = {self.op} {self.a}, {self.b}"
@@ -138,18 +192,12 @@ class Unary(TacInstr):
     op: str
     a: Operand
 
+    USES = ("a",)
+    DEFS = ("dest",)
+
     def __post_init__(self) -> None:
         if self.op not in UNARY_OPS:
             raise ValueError(f"unknown unary op {self.op!r}")
-
-    def uses(self) -> tuple[Scalar, ...]:
-        return (self.a,) if _is_scalar(self.a) else ()  # type: ignore[return-value]
-
-    def defs(self) -> tuple[Scalar, ...]:
-        return (self.dest,)
-
-    def operands(self) -> tuple[Operand, ...]:
-        return (self.a,)
 
     def __str__(self) -> str:
         return f"{self.dest} = {self.op} {self.a}"
@@ -163,14 +211,9 @@ class Load(TacInstr):
     array: str
     index: Operand
 
-    def uses(self) -> tuple[Scalar, ...]:
-        return (self.index,) if _is_scalar(self.index) else ()  # type: ignore[return-value]
-
-    def defs(self) -> tuple[Scalar, ...]:
-        return (self.dest,)
-
-    def operands(self) -> tuple[Operand, ...]:
-        return (self.index,)
+    USES = ("index",)
+    DEFS = ("dest",)
+    ARRAY_ACCESS = LOAD
 
     def __str__(self) -> str:
         return f"{self.dest} = {self.array}[{self.index}]"
@@ -184,11 +227,8 @@ class Store(TacInstr):
     index: Operand
     src: Operand
 
-    def uses(self) -> tuple[Scalar, ...]:
-        return tuple(x for x in (self.index, self.src) if _is_scalar(x))  # type: ignore[misc]
-
-    def operands(self) -> tuple[Operand, ...]:
-        return (self.index, self.src)
+    USES = ("index", "src")
+    ARRAY_ACCESS = STORE
 
     def __str__(self) -> str:
         return f"{self.array}[{self.index}] = {self.src}"
@@ -206,9 +246,8 @@ class Label(TacInstr):
 class Jump(TacInstr):
     target: str
 
-    @property
-    def is_terminator(self) -> bool:
-        return True
+    TARGETS = ("target",)
+    is_terminator = True
 
     def __str__(self) -> str:
         return f"jump {self.target}"
@@ -222,15 +261,9 @@ class CJump(TacInstr):
     then_target: str
     else_target: str
 
-    def uses(self) -> tuple[Scalar, ...]:
-        return (self.cond,) if _is_scalar(self.cond) else ()  # type: ignore[return-value]
-
-    def operands(self) -> tuple[Operand, ...]:
-        return (self.cond,)
-
-    @property
-    def is_terminator(self) -> bool:
-        return True
+    USES = ("cond",)
+    TARGETS = ("then_target", "else_target")
+    is_terminator = True
 
     def __str__(self) -> str:
         return f"if {self.cond} then {self.then_target} else {self.else_target}"
@@ -242,8 +275,8 @@ class ReadIn(TacInstr):
 
     dest: Scalar
 
-    def defs(self) -> tuple[Scalar, ...]:
-        return (self.dest,)
+    DEFS = ("dest",)
+    IO = True
 
     def __str__(self) -> str:
         return f"{self.dest} = read()"
@@ -256,11 +289,9 @@ class ReadArr(TacInstr):
     array: str
     index: Operand
 
-    def uses(self) -> tuple[Scalar, ...]:
-        return (self.index,) if _is_scalar(self.index) else ()  # type: ignore[return-value]
-
-    def operands(self) -> tuple[Operand, ...]:
-        return (self.index,)
+    USES = ("index",)
+    ARRAY_ACCESS = STORE
+    IO = True
 
     def __str__(self) -> str:
         return f"{self.array}[{self.index}] = read()"
@@ -272,11 +303,8 @@ class WriteOut(TacInstr):
 
     src: Operand
 
-    def uses(self) -> tuple[Scalar, ...]:
-        return (self.src,) if _is_scalar(self.src) else ()  # type: ignore[return-value]
-
-    def operands(self) -> tuple[Operand, ...]:
-        return (self.src,)
+    USES = ("src",)
+    IO = True
 
     def __str__(self) -> str:
         return f"write {self.src}"
@@ -291,9 +319,10 @@ class Transfer(TacInstr):
 
     Transfers are inserted *after* scheduling and allocation
     (:mod:`repro.liw.transfers`); they carry no register-level dataflow
-    — the executor's state is per-value — but each one occupies a
-    functional-unit slot and two memory accesses (read at the source
-    module, write at the destination) in the simulator's Δ phase.
+    — the executor's state is per-value, so ``value`` is no use slot —
+    but each one occupies a functional-unit slot and two memory accesses
+    (read at the source module, write at the destination) in the
+    simulator's Δ phase.
     """
 
     value: Scalar
@@ -308,9 +337,7 @@ class Transfer(TacInstr):
 class Halt(TacInstr):
     """End of program."""
 
-    @property
-    def is_terminator(self) -> bool:
-        return True
+    is_terminator = True
 
     def __str__(self) -> str:
         return "halt"

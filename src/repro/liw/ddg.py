@@ -96,20 +96,21 @@ def build_ddg(block: BasicBlock) -> DependenceGraph:
             uses_since_def[vid] = []
 
         # array dependences by name
-        if isinstance(instr, tac.Load):
-            if instr.array in last_array_store:
-                ddg.add_edge(last_array_store[instr.array], i, "mem", 1)
-            loads_since_store.setdefault(instr.array, []).append(i)
-        elif isinstance(instr, (tac.Store, tac.ReadArr)):
-            if instr.array in last_array_store:
-                ddg.add_edge(last_array_store[instr.array], i, "mem", 1)
-            for reader in loads_since_store.get(instr.array, ()):
-                ddg.add_edge(reader, i, "mem", 0)
-            last_array_store[instr.array] = i
-            loads_since_store[instr.array] = []
+        access = instr.ARRAY_ACCESS
+        if access is not None:
+            array = instr.array  # type: ignore[attr-defined]
+            if array in last_array_store:
+                ddg.add_edge(last_array_store[array], i, "mem", 1)
+            if access == tac.LOAD:
+                loads_since_store.setdefault(array, []).append(i)
+            else:
+                for reader in loads_since_store.get(array, ()):
+                    ddg.add_edge(reader, i, "mem", 0)
+                last_array_store[array] = i
+                loads_since_store[array] = []
 
         # I/O ordering
-        if isinstance(instr, (tac.ReadIn, tac.ReadArr, tac.WriteOut)):
+        if instr.IO:
             if last_io is not None:
                 ddg.add_edge(last_io, i, "io", 1)
             last_io = i

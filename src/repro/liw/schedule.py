@@ -41,18 +41,20 @@ class LiwInstruction:
         """Distinct data values fetched by this instruction (value ids)."""
         out: set[int] = set()
         for instr in self.all_ops():
-            for u in instr.uses():
-                if isinstance(u, tac.Value):
-                    out.add(u.id)
+            for slot in instr.USES:
+                op = getattr(instr, slot)
+                if isinstance(op, tac.Value):
+                    out.add(op.id)
         return out
 
     def scalar_dests(self) -> set[int]:
         """Distinct data values written back by this instruction."""
         out: set[int] = set()
         for instr in self.all_ops():
-            for d in instr.defs():
-                if isinstance(d, tac.Value):
-                    out.add(d.id)
+            for slot in instr.DEFS:
+                op = getattr(instr, slot)
+                if isinstance(op, tac.Value):
+                    out.add(op.id)
         return out
 
     def scalar_operands(self) -> set[int]:
@@ -65,15 +67,15 @@ class LiwInstruction:
         return self.scalar_sources() | self.scalar_dests()
 
     def array_accesses(self) -> list[ArrayAccess]:
-        out: list[ArrayAccess] = []
-        for instr in self.all_ops():
-            if isinstance(instr, tac.Load):
-                out.append(ArrayAccess(instr.array, instr.index, False))
-            elif isinstance(instr, tac.Store):
-                out.append(ArrayAccess(instr.array, instr.index, True))
-            elif isinstance(instr, tac.ReadArr):
-                out.append(ArrayAccess(instr.array, instr.index, True))
-        return out
+        return [
+            ArrayAccess(
+                instr.array,  # type: ignore[attr-defined]
+                instr.index,  # type: ignore[attr-defined]
+                instr.ARRAY_ACCESS == tac.STORE,
+            )
+            for instr in self.all_ops()
+            if instr.ARRAY_ACCESS
+        ]
 
     def transfers(self) -> list[tac.Transfer]:
         """Scheduled inter-module copy operations riding in this word."""

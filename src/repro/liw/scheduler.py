@@ -32,12 +32,10 @@ def _access_cost(
     touching ``current_operands`` (scalar value ids, R+W).  Array loads
     and stores each cost one access.  Returns (cost, new ids)."""
     new_ids: set[int] = set()
-    arrays = 0
     for op in (*instr.uses(), *instr.defs()):
         if isinstance(op, tac.Value) and op.id not in current_operands:
             new_ids.add(op.id)
-    if isinstance(instr, (tac.Load, tac.Store, tac.ReadArr)):
-        arrays += 1
+    arrays = 1 if instr.ARRAY_ACCESS else 0
     return len(new_ids) + arrays, new_ids
 
 

@@ -63,6 +63,7 @@ def test_is_clique_on_non_clique():
 )
 def test_edges_iff_cooccurrence(sets):
     g = ConflictGraph.from_operand_sets(sets)
+    cooccurring = 0
     for u in g.nodes:
         for v in g.nodes:
             if u >= v:
@@ -70,6 +71,8 @@ def test_edges_iff_cooccurrence(sets):
             expected = sum(1 for s in sets if u in s and v in s)
             assert g.conflict_count(u, v) == expected
             assert g.has_edge(u, v) == (expected > 0)
+            cooccurring += expected > 0
+    assert g.num_edges == cooccurring
 
 
 @given(

@@ -4,6 +4,7 @@ import pytest
 
 from repro import MachineConfig, compile_source
 from repro.core import run_strategy, verify_allocation
+from repro.core.verify import conflicting_instructions
 from repro.core.strategies import STRATEGIES, stor3
 
 SRC = """
@@ -53,6 +54,22 @@ def test_residuals_only_from_pinned_values(compiled, strategy):
     }
     for ops in result.residual_instructions:
         assert ops & multi_def, "residual conflict without a pinned value"
+
+
+@pytest.mark.parametrize("k", [2, 4])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_stor1_residual_is_every_conflicting_instruction(compiled, k, weighted):
+    sets = compiled.schedule.operand_sets()
+    # Zero-weight instructions are left out of the assignment, but a
+    # conflict there is still a residual.
+    kwargs = {"weights": [i % 2 for i in range(len(sets))]} if weighted else {}
+    result = run_strategy(
+        "STOR1", compiled.schedule, compiled.renamed, k, **kwargs
+    )
+    expected = conflicting_instructions(sets, result.allocation)
+    assert result.residual_instructions == expected
+    if weighted and k == 2:
+        assert expected
 
 
 @pytest.mark.parametrize("strategy", sorted(STRATEGIES))

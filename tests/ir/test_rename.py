@@ -62,11 +62,27 @@ def test_uninitialised_use_binds_to_entry_value():
 
 
 def test_operands_rewritten_to_values():
-    rn = renamed("x := 1; y := x + 1")
-    for block in rn.cfg.blocks:
-        for instr in block.instrs:
-            for op in (*instr.uses(), *instr.defs()):
-                assert isinstance(op, tac.Value)
+    every_kind = (
+        "read(x); read(a[x]); i := 0;"
+        " while i < x do begin a[i] := a[i] + y; i := i + 1 end;"
+        " write(a[0])"
+    )
+    cases = [
+        ("x := 1; y := x + 1", "var x, y: int;"),
+        (every_kind, "var x, y, i: int; a: array[8] of int;"),
+    ]
+    for body, decls in cases:
+        rn = renamed(body, decls)
+        for block in rn.cfg.blocks:
+            for instr in block.instrs:
+                for op in (*instr.uses(), *instr.defs()):
+                    assert isinstance(op, tac.Value)
+                for slot in (*instr.USES, *instr.DEFS):
+                    assert not isinstance(getattr(instr, slot), tac.Sym)
+    kinds = {type(i) for block in rn.cfg.blocks for i in block.instrs}
+    assert {
+        tac.Load, tac.Store, tac.ReadIn, tac.ReadArr, tac.WriteOut, tac.CJump
+    } <= kinds
 
 
 def test_rename_preserves_original_cfg():

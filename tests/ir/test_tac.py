@@ -1,5 +1,7 @@
 """Unit tests for the TAC instruction set itself."""
 
+import dataclasses
+
 import pytest
 
 from repro.ir import tac
@@ -90,3 +92,66 @@ def test_program_pretty_includes_arrays():
     text = prog.pretty()
     assert "array a[4]" in text
     assert ".L:" in text
+
+
+X, Y, I, ONE = tac.Sym("x"), tac.Sym("y"), tac.Sym("i"), tac.Const(1)
+
+#: class -> (example, uses(), defs(), operands(), is_terminator,
+#: ARRAY_ACCESS, IO, targets()).  Every instruction class needs a row.
+SLOT_TABLE = {
+    tac.Binary: (
+        tac.Binary(X, "add", Y, ONE), (Y,), (X,), (Y, ONE),
+        False, None, False, (),
+    ),
+    tac.Unary: (
+        tac.Unary(X, "neg", ONE), (), (X,), (ONE,), False, None, False, (),
+    ),
+    tac.Load: (
+        tac.Load(X, "a", I), (I,), (X,), (I,), False, tac.LOAD, False, (),
+    ),
+    tac.Store: (
+        tac.Store("a", I, Y), (I, Y), (), (I, Y),
+        False, tac.STORE, False, (),
+    ),
+    tac.Label: (tac.Label(".L"), (), (), (), False, None, False, ()),
+    tac.Jump: (tac.Jump(".L"), (), (), (), True, None, False, (".L",)),
+    tac.CJump: (
+        tac.CJump(Y, ".T", ".E"), (Y,), (), (Y,),
+        True, None, False, (".T", ".E"),
+    ),
+    tac.ReadIn: (tac.ReadIn(X), (), (X,), (), False, None, True, ()),
+    tac.ReadArr: (
+        tac.ReadArr("a", ONE), (), (), (ONE,), False, tac.STORE, True, (),
+    ),
+    tac.WriteOut: (tac.WriteOut(ONE), (), (), (ONE,), False, None, True, ()),
+    tac.Transfer: (
+        tac.Transfer(tac.Value(3), 0, 2), (), (), (), False, None, False, (),
+    ),
+    tac.Halt: (tac.Halt(), (), (), (), True, None, False, ()),
+}
+
+
+#: ``dataclass(slots=True)`` replaces each class with a new one, and the
+#: replaced class stays in ``__subclasses__()`` until it is collected.
+INSTR_CLASSES = [
+    cls
+    for cls in tac.TacInstr.__subclasses__()
+    if getattr(tac, cls.__name__, None) is cls
+]
+
+
+@pytest.mark.parametrize("cls", INSTR_CLASSES, ids=lambda cls: cls.__name__)
+def test_slot_table(cls):
+    instr, uses, defs, operands, terminator, access, io, targets = (
+        SLOT_TABLE[cls]
+    )
+    assert type(instr) is cls
+    assert instr.uses() == uses
+    assert instr.defs() == defs
+    assert instr.operands() == operands
+    assert instr.is_terminator is terminator
+    assert instr.ARRAY_ACCESS == access
+    assert instr.IO is io
+    assert instr.targets() == targets
+    fields = {f.name for f in dataclasses.fields(cls)}
+    assert set(cls.USES + cls.DEFS + cls.TARGETS) <= fields
