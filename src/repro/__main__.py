@@ -29,6 +29,9 @@ import sys
 from contextlib import suppress
 from pathlib import Path
 
+from .frontends.errors import FrontendError
+from .ir.interp import ArrayIndexError, ExecutionLimitExceeded, InputExhausted
+from .lang.errors import LangError
 from .liw.machine import MachineConfig
 from .passes.artifacts import PipelineOptions, compiled_program
 from .passes.events import CollectingTracer
@@ -438,9 +441,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Faults of the program being compiled or run, not of the compiler:
+#: ``compile``/``run``/``bench`` report them as one ``error:`` line and
+#: exit 1.  Any other exception still ends in a traceback.
+PROGRAM_ERRORS = (
+    LangError,
+    FrontendError,
+    InputExhausted,
+    ExecutionLimitExceeded,
+    ArrayIndexError,
+)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    if args.fn not in (cmd_compile, cmd_run, cmd_bench):
+        return args.fn(args)
+    try:
+        return args.fn(args)
+    except PROGRAM_ERRORS as exc:
+        print(f"repro {args.command}: error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -43,6 +43,7 @@ from ..liw.reorder import (
     verify_schedule,
 )
 from ..memsim.interleave import LayoutSpec, PlannedLayout
+from ..memsim.simulator import ScalarLoadMemo
 from .arrayaccess import (
     AccessProfile,
     AffineExpr,
@@ -282,8 +283,12 @@ class _CostModel:
         self.k = k
         self.seed = seed
         self.eager_copies = eager_copies
-        self._vec_cache: dict[
-            tuple[frozenset[int], frozenset[int]], tuple[int, ...]
+        self.scalar_vec = ScalarLoadMemo(alloc, k, eager_copies)
+        #: canonical (vec, exact, groups) -> exact expected cost; see
+        #: word_cost
+        self._exact_cost: dict[
+            tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]],
+            float,
         ] = {}
         #: (block_pos, cycle) -> last computed cost of that word
         self._word_cost: dict[tuple[int, int], float] = {}
@@ -296,29 +301,28 @@ class _CostModel:
                         (b, lp.cycle)
                     )
 
-    def scalar_vec(self, lp: LiwProfile) -> tuple[int, ...]:
-        from ..memsim.simulator import scalar_load_vector
-
-        key = (lp.scalar_sources, lp.scalar_dests)
-        vec = self._vec_cache.get(key)
-        if vec is None:
-            vec = scalar_load_vector(
-                lp.scalar_sources,
-                lp.scalar_dests,
-                self.alloc,
-                self.k,
-                self.eager_copies,
-            )
-            self._vec_cache[key] = vec
-        return vec
-
     def word_cost(self, block_pos: int, lp: LiwProfile,
                   specs: dict[str, LayoutSpec]) -> float:
         exact, groups = _placements(lp.accesses, specs, self.k)
-        return _liw_cost(
-            self.scalar_vec(lp), exact, groups, self.k,
-            self.seed ^ (block_pos * 7919 + lp.cycle),
+        vec = self.scalar_vec(lp.scalar_sources, lp.scalar_dests)
+        if self.k ** len(groups) > _MAX_COMBOS:
+            # seeded sampling: the word's own seed matters, no memo
+            return _liw_cost(
+                vec, exact, groups, self.k,
+                self.seed ^ (block_pos * 7919 + lp.cycle),
+            )
+        # The exact path sums integer maxima over every shift combination,
+        # so neither the order of the groups nor that of the residues
+        # within one can change it.
+        key = (
+            vec,
+            tuple(sorted(exact)),
+            tuple(sorted(tuple(sorted(group)) for group in groups)),
         )
+        cost = self._exact_cost.get(key)
+        if cost is None:
+            cost = self._exact_cost[key] = _liw_cost(vec, exact, groups, self.k, 0)
+        return cost
 
     def total(self, specs: dict[str, LayoutSpec]) -> float:
         cost = 0.0

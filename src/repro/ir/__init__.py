@@ -5,6 +5,7 @@ from .builder import compile_to_tac, lower_ast
 from .cfg import BasicBlock, Cfg, build_cfg
 from .dataflow import Liveness, ReachingDefs, compute_liveness, compute_reaching
 from .interp import (
+    ArrayIndexError,
     ExecutionLimitExceeded,
     InputExhausted,
     InterpResult,
@@ -33,6 +34,7 @@ __all__ = [
     "ReachingDefs",
     "compute_liveness",
     "compute_reaching",
+    "ArrayIndexError",
     "ExecutionLimitExceeded",
     "InputExhausted",
     "InterpResult",

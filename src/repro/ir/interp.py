@@ -31,6 +31,18 @@ class ExecutionLimitExceeded(RuntimeError):
     """The step budget was exhausted (probable infinite loop)."""
 
 
+class ArrayIndexError(IndexError):
+    """An array access fell outside the array's bounds.
+
+    Raised with the same message by this interpreter and by the LIW
+    executor (:mod:`repro.liw.executor`).
+    """
+
+    @classmethod
+    def out_of_range(cls, array: str, index: int, size: int) -> "ArrayIndexError":
+        return cls(f"array {array!r} index {index} out of range [0, {size})")
+
+
 def _idiv(a: int, b: int) -> int:
     return math.trunc(a / b) if b != 0 else _div_by_zero()
 
@@ -130,9 +142,7 @@ class TacInterpreter:
         arr = self._arrays[name]
         i = int(index)
         if not 0 <= i < len(arr):
-            raise IndexError(
-                f"array {name!r} index {i} out of range [0, {len(arr)})"
-            )
+            raise ArrayIndexError.out_of_range(name, i, len(arr))
         return arr, i
 
     def _read_input(self) -> object:

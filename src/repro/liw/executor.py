@@ -10,17 +10,43 @@ long instruction, the *dynamic access event*: the scalar source values,
 the concrete array elements touched, and the scalar destinations.  The
 memory simulator (:mod:`repro.memsim`) turns those events into module
 conflicts and transfer times under a given storage allocation.
+
+**Decoded once, run many times.**  Everything about a long instruction
+except its array indices is static.  The first time control enters a
+basic block, the executor decodes each of the block's words into:
+
+- one fetch closure per operation, in op order, built from the TAC
+  interpreter's evaluation tables with the op's operands bound into it
+  (a binary op becomes ``fn(get(a, 0), get(b, 0))`` over the value
+  store);
+- where each fetched result goes: a scalar, an array element or the
+  program output;
+- its branch: a static ``Jump`` target, or a ``CJump``'s condition
+  reader and its two targets; and whether it halts;
+- the static part of its access event: the scalar source and
+  destination sets and the scheduled transfers (read off the TAC slot
+  tables once).  A word that touches no array emits one prebuilt event
+  on every execution.
+
+Per execution only the closures run (inputs consumed and array indices
+resolved in op order), the branch condition is read, the results are
+committed, and the event is emitted.  Blocks are decoded lazily because
+most words of a large unrolled program run about once; decoding them
+all up front costs more than it saves.  Nothing is cached on
+:class:`~repro.liw.schedule.LiwInstruction` itself: compiler stages edit
+its ``ops`` in place, so a decode belongs to one executor run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol
+from typing import Callable, NamedTuple, Protocol
 
 from ..ir import tac
 from ..ir.interp import (
     _BINARY_EVAL,
     _UNARY_EVAL,
+    ArrayIndexError,
     ExecutionLimitExceeded,
     InputExhausted,
 )
@@ -63,6 +89,102 @@ class ExecResult:
     scalars: dict[int, object] = field(default_factory=dict)
 
 
+Fetch = Callable[[], object]
+
+
+#: Where a fetched result goes when it is not a scalar's new value
+#: (those sinks are the value id): an array element, from an
+#: ``(elements, index, value)`` triple, or the program output.
+_ARRAY = "array"
+_OUTPUT = "output"
+
+#: One shared empty value set (most branch and store words write none).
+_NONE: frozenset[int] = frozenset()
+
+
+class _Word(NamedTuple):
+    """One decoded long instruction (see the module docstring)."""
+
+    #: one closure per data operation, in op order
+    fetch: tuple[Fetch, ...]
+    #: per fetch: the value id it writes, or _ARRAY / _OUTPUT
+    sinks: tuple[int | str, ...]
+    #: every sink is a value id
+    scalar_only: bool
+    jump: str | None
+    cond: Fetch | None
+    then_target: str | None
+    else_target: str | None
+    halt: bool
+    #: the whole event when the word touches no array, else None
+    event: AccessEvent | None
+    sources: frozenset[int]
+    dests: frozenset[int]
+    transfers: tuple[tuple[int, int, int], ...]
+
+
+@dataclass(slots=True)
+class _Block:
+    block_index: int
+    words: list[_Word]
+    #: executions of each word, by position
+    counts: list[int]
+
+
+class _ArrayPort:
+    """One array's elements plus the touches that resolving an index
+    records (one port per array and access kind per executor run)."""
+
+    __slots__ = ("name", "elements", "is_store", "record", "_touches")
+
+    def __init__(
+        self, name: str, elements: list[object], is_store: bool,
+        record: Callable[[ArrayTouch], None],
+    ):
+        self.name = name
+        self.elements = elements
+        self.is_store = is_store
+        self.record = record
+        #: index -> the ArrayTouch, built once (events share them)
+        self._touches: dict[int, ArrayTouch] = {}
+
+    def resolve(self, index: object) -> int:
+        """Range-check an index and record the touch."""
+        i = int(index)  # type: ignore[call-overload]
+        size = len(self.elements)
+        if not 0 <= i < size:
+            raise ArrayIndexError.out_of_range(self.name, i, size)
+        touch = self._touches.get(i)
+        if touch is None:
+            touch = self._touches[i] = ArrayTouch(self.name, i, self.is_store)
+        self.record(touch)
+        return i
+
+
+def _input_reader(inputs: list[object]) -> Fetch:
+    """Consumes the program inputs in order."""
+    it = iter(inputs)
+
+    def read() -> object:
+        try:
+            return next(it)
+        except StopIteration:
+            raise InputExhausted("LIW program read past end of input") from None
+
+    return read
+
+
+def _operand(op: tac.Operand) -> tuple[int | None, object]:
+    """``(key, default)`` such that ``values.get(key, default)`` reads the
+    operand: a value's id with 0 for an uninitialised scalar, or, for a
+    constant, a key no value has (None) with the constant as default."""
+    if isinstance(op, tac.Value):
+        return op.id, 0
+    if isinstance(op, tac.Const):
+        return None, op.value
+    raise TypeError(f"executor needs renamed TAC, got {op!r}")
+
+
 class LiwExecutor:
     def __init__(
         self,
@@ -73,8 +195,7 @@ class LiwExecutor:
         initial_values: dict[int, object] | None = None,
     ):
         self._schedule = schedule
-        self._inputs = list(inputs or [])
-        self._input_pos = 0
+        self._read_input = _input_reader(list(inputs or []))
         self._max_cycles = max_cycles
         self._observers = list(observers or [])
         # Memory-resident constants are initialised data (see
@@ -86,143 +207,208 @@ class LiwExecutor:
         }
         self._by_label = {bs.label: bs for bs in schedule.blocks}
         self._by_index = {bs.block_index: bs for bs in schedule.blocks}
+        #: decoded blocks by label, in first-entry order
+        self._decoded: dict[str, _Block] = {}
+        #: array touches of the word being executed (filled by its fetches)
+        self._touches: list[ArrayTouch] = []
+        self._ports: dict[tuple[str, bool], _ArrayPort] = {}
         self.outputs: list[object] = []
         self.cycles = 0
         #: executions of each static long instruction, keyed by
         #: (block_index, position) — the profile that frequency-guided
-        #: assignment consumes
+        #: assignment consumes; filled in when :meth:`run` returns or
+        #: raises
         self.liw_counts: dict[tuple[int, int], int] = {}
 
-    # -- operand helpers --------------------------------------------------
 
-    def _value(self, op: tac.Operand) -> object:
-        if isinstance(op, tac.Const):
-            return op.value
-        if isinstance(op, tac.Value):
-            return self._values.get(op.id, 0)
-        raise TypeError(f"executor needs renamed TAC, got {op!r}")
+    # -- decoding -----------------------------------------------------------
+    #
+    # Every closure binds what it reads as default arguments, per op (a
+    # loop variable captured by reference would read the last op's), and
+    # none refers back to the executor, so a run's decode is freed with it.
 
-    def _read_input(self) -> object:
-        if self._input_pos >= len(self._inputs):
-            raise InputExhausted("LIW program read past end of input")
-        v = self._inputs[self._input_pos]
-        self._input_pos += 1
-        return v
+    def _port(self, name: str, is_store: bool) -> _ArrayPort:
+        port = self._ports.get((name, is_store))
+        if port is None:
+            port = self._ports[(name, is_store)] = _ArrayPort(
+                name, self._arrays[name], is_store, self._touches.append
+            )
+        return port
 
-    def _array_index(self, name: str, index: object) -> int:
-        arr = self._arrays[name]
-        i = int(index)
-        if not 0 <= i < len(arr):
-            raise IndexError(f"array {name!r} index {i} out of range")
-        return i
+    def _reader(self) -> Callable[[int | None, object], object]:
+        """``values.get``, typed for the operand keys of :func:`_operand`."""
+        return self._values.get  # type: ignore[return-value]
 
-    # -- one long instruction ---------------------------------------------
+    def _fetch(self, instr: tac.TacInstr) -> tuple[Fetch, int | str]:
+        """An operation's fetch closure and its sink (see :class:`_Word`)."""
+        get = self._reader()
+        if isinstance(instr, tac.Binary):
+            (a, da), (b, db) = _operand(instr.a), _operand(instr.b)
+            return (
+                lambda fn=_BINARY_EVAL[instr.op], get=get, a=a, da=da, b=b, db=db:
+                    fn(get(a, da), get(b, db))
+            ), instr.dest.id  # type: ignore[union-attr]
+        if isinstance(instr, tac.Unary):
+            a, da = _operand(instr.a)
+            return (
+                lambda fn=_UNARY_EVAL[instr.op], get=get, a=a, da=da:
+                    fn(get(a, da))
+            ), instr.dest.id  # type: ignore[union-attr]
+        if isinstance(instr, tac.Load):
+            port = self._port(instr.array, False)
+            i, di = _operand(instr.index)
+            return (
+                lambda get=get, i=i, di=di, port=port, elements=port.elements:
+                    elements[port.resolve(get(i, di))]
+            ), instr.dest.id  # type: ignore[union-attr]
+        if isinstance(instr, tac.Store):
+            port = self._port(instr.array, True)
+            (i, di), (s, ds) = _operand(instr.index), _operand(instr.src)
+            return (
+                lambda get=get, i=i, di=di, s=s, ds=ds, port=port:
+                    (port.elements, port.resolve(get(i, di)), get(s, ds))
+            ), _ARRAY
+        if isinstance(instr, tac.ReadIn):
+            return self._read_input, instr.dest.id  # type: ignore[union-attr]
+        if isinstance(instr, tac.ReadArr):
+            port = self._port(instr.array, True)
+            i, di = _operand(instr.index)
+            return (
+                lambda get=get, i=i, di=di, port=port, read=self._read_input:
+                    (port.elements, port.resolve(get(i, di)), read())
+            ), _ARRAY
+        if isinstance(instr, tac.WriteOut):
+            s, ds = _operand(instr.src)
+            return (lambda get=get, s=s, ds=ds: get(s, ds)), _OUTPUT
+        raise TypeError(f"cannot execute {instr!r}")  # pragma: no cover
 
-    def _execute_liw(
-        self, liw: LiwInstruction
-    ) -> tuple[str | None, bool, AccessEvent]:
-        """Returns (branch_target_label, halted, access event)."""
-        writes_scalar: list[tuple[int, object]] = []
-        writes_array: list[tuple[str, int, object]] = []
-        out_values: list[object] = []
-        touches: list[ArrayTouch] = []
-        target: str | None = None
-        halted = False
-
+    def _decode_word(self, liw: LiwInstruction) -> _Word:
+        fetch: list[Fetch] = []
+        sinks: list[int | str] = []
+        copies: list[tuple[int, int, int]] = []
+        jump = then_target = else_target = None
+        cond: Fetch | None = None
+        halt = touches_array = False
         for instr in liw.all_ops():
-            if isinstance(instr, tac.Binary):
-                a = self._value(instr.a)
-                b = self._value(instr.b)
-                writes_scalar.append(
-                    (instr.dest.id, _BINARY_EVAL[instr.op](a, b))  # type: ignore[union-attr]
-                )
-            elif isinstance(instr, tac.Unary):
-                writes_scalar.append(
-                    (instr.dest.id, _UNARY_EVAL[instr.op](self._value(instr.a)))  # type: ignore[union-attr]
-                )
-            elif isinstance(instr, tac.Load):
-                i = self._array_index(instr.array, self._value(instr.index))
-                touches.append(ArrayTouch(instr.array, i, False))
-                writes_scalar.append((instr.dest.id, self._arrays[instr.array][i]))  # type: ignore[union-attr]
-            elif isinstance(instr, tac.Store):
-                i = self._array_index(instr.array, self._value(instr.index))
-                touches.append(ArrayTouch(instr.array, i, True))
-                writes_array.append((instr.array, i, self._value(instr.src)))
-            elif isinstance(instr, tac.ReadIn):
-                writes_scalar.append((instr.dest.id, self._read_input()))  # type: ignore[union-attr]
-            elif isinstance(instr, tac.ReadArr):
-                i = self._array_index(instr.array, self._value(instr.index))
-                touches.append(ArrayTouch(instr.array, i, True))
-                writes_array.append((instr.array, i, self._read_input()))
-            elif isinstance(instr, tac.WriteOut):
-                out_values.append(self._value(instr.src))
-            elif isinstance(instr, tac.Jump):
-                target = instr.target
+            if isinstance(instr, tac.Jump):
+                jump = instr.target
             elif isinstance(instr, tac.CJump):
-                taken = bool(self._value(instr.cond))
-                target = instr.then_target if taken else instr.else_target
+                c, dc = _operand(instr.cond)
+                cond = lambda get=self._reader(), c=c, dc=dc: get(c, dc)  # noqa: E731
+                then_target, else_target = instr.then_target, instr.else_target
+            elif isinstance(instr, tac.Halt):
+                halt = True
             elif isinstance(instr, tac.Transfer):
                 # The executor's state is per data value; a transfer only
                 # moves a copy between modules — timing is the
                 # simulator's concern.
-                pass
-            elif isinstance(instr, tac.Halt):
-                halted = True
-            else:  # pragma: no cover
-                raise TypeError(f"cannot execute {instr!r}")
-
-        # write-back phase
-        for vid, val in writes_scalar:
-            self._values[vid] = val
-        for name, i, val in writes_array:
-            self._arrays[name][i] = val
-        self.outputs.extend(out_values)
-
-        event = AccessEvent(
-            frozenset(liw.scalar_sources()),
-            tuple(touches),
-            frozenset(liw.scalar_dests()),
-            tuple(
-                (t.value.id, t.src_module, t.dst_module)  # type: ignore[union-attr]
-                for t in liw.transfers()
-            ),
+                copies.append(
+                    (instr.value.id, instr.src_module, instr.dst_module)  # type: ignore[union-attr]
+                )
+            else:
+                closure, sink = self._fetch(instr)
+                fetch.append(closure)
+                sinks.append(sink)
+                touches_array = touches_array or instr.ARRAY_ACCESS is not None
+        sources = frozenset(liw.scalar_sources()) or _NONE
+        dests = frozenset(liw.scalar_dests()) or _NONE
+        transfers = tuple(copies)
+        return _Word(
+            tuple(fetch),
+            tuple(sinks),
+            _ARRAY not in sinks and _OUTPUT not in sinks,
+            jump,
+            cond,
+            then_target,
+            else_target,
+            halt,
+            None if touches_array else AccessEvent(sources, (), dests, transfers),
+            sources,
+            dests,
+            transfers,
         )
-        return target, halted, event
+
+    def _block(self, label: str) -> _Block:
+        block = self._decoded.get(label)
+        if block is None:
+            bs = self._by_label[label]
+            words = [self._decode_word(liw) for liw in bs.liws]
+            block = self._decoded[label] = _Block(
+                bs.block_index, words, [0] * len(words)
+            )
+        return block
 
     # -- main loop ----------------------------------------------------------
 
     def run(self) -> ExecResult:
-        sched = self._schedule
-        if not sched.blocks:
+        if not self._schedule.blocks:
             return ExecResult([], 0)
-        current = self._by_index[0]
-        while True:
-            next_label: str | None = None
-            halted = False
-            for pos, liw in enumerate(current.liws):
-                if self.cycles >= self._max_cycles:
-                    raise ExecutionLimitExceeded(
-                        f"exceeded {self._max_cycles} cycles"
+        values = self._values
+        update_values = values.update
+        outputs = self.outputs
+        observers = self._observers
+        touches = self._touches
+        limit = self._max_cycles
+        cycles = self.cycles
+        block = self._block(self._by_index[0].label)
+        try:
+            while True:
+                counts = block.counts
+                for pos, word in enumerate(block.words):
+                    if cycles >= limit:
+                        raise ExecutionLimitExceeded(f"exceeded {limit} cycles")
+                    cycles += 1
+                    counts[pos] += 1
+                    event = word.event
+                    if event is None:
+                        touches.clear()
+                    # operand fetch: every read sees the state before
+                    # this word's write-back
+                    fetched = [f() for f in word.fetch]
+                    target = word.jump
+                    if word.cond is not None:
+                        target = (
+                            word.then_target if word.cond() else word.else_target
+                        )
+                    # write-back; scalar, array and output writes touch
+                    # disjoint state, so one pass in op order is exact
+                    if word.scalar_only:
+                        update_values(zip(word.sinks, fetched))
+                    else:
+                        for sink, val in zip(word.sinks, fetched):
+                            if sink is _ARRAY:
+                                elements, i, val = val  # type: ignore[misc]
+                                elements[i] = val
+                            elif sink is _OUTPUT:
+                                outputs.append(val)
+                            else:
+                                values[sink] = val
+                    if observers:
+                        if event is None:
+                            event = AccessEvent(
+                                word.sources, tuple(touches), word.dests,
+                                word.transfers,
+                            )
+                        for obs in observers:
+                            obs(event)
+                    if word.halt:
+                        return ExecResult(outputs, cycles, dict(values))
+                    if target is not None:
+                        break  # the branch is the last op of the block
+                else:
+                    bs = self._by_index[block.block_index]
+                    raise RuntimeError(
+                        f"block {bs.label!r} ended without a branch"
                     )
-                self.cycles += 1
-                key = (current.block_index, pos)
-                self.liw_counts[key] = self.liw_counts.get(key, 0) + 1
-                target, stop, event = self._execute_liw(liw)
-                for obs in self._observers:
-                    obs(event)
-                if stop:
-                    halted = True
-                    break
-                if target is not None:
-                    next_label = target
-                    break  # the branch is the last op of the block
-            if halted:
-                return ExecResult(self.outputs, self.cycles, dict(self._values))
-            if next_label is None:
-                raise RuntimeError(
-                    f"block {current.label!r} ended without a branch"
-                )
-            current = self._by_label[next_label]
+                block = self._block(target)
+        finally:
+            self.cycles = cycles
+            self.liw_counts = {
+                (decoded.block_index, pos): count
+                for decoded in self._decoded.values()
+                for pos, count in enumerate(decoded.counts)
+                if count
+            }
 
 
 def run_schedule(

@@ -24,6 +24,7 @@ from .interleave import (
 from .simulator import (
     MemoryReport,
     MemorySimulator,
+    ScalarLoadMemo,
     instruction_distribution,
     scalar_load_vector,
 )
@@ -47,6 +48,7 @@ __all__ = [
     "validate_layout_name",
     "MemoryReport",
     "MemorySimulator",
+    "ScalarLoadMemo",
     "instruction_distribution",
     "scalar_load_vector",
 ]

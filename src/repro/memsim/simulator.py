@@ -24,11 +24,24 @@ Four aggregate times are reported:
 
 The simulator is an executor observer: attach it to
 :class:`repro.liw.LiwExecutor` and read :meth:`report` afterwards.
+
+**Static terms, computed once per word.**  Everything but t_actual
+depends only on a word's static operands and the allocation: its scalar
+load vector (transfers folded in), its scalar access count, whether the
+scalars alone conflict, and its t_min, t_ave and k t_max terms.  The
+simulator memoizes that whole contribution, keyed on the static part of
+the event (source and destination sets, transfers, number of array
+touches); the load vector itself comes from :class:`ScalarLoadMemo`,
+which the array-layout optimizer shares.  Per execution only the array
+touches are mapped to modules (``layout.module``) for t_actual, and the
+memoized terms are added in execution order, so every float sum is
+bitwise the one the per-event formulation gives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from ..core.allocation import Allocation
 from ..core.verify import find_sdr
@@ -135,6 +148,42 @@ class MemoryReport:
         return self.t_actual - self.delta * self.transfer_instructions
 
 
+class ScalarLoadMemo:
+    """:func:`scalar_load_vector` memoized on ``(sources, dests)`` for
+    one allocation, k and write policy — shared by the simulator and
+    the array-layout cost model."""
+
+    __slots__ = ("_alloc", "_k", "_eager_copies", "_vecs")
+
+    def __init__(self, alloc: Allocation, k: int, eager_copies: bool = True):
+        self._alloc = alloc
+        self._k = k
+        self._eager_copies = eager_copies
+        self._vecs: dict[
+            tuple[frozenset[int], frozenset[int]], tuple[int, ...]
+        ] = {}
+
+    def __call__(
+        self, sources: frozenset[int], dests: frozenset[int]
+    ) -> tuple[int, ...]:
+        key = (sources, dests)
+        vec = self._vecs.get(key)
+        if vec is None:
+            vec = self._vecs[key] = scalar_load_vector(
+                sources, dests, self._alloc, self._k, self._eager_copies
+            )
+        return vec
+
+
+#: Static part of an event: (sources, dests, transfers, array touches).
+_StaticKey = tuple[
+    frozenset[int], frozenset[int], tuple[tuple[int, int, int], ...], int
+]
+#: A word's Δ-model contribution: (scalar load vector, scalar accesses,
+#: max scalar load, t_min term, t_ave term, t_max term per module).
+_Terms = tuple[tuple[int, ...], int, int, float, float, tuple[float, ...]]
+
+
 class MemorySimulator:
     """Observer accumulating the Δ-model statistics of one execution."""
 
@@ -146,15 +195,13 @@ class MemorySimulator:
         delta: float = 1.0,
         eager_copies: bool = True,
     ):
-        self._alloc = alloc
         self._layout = layout
         self._k = k
         self._delta = delta
-        self._eager_copies = eager_copies
+        self._scalar_loads = ScalarLoadMemo(alloc, k, eager_copies)
+        #: None for a word without memory accesses
+        self._terms: dict[_StaticKey, _Terms | None] = {}
 
-        self._vec_cache: dict[
-            tuple[frozenset[int], frozenset[int]], tuple[int, ...]
-        ] = {}
         self.instructions = 0
         self.transfer_instructions = 0
         self.scalar_accesses = 0
@@ -166,52 +213,66 @@ class MemorySimulator:
         self.scalar_conflicts = 0
         self.actual_conflicts = 0
 
+    def _static_terms(self, key: _StaticKey) -> _Terms | None:
+        sources, dests, transfers, n_arr = key
+        vec = self._scalar_loads(sources, dests)
+        if transfers:
+            # a transfer reads the source module and writes the destination
+            mutable = list(vec)
+            for _, src, dst in transfers:
+                mutable[src] += 1
+                mutable[dst] += 1
+            vec = tuple(mutable)
+        n_scalar = sum(vec)
+        if n_arr == 0 and n_scalar == 0:
+            return None
+        scalar_max = max(vec)
+        delta = self._delta
+        return (
+            vec,
+            n_scalar,
+            scalar_max,
+            delta * min_possible_max_load(vec, n_arr),
+            delta * expected_max_load(vec, n_arr),
+            # t_max: all arrays stacked in module m, for every candidate m
+            tuple([delta * max(scalar_max, v + n_arr) for v in vec]),
+        )
+
     # -- observer protocol ----------------------------------------------
 
     def __call__(self, event: AccessEvent) -> None:
         self.instructions += 1
-        key = (event.scalar_sources, event.scalar_dests)
-        vec = self._vec_cache.get(key)
-        if vec is None:
-            vec = scalar_load_vector(
-                event.scalar_sources,
-                event.scalar_dests,
-                self._alloc,
-                self._k,
-                self._eager_copies,
-            )
-            self._vec_cache[key] = vec
-        if event.transfers:
-            # a transfer reads the source module and writes the destination
-            mutable = list(vec)
-            for _, src, dst in event.transfers:
-                mutable[src] += 1
-                mutable[dst] += 1
-            vec = tuple(mutable)
-        n_arr = len(event.array_touches)
-        n_scalar = sum(vec)
-        if n_arr == 0 and n_scalar == 0:
+        touches = event.array_touches
+        key = (
+            event.scalar_sources, event.scalar_dests, event.transfers,
+            len(touches),
+        )
+        try:
+            terms = self._terms[key]
+        except KeyError:
+            terms = self._terms[key] = self._static_terms(key)
+        if terms is None:
             return
+        vec, n_scalar, scalar_max, t_min, t_ave, t_max = terms
 
         self.transfer_instructions += 1
         self.scalar_accesses += n_scalar
-        self.array_accesses += n_arr
-        scalar_max = max(vec)
+        self.array_accesses += len(touches)
         if scalar_max > 1:
             self.scalar_conflicts += 1
+        self.t_min += t_min
+        self.t_ave += t_ave
+        self._t_max_per_module = list(map(add, self._t_max_per_module, t_max))
 
-        delta = self._delta
-        self.t_min += delta * min_possible_max_load(vec, n_arr)
-        self.t_ave += delta * expected_max_load(vec, n_arr)
-        # t_max: all arrays stacked in module m, for every candidate m.
-        for m in range(self._k):
-            self._t_max_per_module[m] += delta * max(scalar_max, vec[m] + n_arr)
-
-        actual = list(vec)
-        for touch in event.array_touches:
-            actual[self._layout.module(touch.array, touch.index)] += 1
-        actual_max = max(actual)
-        self.t_actual += delta * actual_max
+        if touches:
+            actual = list(vec)
+            module = self._layout.module
+            for touch in touches:
+                actual[module(touch.array, touch.index)] += 1
+            actual_max = max(actual)
+        else:
+            actual_max = scalar_max
+        self.t_actual += self._delta * actual_max
         if actual_max > 1:
             self.actual_conflicts += 1
 

@@ -170,6 +170,43 @@ def test_bad_names_and_paths_exit_2_with_one_error_line(
 
 
 @pytest.mark.parametrize(
+    "command,source,fragment",
+    [
+        ("compile", "program p; var x: int begin write(1) end.",
+         "repro compile: error: expected ';', found 'begin' at 1:23"),
+        ("run", "program p; var x: int begin write(1) end.",
+         "repro run: error: expected ';', found 'begin' at 1:23"),
+        ("run", "program p; var x: int; begin read(x); write(x) end.",
+         "repro run: error: LIW program read past end of input"),
+        ("run",
+         "program p; var i: int; a: array[4] of int;"
+         " begin i := 9; a[i] := 1; write(a[i]) end.",
+         "repro run: error: array 'a' index 9 out of range [0, 4)"),
+    ],
+)
+def test_bad_programs_exit_1_with_one_error_line(
+    command, source, fragment, tmp_path, capsys
+):
+    path = tmp_path / "bad.p"
+    path.write_text(source)
+    assert main([command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().splitlines() == [fragment]
+
+
+def test_compiler_faults_still_raise(program_file, monkeypatch):
+    import repro.__main__ as cli
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("compiler bug")
+
+    monkeypatch.setattr(cli, "run_pipeline", broken)
+    with pytest.raises(RuntimeError, match="compiler bug"):
+        main(["run", program_file])
+
+
+@pytest.mark.parametrize(
     "argv,fragment",
     [
         (["batch", "--workers", "0"],
