@@ -9,10 +9,11 @@ reference implementations in :mod:`repro.core.reference`, on
   with repeated rows, the regime the masks/memoisation target),
 
 verifying on every run that both stacks produce byte-identical
-allocations, and emits ``BENCH_alloc.json``.  With ``--check`` the
-script exits non-zero if the live kernels are more than ``--threshold``
-(default 1.2x) slower than the reference on any registry program — the
-CI perf-regression gate.
+allocations, copy histories and stats (residual list, copies created),
+and emits ``BENCH_alloc.json``.  With ``--check`` the script exits
+non-zero if the live kernels are more than ``--threshold`` (default
+1.2x) slower than the reference on any registry program — the CI
+perf-regression gate.
 
 Usage::
 
@@ -78,6 +79,18 @@ def _pair(new_fn, ref_fn, repeat: int) -> dict[str, float]:
     }
 
 
+def _check_identical(live, ref, what: str) -> None:
+    """Exit unless both stacks produced the same allocation, the same
+    copy history and the same stats (residual list, copies created)."""
+    for part, got, want in (
+        ("allocation", live.allocation.as_dict(), ref.allocation.as_dict()),
+        ("history", live.allocation.history, ref.allocation.history),
+        ("stats", live.stats, ref.stats),
+    ):
+        if got != want:
+            raise SystemExit(f"{part} mismatch: {what}")
+
+
 # --------------------------------------------------------------------------
 # Registry programs: the full allocation phase on real schedules
 # --------------------------------------------------------------------------
@@ -115,10 +128,7 @@ def bench_registry(repeat: int) -> dict[str, dict]:
             ref = reference_assign_modules(
                 operand_sets, k, method=method, duplicable=duplicable
             )
-            if live.allocation.as_dict() != ref.allocation.as_dict():
-                raise SystemExit(
-                    f"allocation mismatch: {spec.name} {method}"
-                )
+            _check_identical(live, ref, f"{spec.name} {method}")
             entry[method] = _pair(
                 lambda: assign_modules(
                     operand_sets, k, method=method, duplicable=duplicable
@@ -222,8 +232,7 @@ def bench_stress(repeat: int) -> dict[str, dict]:
             ref = reference_assign_modules(
                 sets, k, method=method, duplicable=duplicable
             )
-            if live.allocation.as_dict() != ref.allocation.as_dict():
-                raise SystemExit(f"allocation mismatch: {name} {method}")
+            _check_identical(live, ref, f"{name} {method}")
             alloc_phase[method] = _pair(
                 lambda: assign_modules(
                     sets, k, method=method, duplicable=duplicable

@@ -33,12 +33,9 @@ from .strategies import (
     stor_region,
 )
 from .verify import (
-    combination_conflict_free,
     conflicting_instructions,
     find_sdr,
     instruction_conflict_free,
-    instruction_fetch_load,
-    min_max_load,
     sdr_exists,
     verify_allocation,
 )
@@ -84,12 +81,9 @@ __all__ = [
     "stor3",
     "stor_region",
     "RUNNERS",
-    "combination_conflict_free",
     "conflicting_instructions",
     "find_sdr",
     "instruction_conflict_free",
-    "instruction_fetch_load",
-    "min_max_load",
     "sdr_exists",
     "verify_allocation",
 ]

@@ -26,11 +26,10 @@ from typing import Iterable, Sequence
 
 from .allocation import Allocation
 from .backtrack import backtrack_duplication
-from .bitset import sdr_exists_masks
 from .coloring import ColoringResult, color_graph
 from .conflict_graph import ConflictGraph
 from .duplication import hitting_set_duplication
-from .verify import conflicting_instructions
+from .verify import ConflictIndex, conflicting_instructions
 
 
 @dataclass(slots=True)
@@ -70,39 +69,27 @@ class AssignmentResult:
         return self.allocation.multi_copy_values()
 
 
-def _place_pinned(
-    value: int,
-    alloc: Allocation,
-    operand_sets: Sequence[frozenset[int]],
-    weights: Sequence[int] | None = None,
-) -> None:
+def _place_pinned(value: int, alloc: Allocation, index: ConflictIndex) -> None:
     """Single-copy placement of a non-duplicable value removed during
     colouring: pick the module leaving the least conflict *weight*
     (execution count when profiled, instruction count otherwise) among
-    the instructions that use the value.
-
-    Each trial module is evaluated on the allocation's occupancy masks
-    with the value's mask augmented in place — no trial-allocation
-    copies."""
-    k = alloc.k
+    the instructions that use the value, each trial module tested as a
+    trial copy on the index."""
+    rows = index.rows
+    # Instructions with unplaced operands impose no constraint yet
+    # (they are re-checked once the allocation is total).
     involved = [
-        (ops, weights[i] if weights is not None else 1)
-        for i, ops in enumerate(operand_sets)
-        if value in ops
+        r
+        for r in index.rows_of.get(value, ())
+        if all(alloc.is_placed(v) for v in rows[r] if v != value)
     ]
-    base = alloc.modules_mask(value)
     best_module, best_conflicts = 0, None
-    for m in range(k):
-        aug = base | (1 << m)
-        bad = 0
-        for ops, w in involved:
-            masks = [
-                aug if v == value else alloc.modules_mask(v) for v in ops
-            ]
-            # Instructions with unplaced operands impose no constraint
-            # yet (they are re-checked once the allocation is total).
-            if all(masks) and not sdr_exists_masks(masks):
-                bad += w
+    for m in range(alloc.k):
+        bad = sum(
+            index.weight[r]
+            for r in involved
+            if not index.conflict_free(rows[r], alloc, value, m)
+        )
         if best_conflicts is None or bad < best_conflicts:
             best_module, best_conflicts = m, bad
     alloc.add_copy(value, best_module)
@@ -166,6 +153,7 @@ def assign_modules(
     else:
         sets = [s for s in raw if s]
     rng = random.Random(seed)
+    index = ConflictIndex(sets, weights)
 
     graph = ConflictGraph.from_operand_sets(sets, weights)
     if duplicable is None:
@@ -211,19 +199,19 @@ def assign_modules(
         # holds its (immovable) single copy; fresh pinned values get the
         # least-conflicting module.
         if not alloc.is_placed(v):
-            _place_pinned(v, alloc, sets, weights)
+            _place_pinned(v, alloc, index)
 
     copies_before = alloc.total_copies
     if method == "hitting_set":
         hitting_set_duplication(
-            sets, alloc, dup_targets, duplicable, rng, tie_break
+            index, alloc, dup_targets, duplicable, rng, tie_break
         )
     elif method == "backtrack":
-        backtrack_duplication(sets, alloc, dup_targets, rng, tie_break)
+        backtrack_duplication(index, alloc, dup_targets, rng, tie_break)
         # Cross-phase conflicts among fixed operands (none in single-phase
         # use) are repaired with the generic combination machinery.
-        if conflicting_instructions(sets, alloc):
-            hitting_set_duplication(sets, alloc, [], duplicable, rng, tie_break)
+        if conflicting_instructions(index, alloc):
+            hitting_set_duplication(index, alloc, [], duplicable, rng, tie_break)
     else:
         raise ValueError(f"unknown method {method!r}")
 
@@ -247,7 +235,7 @@ def assign_modules(
         removed=len(removed),
         pinned=pinned,
         copies_created=alloc.total_copies - copies_before,
-        residual_instructions=conflicting_instructions(sets, alloc),
+        residual_instructions=conflicting_instructions(index, alloc),
         num_edges=graph.num_edges,
         atom_units=coloring.num_atoms if use_atoms else 0,
     )

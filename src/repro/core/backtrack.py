@@ -32,7 +32,7 @@ from typing import Sequence
 
 from .allocation import Allocation
 from .bitset import COUNTERS, iter_bits
-from .verify import sdr_exists
+from .verify import ConflictIndex
 
 _Placements = list[tuple[int, tuple[int, ...]]]
 
@@ -116,9 +116,10 @@ def backtrack_duplication(
     stats = BacktrackStats()
     unassigned_set = set(unassigned)
     k = alloc.k
+    index = ConflictIndex.of(operand_sets)
 
     # Fig. 6: S_i = instructions with i operands in V_unassigned.
-    relevant = [ops for ops in operand_sets if ops & unassigned_set]
+    relevant = [ops for ops in index if ops & unassigned_set]
     relevant.sort(key=lambda ops: (len(ops & unassigned_set), sorted(ops)))
 
     # Memoised enumerations: two instructions with the same per-operand
@@ -160,11 +161,11 @@ def backtrack_duplication(
             # pairwise distinctness is not sufficient; keep only
             # placements for which the whole instruction admits
             # distinct representatives.
-            fixed_sets = [alloc.modules(v) for v in fixed]
+            fixed_masks = [alloc.modules_mask(v) for v in fixed]
             placements = [
                 (c, p)
                 for c, p in placements
-                if sdr_exists(fixed_sets + [{m} for m in p])
+                if index.admits(fixed_masks + [1 << m for m in p])
             ]
         stats.instructions_processed += 1
         stats.placements_enumerated += len(placements)

@@ -92,6 +92,13 @@ class KernelCounters:
     :func:`repro.core.strategies._timed_assign`) and attaches the deltas
     to the stage's Tracer event, so a ``--trace-json`` dump shows how
     much kernel work each STOR stage performed.
+
+    ``instructions_deduped`` counts the rows collapsed into an earlier
+    identical one, once per build of a
+    :class:`~repro.core.verify.ConflictIndex` or a :class:`GraphKernel`
+    (the only places rows are collapsed).  ``sdr_checks`` counts runs
+    of :func:`sdr_exists_masks`; the index runs it once per distinct
+    mask tuple it is asked about.
     """
 
     masks_built: int = 0

@@ -30,10 +30,10 @@ from itertools import combinations
 from typing import Sequence
 
 from .allocation import Allocation
-from .bitset import COUNTERS, sdr_exists_masks
+from .bitset import COUNTERS
 from .hitting_set import paper_hitting_set
 from .placement import place_copies
-from .verify import combination_conflict_free
+from .verify import ConflictIndex
 
 
 @dataclass(slots=True)
@@ -45,7 +45,7 @@ class DuplicationStats:
 
 
 def _conflicting_combos(
-    operand_sets: Sequence[frozenset[int]],
+    index: ConflictIndex,
     size: int,
     alloc: Allocation,
 ) -> list[frozenset[int]]:
@@ -54,32 +54,19 @@ def _conflicting_combos(
 
     A conflict-free instruction cannot contain a conflicting
     sub-combination (removing operands only relaxes the matching), so
-    only still-conflicting instructions are expanded — and identical
-    instructions are expanded once (they contribute identical combos to
-    the result set, so deduplication cannot change it).  Conflict checks
-    run on the allocation's module-occupancy bitmasks.
+    only still-conflicting instructions are expanded — each distinct
+    row once (identical rows contribute identical combos to the result
+    set, so deduplication cannot change it).
     """
-    seen: set[frozenset[int]] = set()
     combos: set[frozenset[int]] = set()
-    for ops in operand_sets:
-        if len(ops) < size:
-            continue
-        if ops in seen:
-            COUNTERS.instructions_deduped += 1
-            continue
-        seen.add(ops)
-        if sdr_exists_masks([alloc.modules_mask(v) for v in ops]):
+    for ops in index.rows:
+        if len(ops) < size or index.conflict_free(ops, alloc):
             continue
         for c in combinations(sorted(ops), size):
             combos.add(frozenset(c))
             COUNTERS.combos_enumerated += 1
     return sorted(
-        (
-            c
-            for c in combos
-            if not sdr_exists_masks([alloc.modules_mask(v) for v in c])
-        ),
-        key=sorted,
+        (c for c in combos if not index.conflict_free(c, alloc)), key=sorted
     )
 
 
@@ -102,7 +89,9 @@ def hitting_set_duplication(
     stats = DuplicationStats()
     k = alloc.k
     unassigned = sorted(set(unassigned))
-    relevant = [ops for ops in operand_sets if len(ops) >= 2]
+    relevant = ConflictIndex.of(operand_sets).restrict(
+        lambda ops: len(ops) >= 2
+    )
 
     def place(values: Sequence[int]) -> None:
         before = alloc.total_copies
@@ -170,14 +159,14 @@ def hitting_set_duplication(
                 hopeless.update(
                     c
                     for c in conflicting
-                    if not combination_conflict_free(c, alloc)
+                    if not relevant.conflict_free(c, alloc)
                 )
                 break
         stats.rounds_per_size[size] = rounds
         stats.residual_combos.extend(
             c
             for c in sorted(hopeless, key=sorted)
-            if not combination_conflict_free(c, alloc)
+            if not relevant.conflict_free(c, alloc)
         )
 
     return stats

@@ -16,11 +16,11 @@ instructions becomes conflict free:
   random choice (the paper: "a random choice is made") or the lowest
   module index, per ``tie_break``.
 
-Identical instructions are collapsed to one row with a multiplicity
-weight before scoring — a duplicated instruction is conflicting, fixed,
-and counted exactly like its twin, so weighted sums over distinct rows
-equal plain sums over all rows — and the SDR checks run directly on the
-allocation's module-occupancy bitmasks.
+Identical instructions are scored once, weighted by their multiplicity
+— a duplicated instruction is conflicting, fixed, and counted exactly
+like its twin, so weighted sums over distinct rows equal plain sums over
+all rows.  Rows, the rows reading each value, and every conflict check
+come from one :class:`~repro.core.verify.ConflictIndex`.
 """
 
 from __future__ import annotations
@@ -29,9 +29,8 @@ import random
 from typing import Iterable, Sequence
 
 from .allocation import Allocation
-from .bitset import COUNTERS, iter_bits, sdr_exists_masks
-
-_Weighted = list[tuple[frozenset[int], int]]
+from .bitset import iter_bits
+from .verify import ConflictIndex
 
 
 def group_instructions(
@@ -46,53 +45,6 @@ def group_instructions(
         if 1 <= y <= k:
             groups[y].append(ops)
     return groups
-
-
-def _group_weighted(
-    operand_sets: Sequence[frozenset[int]],
-    duplicable: set[int],
-    k: int,
-) -> dict[int, _Weighted]:
-    """Like :func:`group_instructions`, with identical rows collapsed to
-    one ``(operands, multiplicity)`` entry (first-occurrence order)."""
-    weight: dict[frozenset[int], int] = {}
-    for ops in operand_sets:
-        y = len(ops & duplicable)
-        if not 1 <= y <= k:
-            continue
-        if ops in weight:
-            weight[ops] += 1
-            COUNTERS.instructions_deduped += 1
-        else:
-            weight[ops] = 1
-    groups: dict[int, _Weighted] = {y: [] for y in range(1, k + 1)}
-    for ops, w in weight.items():
-        groups[len(ops & duplicable)].append((ops, w))
-    return groups
-
-
-def _fix_score(
-    value: int,
-    module: int,
-    conflicting: Iterable[tuple[frozenset[int], int]],
-    alloc: Allocation,
-) -> int:
-    """How many of the given (weighted) conflicting instructions become
-    conflict free if a copy of ``value`` is placed in ``module``."""
-    base = alloc.modules_mask(value)
-    if (base >> module) & 1:
-        return 0
-    augmented = base | (1 << module)
-    fixed = 0
-    for ops, w in conflicting:
-        if value not in ops:
-            continue
-        masks = [
-            augmented if v == value else alloc.modules_mask(v) for v in ops
-        ]
-        if sdr_exists_masks(masks):
-            fixed += w
-    return fixed
 
 
 def place_copies(
@@ -111,48 +63,49 @@ def place_copies(
     k = alloc.k
     all_modules = (1 << k) - 1
     rng = rng or random.Random(0)
-    groups = _group_weighted(operand_sets, duplicable, k)
+    index = ConflictIndex.of(operand_sets)
+    rows, weight = index.rows, index.multiplicity
+    # Fig. 10 group I_y of each distinct row; rows outside I_1..I_k
+    # are never scored.
+    group = [len(ops & duplicable) for ops in rows]
 
-    def is_conflicting(ops: frozenset[int]) -> bool:
-        return not sdr_exists_masks([alloc.modules_mask(v) for v in ops])
+    def conflicting_rows(v: int) -> list[int]:
+        """Scored rows reading ``v`` that conflict under ``alloc``."""
+        return [
+            r
+            for r in index.rows_of.get(v, ())
+            if 1 <= group[r] <= k and not index.conflict_free(rows[r], alloc)
+        ]
+
+    def by_group(scored: Iterable[int]) -> tuple[int, ...]:
+        """Weight per group I_1..I_k of the rows ``scored``."""
+        vec = [0] * k
+        for r in scored:
+            vec[group[r] - 1] += weight[r]
+        return tuple(vec)
 
     # Order the values once, up front (Fig. 10: "The order is determined
     # by counting the number of instructions in the first group that
     # involve each of the variables", falling back to later groups).
-    initial_conflicting: dict[int, _Weighted] = {
-        y: [(ops, w) for ops, w in groups[y] if is_conflicting(ops)]
-        for y in range(1, k + 1)
-    }
-
-    def involvement(v: int) -> tuple[int, ...]:
-        return tuple(
-            sum(w for ops, w in initial_conflicting[y] if v in ops)
-            for y in range(1, k + 1)
-        )
-
-    ordered = sorted(set(values), key=lambda v: (involvement(v), -v), reverse=True)
+    ordered = sorted(
+        set(values),
+        key=lambda v: (by_group(conflicting_rows(v)), -v),
+        reverse=True,
+    )
 
     for v in ordered:
         avail = ~alloc.modules_mask(v) & all_modules
         if not avail:
             continue  # v already everywhere
         candidates = list(iter_bits(avail))
-        # Only instructions containing v can be fixed by a copy of v;
-        # restrict the (re-evaluated) conflict scan accordingly.
-        relevant: dict[int, _Weighted] = {
-            y: [
-                (ops, w)
-                for ops, w in groups[y]
-                if v in ops and is_conflicting(ops)
-            ]
-            for y in range(1, k + 1)
-        }
-        score: dict[int, tuple[int, ...]] = {}
-        for m in candidates:
-            score[m] = tuple(
-                _fix_score(v, m, relevant[y], alloc)
-                for y in range(1, k + 1)
+        # Only instructions containing v can be fixed by a copy of v.
+        relevant = conflicting_rows(v)
+        score = {
+            m: by_group(
+                r for r in relevant if index.conflict_free(rows[r], alloc, v, m)
             )
+            for m in candidates
+        }
         best_vec = max(score.values())
         best_modules = [m for m in candidates if score[m] == best_vec]
         if len(best_modules) == 1 or tie_break == "first":

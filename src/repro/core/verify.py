@@ -7,17 +7,20 @@ We check this with augmenting-path bipartite matching (operand -> module);
 instruction widths are at most k, so the tiny-Kuhn implementation is
 exact and fast.
 
-:func:`min_max_load` generalises the check to the paper's timing model:
-the smallest L such that operands can be served with at most L accesses
-to any one module — the instruction's fetch phase then costs ``L * Δ``.
+:class:`ConflictIndex` asks the same question of an allocation: every
+conflict check of Fig. 7 duplication, Fig. 10 placement, pinned
+placement, Fig. 6's multi-copy filter and the final verification goes
+through one index.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from functools import cached_property
+from itertools import repeat
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .allocation import Allocation
-from .bitset import sdr_exists_masks
+from .bitset import COUNTERS, sdr_exists_masks
 
 
 def find_sdr(module_sets: Sequence[Iterable[int]]) -> list[int] | None:
@@ -57,70 +60,128 @@ def sdr_exists(module_sets: Sequence[Iterable[int]]) -> bool:
     return find_sdr(module_sets) is not None
 
 
-def min_max_load(module_sets: Sequence[Iterable[int]]) -> int:
-    """Smallest L such that each set can pick a module with no module
-    picked more than L times.  Raises ValueError on an empty set
-    (an unplaced operand can never be fetched)."""
-    sets = [sorted(set(s)) for s in module_sets]
-    if not sets:
-        return 0
-    if any(not s for s in sets):
-        raise ValueError("operand with no copies cannot be fetched")
-
-    n = len(sets)
-    for load in range(1, n + 1):
-        # b-matching with module capacity `load`, via slot expansion.
-        match_of_slot: dict[tuple[int, int], int] = {}
-
-        def try_assign(i: int, visited: set[tuple[int, int]]) -> bool:
-            for m in sets[i]:
-                for c in range(load):
-                    slot = (m, c)
-                    if slot in visited:
-                        continue
-                    visited.add(slot)
-                    if slot not in match_of_slot or try_assign(
-                        match_of_slot[slot], visited
-                    ):
-                        match_of_slot[slot] = i
-                        return True
-            return False
-
-        if all(try_assign(i, set()) for i in range(n)):
-            return load
-    return n  # pragma: no cover - load == n always feasible
-
-
 # --------------------------------------------------------------------------
 # Allocation-level checks
 # --------------------------------------------------------------------------
+
+
+class ConflictIndex(Sequence[frozenset[int]]):
+    """The instruction rows of one allocation, collapsed once, with one
+    memoized conflict test.
+
+    Indexing and iteration give the input rows by position, duplicates
+    and order kept, so an index stands wherever operand sets do.  Beside
+    that it holds the distinct rows in first-occurrence order
+    (``rows``), each row's ``multiplicity`` and summed ``weight``, each
+    position's row (``row_at``) and, per value, the rows that read it
+    (``rows_of``).
+
+    Conflict freedom depends only on the operands' module masks, so the
+    verdict is memoized on their sorted tuple and never invalidated: a
+    copy added to the allocation changes the masks, hence the key.
+    """
+
+    def __init__(
+        self,
+        operand_sets: Iterable[Iterable[int]],
+        weights: Iterable[int] | None = None,
+    ):
+        self.rows: list[frozenset[int]] = []
+        self.multiplicity: list[int] = []
+        self.weight: list[int] = []
+        self.row_at: list[int] = []
+        self._free: dict[tuple[int, ...], bool] = {}
+        position: dict[frozenset[int], int] = {}
+        if weights is None:
+            weights = repeat(1)
+        for ops, w in zip(operand_sets, weights):
+            row = frozenset(ops)
+            r = position.get(row)
+            if r is None:
+                r = position[row] = len(self.rows)
+                self.rows.append(row)
+                self.multiplicity.append(1)
+                self.weight.append(w)
+            else:
+                self.multiplicity[r] += 1
+                self.weight[r] += w
+                COUNTERS.instructions_deduped += 1
+            self.row_at.append(r)
+
+    @cached_property
+    def rows_of(self) -> dict[int, list[int]]:
+        """The rows that read each value, in ascending row order."""
+        rows_of: dict[int, list[int]] = {}
+        for r, ops in enumerate(self.rows):
+            for v in ops:
+                rows_of.setdefault(v, []).append(r)
+        return rows_of
+
+    @classmethod
+    def of(cls, operand_sets: Iterable[Iterable[int]]) -> "ConflictIndex":
+        """``operand_sets`` itself if it is an index, else a new one."""
+        if isinstance(operand_sets, cls):
+            return operand_sets
+        return cls(operand_sets)
+
+    def restrict(
+        self, keep: Callable[[frozenset[int]], bool]
+    ) -> "ConflictIndex":
+        """The index of the input rows that satisfy ``keep``, sharing
+        this index's verdict memo."""
+        sub = ConflictIndex(ops for ops in self if keep(ops))
+        sub._free = self._free
+        return sub
+
+    def __len__(self) -> int:
+        return len(self.row_at)
+
+    def __getitem__(self, i):
+        return self.rows[self.row_at[i]]
+
+    def __iter__(self) -> Iterator[frozenset[int]]:
+        return map(self.rows.__getitem__, self.row_at)
+
+    def admits(self, masks: Iterable[int]) -> bool:
+        """Whether the module masks admit one distinct module each."""
+        key = tuple(sorted(masks))
+        free = self._free.get(key)
+        if free is None:
+            free = self._free[key] = sdr_exists_masks(key)
+        return free
+
+    def conflict_free(
+        self,
+        ops: Iterable[int],
+        alloc: Allocation,
+        value: int | None = None,
+        module: int = 0,
+    ) -> bool:
+        """Whether the operands ``ops`` (an instruction or a §2.2.2
+        combination) can be fetched from distinct modules of ``alloc``,
+        with a trial copy of ``value`` in ``module`` when ``value`` is
+        given.  An unplaced operand conflicts."""
+        mask = alloc.modules_mask
+        return self.admits(
+            mask(v) | (1 << module) if v == value else mask(v) for v in ops
+        )
+
+
+def conflicting_instructions(
+    operand_sets: Iterable[Iterable[int]], alloc: Allocation
+) -> list[frozenset[int]]:
+    """Instructions that still have a memory access conflict, one entry
+    per conflicting input position."""
+    index = ConflictIndex.of(operand_sets)
+    free = [index.conflict_free(ops, alloc) for ops in index.rows]
+    return [index.rows[r] for r in index.row_at if not free[r]]
 
 
 def instruction_conflict_free(
     operands: Iterable[int], alloc: Allocation
 ) -> bool:
     """True iff the instruction's operand copy-sets admit an SDR."""
-    masks = [alloc.modules_mask(v) for v in set(operands)]
-    return sdr_exists_masks(masks)
-
-
-def conflicting_instructions(
-    operand_sets: Iterable[Iterable[int]], alloc: Allocation
-) -> list[frozenset[int]]:
-    """Instructions that still have a memory access conflict."""
-    # Identical operand sets share one SDR check (the allocation is
-    # fixed for the duration of the scan).
-    verdicts: dict[frozenset[int], bool] = {}
-    out: list[frozenset[int]] = []
-    for ops in operand_sets:
-        key = frozenset(ops)
-        free = verdicts.get(key)
-        if free is None:
-            free = instruction_conflict_free(key, alloc)
-            verdicts[key] = free
-        if not free:
-            out.append(key)
-    return out
+    return not conflicting_instructions([operands], alloc)
 
 
 def verify_allocation(
@@ -128,23 +189,3 @@ def verify_allocation(
 ) -> bool:
     """True iff every instruction is conflict free under ``alloc``."""
     return not conflicting_instructions(operand_sets, alloc)
-
-
-def combination_conflict_free(
-    combo: Iterable[int], alloc: Allocation
-) -> bool:
-    """Paper §2.2.2: conflict-freedom of an operand *combination*.
-
-    Identical to the instruction check; a combination is a subset of some
-    instruction's operands.
-    """
-    return instruction_conflict_free(combo, alloc)
-
-
-def instruction_fetch_load(operands: Iterable[int], alloc: Allocation) -> int:
-    """Max accesses any one module serves for this instruction, assuming
-    the fetch unit picks copies optimally (paper's Δ-model)."""
-    sets = [alloc.modules(v) for v in set(operands)]
-    if not sets:
-        return 0
-    return min_max_load(sets)

@@ -222,28 +222,67 @@ def test_hitting_set_duplication_matches_reference(seed, k):
 # --------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("seed", range(50))
+def program_variants(plain: int, varied: int) -> list:
+    """``(seed, variant)`` inputs: ``plain`` seeds as they are, and
+    ``varied`` seeds each with a ``pinned`` and a ``repeated`` variant
+    (see :func:`variant_program`)."""
+    return [pytest.param(s, "plain", id=str(s)) for s in range(plain)] + [
+        pytest.param(s, variant, id=f"{variant}{s}")
+        for variant in ("pinned", "repeated")
+        for s in range(varied)
+    ]
+
+
+def variant_program(seed: int, variant: str, **shape):
+    """A random program and its duplicable set (None: every value).
+
+    ``pinned`` lets only a seeded sample of at most half the values be
+    duplicated, so removed values often take the single-copy pinned
+    placement; ``repeated`` appends a seeded sample of the program's own
+    rows."""
+    sets = random_operand_sets(seed, **shape)
+    rng = random.Random(seed ^ 0x5EED)
+    duplicable = None
+    if variant == "pinned":
+        values = sorted({v for s in sets for v in s})
+        duplicable = set(rng.sample(values, rng.randint(0, len(values) // 2)))
+    elif variant == "repeated":
+        sets += rng.choices(sets, k=len(sets))
+    return sets, duplicable
+
+
+@pytest.mark.parametrize(("seed", "variant"), program_variants(50, 25))
 @pytest.mark.parametrize("method", ["hitting_set", "backtrack"])
 @pytest.mark.parametrize("k", [3, 8])
-def test_assign_modules_matches_reference(seed, method, k):
-    sets = random_operand_sets(seed)
-    live = assign_modules(sets, k, method=method, seed=seed)
-    ref = reference_assign_modules(sets, k, method=method, seed=seed)
+def test_assign_modules_matches_reference(seed, variant, method, k):
+    sets, duplicable = variant_program(seed, variant)
+    live = assign_modules(
+        sets, k, method=method, duplicable=duplicable, seed=seed
+    )
+    ref = reference_assign_modules(
+        sets, k, method=method, duplicable=duplicable, seed=seed
+    )
     assert_allocs_equal(
-        live.allocation, ref.allocation, (seed, method, k)
+        live.allocation, ref.allocation, (seed, variant, method, k)
     )
     assert live.coloring.assignment == ref.coloring.assignment
     assert live.coloring.unassigned == ref.coloring.unassigned
-    assert live.stats == ref.stats, (seed, method, k)
+    assert live.stats == ref.stats, (seed, variant, method, k)
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_assign_modules_weighted_matches_reference(seed):
-    sets = random_operand_sets(seed, max_values=14, max_instructions=12)
+@pytest.mark.parametrize(("seed", "variant"), program_variants(20, 10))
+def test_assign_modules_weighted_matches_reference(seed, variant):
+    sets, duplicable = variant_program(
+        seed, variant, max_values=14, max_instructions=12
+    )
     rng = random.Random(seed * 13 + 5)
     weights = [rng.randint(0, 4) for _ in sets]
-    live = assign_modules(sets, 4, seed=seed, weights=weights)
-    ref = reference_assign_modules(sets, 4, seed=seed, weights=weights)
+    live = assign_modules(
+        sets, 4, duplicable=duplicable, seed=seed, weights=weights
+    )
+    ref = reference_assign_modules(
+        sets, 4, duplicable=duplicable, seed=seed, weights=weights
+    )
     assert_allocs_equal(live.allocation, ref.allocation, seed)
     assert live.stats == ref.stats
 

@@ -2,15 +2,12 @@
 
 import itertools
 
-import pytest
 from hypothesis import given, strategies as st
 
 from repro.core import (
     Allocation,
     find_sdr,
     instruction_conflict_free,
-    instruction_fetch_load,
-    min_max_load,
     sdr_exists,
     verify_allocation,
 )
@@ -73,34 +70,6 @@ def test_sdr_result_is_valid(sets):
             assert m in s
 
 
-def test_min_max_load_one_when_sdr():
-    assert min_max_load([{0}, {1}]) == 1
-
-
-def test_min_max_load_counts_forced_pileup():
-    assert min_max_load([{0}, {0}]) == 2
-    assert min_max_load([{0}, {0}, {0}]) == 3
-    assert min_max_load([{0, 1}, {0, 1}, {0, 1}]) == 2
-
-
-def test_min_max_load_rejects_empty_set():
-    with pytest.raises(ValueError):
-        min_max_load([{0}, set()])
-
-
-@given(
-    st.lists(
-        st.frozensets(st.integers(0, 3), min_size=1, max_size=3),
-        min_size=1,
-        max_size=5,
-    )
-)
-def test_min_max_load_consistent_with_sdr(sets):
-    load = min_max_load(sets)
-    assert (load == 1) == sdr_exists(sets)
-    assert 1 <= load <= len(sets)
-
-
 def test_instruction_conflict_free_uses_copies():
     alloc = Allocation(3)
     alloc.add_copy(1, 0)
@@ -123,12 +92,3 @@ def test_verify_allocation_end_to_end():
     sets = [{1, 2, 4}, {2, 3, 5}, {2, 3, 4}]
     assert verify_allocation(sets, alloc)
     assert not verify_allocation(sets + [{1, 3}], alloc)
-
-
-def test_instruction_fetch_load():
-    alloc = Allocation(4)
-    alloc.add_copy(1, 0)
-    alloc.add_copy(2, 0)
-    alloc.add_copy(3, 0)
-    assert instruction_fetch_load({1, 2, 3}, alloc) == 3
-    assert instruction_fetch_load(set(), alloc) == 0
