@@ -58,19 +58,24 @@ from repro.pipeline import run_pipeline  # noqa: E402
 from repro.programs import all_programs  # noqa: E402
 
 
-def _best_of(fn: Callable[[], object], repeat: int) -> float:
-    """Smallest wall time over ``repeat`` cold invocations."""
-    best = float("inf")
-    for _ in range(repeat):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
+def _timed(fn: Callable[[], object]) -> float:
+    t0 = time.perf_counter()
+    fn()
+    return time.perf_counter() - t0
 
 
 def _pair(new_fn, ref_fn, repeat: int) -> dict[str, float]:
-    t_new = _best_of(new_fn, repeat)
-    t_ref = _best_of(ref_fn, repeat)
+    """Best of ``repeat`` cold invocations of each side, interleaved
+    (alternating which side goes first), so that a slow stretch of a
+    shared host lands on both sides rather than on one."""
+    t_new = t_ref = float("inf")
+    for i in range(repeat):
+        if i % 2:
+            t_ref = min(t_ref, _timed(ref_fn))
+            t_new = min(t_new, _timed(new_fn))
+        else:
+            t_new = min(t_new, _timed(new_fn))
+            t_ref = min(t_ref, _timed(ref_fn))
     return {
         "new_s": t_new,
         "ref_s": t_ref,

@@ -176,7 +176,7 @@ def assign_modules(
     # colour them before everything else (extension over Fig. 4).
     pinned_first = {v for v in color_nodes if v not in duplicable}
     coloring = color_graph(
-        graph.subgraph(color_nodes),
+        graph.subgraph(color_nodes) if flexible else graph,
         k,
         preassigned,
         module_choice,

@@ -17,6 +17,13 @@ restriction of a chordal graph is chordal and the restricted order stays
 a perfect elimination order, so every candidate separator remains valid;
 the recursion only performs explicit clique and separation checks.
 
+Everything runs in the bit space of the one graph's
+:class:`~repro.core.bitset.GraphKernel`: a component, a piece and an
+atom are node masks over it, and no subgraph or second kernel is built.
+The colouring stage (:mod:`repro.core.coloring`) colours each atom as a
+mask over the same kernel; :attr:`AtomDecomposition.atoms` builds
+induced subgraphs only for callers that ask for them.
+
 Graphs larger than ``max_nodes`` skip the decomposition (each oversized
 connected component is returned whole): the decomposition exists to make
 colouring *manageable* (paper §2.1), and the colouring heuristic handles
@@ -28,17 +35,22 @@ DESIGN.md.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
-from .bitset import iter_bits
+from .bitset import GraphKernel, iter_bits
 from .conflict_graph import ConflictGraph
 
 #: Components larger than this are not decomposed further by default.
 DEFAULT_MAX_NODES = 800
 
 
-def _mcs_m_masks(graph: ConflictGraph) -> tuple[list[int], list[int]]:
-    """MCS-M on the bitmask kernel: triangulated adjacency rows plus the
-    numbering order, both in kernel bit space.
+def _mcs_m_masks(
+    kern: GraphKernel, universe: int
+) -> tuple[list[int], list[int]]:
+    """MCS-M on the bitmask kernel, over the subgraph induced on the node
+    mask ``universe``: triangulated adjacency rows plus the numbering
+    order, both in kernel bit space.
 
     MCS-M numbers vertices n..1, each step picking the unnumbered vertex
     of maximum weight (ties: smallest id) and reaching every unnumbered
@@ -54,20 +66,20 @@ def _mcs_m_masks(graph: ConflictGraph) -> tuple[list[int], list[int]]:
     per step instead of a heap walk over every edge.
 
     Returns ``(h_rows, numbering)``: per-bit adjacency masks of the
-    triangulation H (supersets of the kernel's rows) and the bits in
-    numbering order (elimination order is its reverse).
+    triangulation H (supersets of the kernel's rows; read them only
+    inside ``universe``) and the bits of ``universe`` in numbering order
+    (elimination order is its reverse).
     """
-    kern = graph.kernel()
     adj = kern.adj
-    n = len(kern.index.ids)
-    weight = [0] * n
+    n = universe.bit_count()
+    weight = [0] * len(adj)
     h_rows = list(adj)  # fill edges are OR'ed in below
     numbering: list[int] = []  # bits in numbering order (n, n-1, ..., 1)
     # Unnumbered vertices bucketed by weight; bits move up one bucket
     # when reached, out when numbered.  Doubles as the selection
     # structure: the winner is the lowest bit of the heaviest bucket
     # (bits are assigned in ascending id order, so min-bit == min-id).
-    by_weight: dict[int, int] = {0: kern.index.universe_mask} if n else {}
+    by_weight: dict[int, int] = {0: universe} if n else {}
 
     for _ in range(n):
         while True:
@@ -121,8 +133,9 @@ def mcs_m(graph: ConflictGraph) -> tuple[dict[int, set[int]], list[int]]:
     ``order`` lists vertices in elimination order (order[0] eliminated
     first).
     """
-    h_rows, numbering = _mcs_m_masks(graph)
-    ids = graph.kernel().index.ids
+    kern = graph.kernel()
+    h_rows, numbering = _mcs_m_masks(kern, kern.index.universe_mask)
+    ids = kern.index.ids
     h_adj = {
         ids[i]: {ids[j] for j in iter_bits(h_rows[i])}
         for i in range(len(ids))
@@ -131,33 +144,57 @@ def mcs_m(graph: ConflictGraph) -> tuple[dict[int, set[int]], list[int]]:
     return h_adj, elimination_order
 
 
-@dataclass(slots=True)
-class AtomDecomposition:
-    """Result of decomposing a conflict graph."""
+class Atom(NamedTuple):
+    """One atom: its node mask over the graph's kernel and its node ids,
+    sorted."""
 
-    atoms: list[ConflictGraph]
-    separators: list[frozenset[int]]
+    mask: int
+    nodes: list[int]
+
+
+@dataclass
+class AtomDecomposition:
+    """Result of decomposing a conflict graph: atom and separator node
+    masks over ``graph.kernel()``, in decomposition order."""
+
+    graph: ConflictGraph
+    masks: list[int]
+    separator_masks: list[int]
+
+    @cached_property
+    def atoms(self) -> list[ConflictGraph]:
+        """The atoms as induced subgraphs, built on first access."""
+        ids_of = self.graph.kernel().index.ids_of
+        return [self.graph.subgraph(ids_of(m)) for m in self.masks]
+
+    @cached_property
+    def separators(self) -> list[frozenset[int]]:
+        ids_of = self.graph.kernel().index.ids_of
+        return [frozenset(ids_of(m)) for m in self.separator_masks]
+
+    def units(self) -> list[Atom]:
+        """The atoms as :class:`Atom` masks, the colouring stage's
+        input."""
+        ids_of = self.graph.kernel().index.ids_of
+        return [Atom(m, ids_of(m)) for m in self.masks]
 
 
 def _decompose_component(
-    graph: ConflictGraph,
-    component: set[int],
-    out_atoms: list[set[int]],
-    out_separators: list[frozenset[int]],
+    kern: GraphKernel,
+    component: int,
+    out_atoms: list[int],
+    out_separators: list[int],
 ) -> None:
-    """Split one connected component using a single MCS-M triangulation.
+    """Split one connected component (a node mask) using a single MCS-M
+    triangulation.
 
-    Runs entirely in the component subgraph's kernel bit space: ``madj``
-    is one AND of a triangulation row against a suffix-of-elimination
-    mask, clique-ness is one adjacency-row comparison per member, and
-    the component search floods adjacency masks instead of walking
-    ``set`` neighbourhoods.
+    ``madj`` is one AND of a triangulation row against a
+    suffix-of-elimination mask, clique-ness is one adjacency-row
+    comparison per member, and the component search floods adjacency
+    masks instead of walking ``set`` neighbourhoods.
     """
-    sub = graph.subgraph(component)
-    h_rows, numbering = _mcs_m_masks(sub)
-    kern = sub.kernel()
-    ids = kern.index.ids
-    n = len(ids)
+    h_rows, numbering = _mcs_m_masks(kern, component)
+    n = len(numbering)
 
     elim = list(reversed(numbering))  # bits in elimination order
     # suffix[i]: bits eliminated strictly after position i
@@ -165,12 +202,12 @@ def _decompose_component(
     for i in range(n - 1, -1, -1):
         suffix[i] = suffix[i + 1] | (1 << elim[i])
 
-    work: list[int] = [kern.index.universe_mask]
+    work: list[int] = [component]
     while work:
         piece_mask = work.pop()
         piece_size = piece_mask.bit_count()
         if piece_size <= 2:
-            out_atoms.append(set(kern.index.ids_of(piece_mask)))
+            out_atoms.append(piece_mask)
             continue
         split = None
         for i in range(n):
@@ -188,10 +225,10 @@ def _decompose_component(
                 split = (madj_mask, comp_mask)
                 break
         if split is None:
-            out_atoms.append(set(kern.index.ids_of(piece_mask)))
+            out_atoms.append(piece_mask)
             continue
         madj_mask, comp_mask = split
-        out_separators.append(frozenset(kern.index.ids_of(madj_mask)))
+        out_separators.append(madj_mask)
         work.append(comp_mask | madj_mask)
         work.append(piece_mask & ~comp_mask)
 
@@ -203,9 +240,9 @@ def decompose_atoms(
 
     Disconnected graphs split along the empty separator first (the empty
     set is a clique).  Components larger than ``max_nodes`` are returned
-    whole (see module docstring).  Each returned atom is an induced
-    subgraph of the input; separator vertices appear in every atom they
-    border.
+    whole (see module docstring).  Each atom is a node mask over
+    ``graph.kernel()`` (``.atoms`` gives induced subgraphs); separator
+    vertices appear in every atom they border.
 
     **Atom order matters**: atoms are emitted in depth-first order of
     the decomposition tree, which has the running-intersection property
@@ -216,33 +253,35 @@ def decompose_atoms(
     adjacent separator vertices the same colour in atoms that do not
     contain their edge).
     """
-    atom_sets: list[set[int]] = []
-    separators: list[frozenset[int]] = []
+    kern = graph.kernel()
+    atoms: list[int] = []
+    separators: list[int] = []
 
-    comps = graph.components()
+    comps = kern.component_masks(kern.index.universe_mask)
     if len(comps) > 1:
-        separators.append(frozenset())
+        separators.append(0)
 
     for comp in comps:
-        if len(comp) <= 2 or len(comp) > max_nodes:
-            atom_sets.append(comp)
+        size = comp.bit_count()
+        if size <= 2 or size > max_nodes:
+            atoms.append(comp)
         else:
-            _decompose_component(graph, comp, atom_sets, separators)
+            _decompose_component(kern, comp, atoms, separators)
 
-    atoms = [graph.subgraph(s) for s in atom_sets]
-    return AtomDecomposition(atoms, separators)
+    return AtomDecomposition(graph, atoms, separators)
 
 
 def has_clique_separator(graph: ConflictGraph) -> bool:
     """Whether the graph has at least one clique separator (property-test
     helper; the graph must be small)."""
-    comps = graph.components()
+    kern = graph.kernel()
+    comps = kern.component_masks(kern.index.universe_mask)
     if len(comps) > 1:
         return True
-    atoms: list[set[int]] = []
-    seps: list[frozenset[int]] = []
+    atoms: list[int] = []
+    seps: list[int] = []
     for comp in comps:
-        if len(comp) <= 2:
+        if comp.bit_count() <= 2:
             continue
-        _decompose_component(graph, comp, atoms, seps)
+        _decompose_component(kern, comp, atoms, seps)
     return bool(seps)

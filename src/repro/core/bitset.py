@@ -246,15 +246,16 @@ class GraphKernel:
         weights = self.instr_weights
         return sum(weights[b] for b in iter_bits(common))
 
-    def strength(self, i: int) -> int:
-        """``Σ_u conf(i, u)`` over all neighbours ``u`` — the Fig. 4
-        total outgoing weight, computed per instruction instead of per
-        edge: an instruction of ``p`` operands containing ``i``
-        contributes ``weight * (p - 1)``."""
+    def strength(self, i: int, within: int) -> int:
+        """``Σ_u conf(i, u)`` over the neighbours ``u`` in the node mask
+        ``within`` (which holds ``i``) — the Fig. 4 total outgoing
+        weight inside an induced subgraph, computed per instruction
+        instead of per edge: an instruction with ``p`` operands in
+        ``within``, ``i`` among them, contributes ``weight * (p - 1)``."""
         weights = self.instr_weights
         masks = self.instr_masks
         return sum(
-            weights[b] * (masks[b].bit_count() - 1)
+            weights[b] * ((masks[b] & within).bit_count() - 1)
             for b in iter_bits(self.imem[i])
         )
 
@@ -294,6 +295,18 @@ class GraphKernel:
             frontier = grow & allowed & ~comp
             comp |= frontier
         return comp
+
+    def component_masks(self, universe: int) -> list[int]:
+        """Connected components of the subgraph induced on ``universe``,
+        ordered by their smallest node."""
+        out: list[int] = []
+        rest = universe
+        while rest:
+            start = (rest & -rest).bit_length() - 1
+            comp = self.component_mask(start, universe, 0)
+            out.append(comp)
+            rest &= ~comp
+        return out
 
 
 # --------------------------------------------------------------------------

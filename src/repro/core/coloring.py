@@ -23,7 +23,10 @@ The atom driver decomposes the graph with
 :func:`repro.core.atoms.decompose_atoms` and colours atoms sequentially;
 vertices shared with previously-coloured atoms (separator cliques) enter
 the next atom as pre-assigned constraints, which keeps the combined
-colouring proper without a permutation step.
+colouring proper without a permutation step.  The whole stage runs on
+the graph's one bitmask kernel: an atom is a node mask over it, so
+atom-local degrees and ``S_n`` are read through the mask and no atom
+subgraph is built.
 """
 
 from __future__ import annotations
@@ -32,8 +35,9 @@ import heapq
 import math
 from dataclasses import dataclass, field
 
+from . import workunits
 from .atoms import DEFAULT_MAX_NODES
-from .bitset import iter_bits
+from .bitset import iter_bits, mask_of_bits
 from .conflict_graph import ConflictGraph
 
 
@@ -90,8 +94,12 @@ def color_atom(
     module_choice: str = "first",
     module_use: list[int] | None = None,
     prefer: set[int] | None = None,
+    mask: int | None = None,
 ) -> ColoringResult:
     """Colour one atom with the Fig. 4 heuristic.
+
+    The atom is the subgraph of ``graph`` induced on ``mask``, a node
+    mask over ``graph.kernel()`` (default: the whole graph).
 
     ``preassigned`` nodes keep their module and seed ``V_assigned``
     (used for separator vertices, STOR2 globals, and STOR3 phase 2).
@@ -111,7 +119,11 @@ def color_atom(
     mask against the k-module mask, and the directional edge weights
     ``wt(a -> b) = 0 if d(a) < k else conf(a, b)`` are evaluated
     lazily from instruction-membership masks instead of being
-    materialised as a pair-keyed dict.
+    materialised as a pair-keyed dict.  Atom-local degree is
+    ``popcount(adj[i] & mask)`` and ``S_n`` sums
+    ``w_b · (popcount(row_b & mask) - 1)`` over the node's instruction
+    rows; ``conf`` needs no mask, since an induced subgraph keeps the
+    counts of the pairs it keeps.
 
     The next node comes off a lazy-deletion min-heap keyed
     ``(class, finite, -incoming * (L // K_v), dense index)``: ``class``
@@ -135,21 +147,24 @@ def color_atom(
     kern = graph.kernel()
     index = kern.index
     ids = index.ids
-    n = len(ids)
     adj = kern.adj
+    atom = index.universe_mask if mask is None else mask
     all_modules = (1 << k) - 1
+    # Per-node state is keyed by kernel bit and sized to the atom, so an
+    # atom costs nothing in the size of the graph around it.
+    bits = list(iter_bits(atom))
 
-    # wt(a -> b) is 0 for every b when d(a) < k; cache the per-source
-    # gate as one mask lookup.
-    emits_weight = [kern.degree(i) >= k for i in range(n)]
+    # wt(a -> b) is 0 for every b when d(a) < k (the degree inside the
+    # atom); cache the per-source gate as one lookup.
+    emits_weight = {i: (adj[i] & atom).bit_count() >= k for i in bits}
 
     # Incremental state.
     if module_use is None:
         module_use = [0] * k  # how many nodes use each module (least_used)
-    incoming = [0] * n          # Σ wt(assigned -> v)
-    neighbor_colors = [0] * n   # mask of colours among assigned neighbours
-    rest_mask = (1 << n) - 1
-    prefer_mask = index.mask_of(v for v in prefer if v in index)
+    incoming = dict.fromkeys(bits, 0)         # Σ wt(assigned -> v)
+    neighbor_colors = dict.fromkeys(bits, 0)  # colours of assigned neighbours
+    rest_mask = atom
+    prefer_mask = mask_of_bits(i for i in bits if ids[i] in prefer)
 
     def assign(i: int, module: int, action: str, urgency_num: int) -> None:
         result.assignment[ids[i]] = module
@@ -179,15 +194,13 @@ def color_atom(
         # picks the globally least-used module instead).  S_n sums the
         # outgoing weights, i.e. Σ conf(n, u) when d(n) >= k, which the
         # kernel folds per instruction rather than per edge.
-        s_val = [
-            kern.strength(i) if emits_weight[i] else 0 for i in range(n)
-        ]
         pool_mask = prefer_mask & rest_mask or rest_mask
         first = -1
         first_val = -1
         for i in iter_bits(pool_mask):
-            if s_val[i] > first_val:
-                first, first_val = i, s_val[i]
+            s_val = kern.strength(i, atom) if emits_weight[i] else 0
+            if s_val > first_val:
+                first, first_val = i, s_val
         rest_mask &= ~(1 << first)
         if module_choice == "least_used":
             first_module = min(range(k), key=lambda m: (module_use[m], m))
@@ -207,10 +220,11 @@ def color_atom(
             return (cls, 0, 0, i)
         return (cls, 1, -incoming[i] * (lcm_k // k_v), i)
 
-    live: list[tuple[int, int, int, int] | None] = [None] * n
+    live: dict[int, tuple[int, int, int, int] | None] = {}
+    heap = []
     for i in iter_bits(rest_mask):
-        live[i] = urgency_key(i)
-    heap = [entry for entry in live if entry is not None]
+        live[i] = key = urgency_key(i)
+        heap.append(key)
     heapq.heapify(heap)
 
     while heap:
@@ -260,13 +274,13 @@ def color_graph(
     each, composing via shared-clique constraints.  ``prefer`` marks
     nodes coloured before all others (see :func:`color_atom`).
 
-    The atoms are coloured one by one, in decomposition order, by
-    :func:`repro.core.workunits.run_atom_units`; ``max_atom_nodes``
-    bounds the clique-separator decomposition (components above the
-    bound are coloured whole).
+    The atoms are node masks over the graph's one kernel, coloured one
+    by one in decomposition order and merged in that order
+    (``V_unassigned`` order feeds the duplication stage's RNG
+    tie-breaks, so merge order is part of the contract);
+    ``max_atom_nodes`` bounds the clique-separator decomposition
+    (components above the bound are coloured whole).
     """
-    from . import workunits
-
     preassigned = dict(preassigned or {})
     max_nodes = (
         DEFAULT_MAX_NODES if max_atom_nodes is None else max_atom_nodes
@@ -280,7 +294,8 @@ def color_graph(
         return result
 
     combined = ColoringResult(k)
-    combined.assignment.update(
+    assigned = combined.assignment
+    assigned.update(
         {v: m for v, m in preassigned.items() if v in graph.nodes}
     )
     # Colour atoms in decomposition (depth-first) order: its
@@ -290,13 +305,22 @@ def color_graph(
     atoms = workunits.decomposed_atoms(graph, max_nodes)
     combined.num_atoms = len(atoms)
     module_use = [0] * k
-    workunits.run_atom_units(
-        atoms, k, preassigned, module_choice, prefer, combined, module_use
-    )
+    for atom in atoms:
+        # Colours merged so far plus the caller's fixed placements, in
+        # sorted-id order, which fixes the trace order of the
+        # 'preassigned' steps.
+        pre = {v: assigned[v] for v in atom.nodes if v in assigned}
+        for v in atom.nodes:
+            m = preassigned.get(v)
+            if m is not None:
+                pre[v] = m
+        combined.merge(color_atom(
+            graph, k, pre, module_choice, module_use, prefer, atom.mask
+        ))
     # De-duplicate: a separator vertex removed in one atom but coloured in
     # another must not be in both lists; colouring wins (its copy exists).
     combined.unassigned = [
-        v for v in combined.unassigned if v not in combined.assignment
+        v for v in combined.unassigned if v not in assigned
     ]
     _repair_improper_edges(graph, combined, set(preassigned))
     return combined
@@ -317,21 +341,41 @@ def _repair_improper_edges(
     Preference: demote a non-pre-assigned endpoint (pre-assigned nodes
     already hold storage from an earlier phase); ties demote the larger
     node id.
+
+    Edges are visited in sorted ``(u, v)`` order, reading the colouring
+    as it is demoted: per node ``u``, ascending, the clashing
+    neighbours above it are ``adj[u] & class[colour(u)]``, one AND
+    against a per-colour node mask.
     """
-    for u, v in sorted(graph.edges()):
-        cu = result.assignment.get(u)
-        cv = result.assignment.get(v)
-        if cu is None or cv is None or cu != cv:
+    kern = graph.kernel()
+    ids = kern.index.ids
+    bit = kern.index.bit
+    adj = kern.adj
+    assignment = result.assignment
+    classes: dict[int, int] = {}
+    for v, m in assignment.items():
+        i = bit.get(v)
+        if i is not None:
+            classes[m] = classes.get(m, 0) | (1 << i)
+    coloured = 0
+    for mask in classes.values():
+        coloured |= mask
+    for u in iter_bits(coloured):
+        cu = assignment.get(ids[u])
+        if cu is None:  # demoted by an earlier edge
             continue
-        u_fixed, v_fixed = u in caller_fixed, v in caller_fixed
-        if u_fixed and not v_fixed:
-            demote = v
-        elif v_fixed and not u_fixed:
-            demote = u
-        else:
-            demote = max(u, v)
-        del result.assignment[demote]
-        result.unassigned.append(demote)
-        result.trace.append(
-            ColoringStep(demote, 0, 0, "removed", None)
-        )
+        u_fixed = ids[u] in caller_fixed
+        clash = (adj[u] & classes[cu]) >> (u + 1)
+        for j in iter_bits(clash):
+            w = u + 1 + j
+            if ids[w] in caller_fixed and not u_fixed:
+                demote = u
+            else:
+                demote = w
+            classes[cu] &= ~(1 << demote)
+            node = ids[demote]
+            del assignment[node]
+            result.unassigned.append(node)
+            result.trace.append(ColoringStep(node, 0, 0, "removed", None))
+            if demote == u:
+                break

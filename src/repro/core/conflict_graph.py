@@ -201,17 +201,11 @@ class ConflictGraph:
     def components(self) -> list[set[int]]:
         """Connected components, each sorted-deterministic."""
         kern = self.kernel()
-        ids = kern.index.ids
-        universe = kern.index.universe_mask
-        seen = 0
-        out: list[set[int]] = []
-        for start in range(len(ids)):
-            if (seen >> start) & 1:
-                continue
-            comp = kern.component_mask(start, universe, 0)
-            seen |= comp
-            out.append({ids[i] for i in iter_bits(comp)})
-        return out
+        ids_of = kern.index.ids_of
+        return [
+            set(ids_of(comp))
+            for comp in kern.component_masks(kern.index.universe_mask)
+        ]
 
     def __contains__(self, v: int) -> bool:
         return v in self.nodes

@@ -193,6 +193,12 @@ def find_kernel_code(
         raise UnsupportedPythonError(
             f"not valid Python: {exc.msg}", line=exc.lineno
         ) from exc
+    except RecursionError as exc:
+        # CPython's compiler recurses per nested expression: a long
+        # operator chain (a 3,000-term sum) exhausts its depth limit.
+        raise UnsupportedPythonError(
+            "expression nested too deeply for CPython's compiler"
+        ) from exc
     codes = [c for c in module.co_consts if isinstance(c, types.CodeType)]
     if entry:
         for code in codes:

@@ -120,6 +120,10 @@ def decode_message(line: bytes) -> dict[str, object]:
         obj = json.loads(line)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ProtocolError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        # A line under MAX_LINE_BYTES can still nest arrays or objects
+        # deeper than the decoder recurses.
+        raise ProtocolError("not valid JSON: nested too deeply") from exc
     if not isinstance(obj, dict):
         raise ProtocolError("request must be a JSON object")
     return obj

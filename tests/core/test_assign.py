@@ -7,6 +7,8 @@ from repro.core import (
     assign_modules,
     verify_allocation,
 )
+from repro.core.assign import _place_pinned
+from repro.core.verify import ConflictIndex
 
 
 def test_conflict_free_instance_needs_no_copies():
@@ -40,6 +42,40 @@ def test_non_duplicable_value_pinned():
     # someone was removed; if it was 1, it must be pinned single-copy
     for v in res.stats.pinned:
         assert res.allocation.copy_count(v) == 1
+
+
+#: Pinned placement where weights and row counts disagree: p (0) reads
+#: a (1) at module 0 in a row run 10 times, and b (2) and c (3) at
+#: module 1 in two rows run once each.
+PINNED_ROWS = [{0, 1}, {0, 2}, {0, 3}]
+PINNED_WEIGHTS = [10, 1, 1]
+
+
+def _pinned_initial() -> Allocation:
+    initial = Allocation(2)
+    for value, module in ((1, 0), (2, 1), (3, 1)):
+        initial.add_copy(value, module)
+    return initial
+
+
+def test_place_pinned_weighs_rows_by_execution_count():
+    # Module 0 costs weight 10 in one row, module 1 weight 2 in two
+    # rows: the weighted rule picks 1, plain row counts would pick 0.
+    alloc = _pinned_initial()
+    _place_pinned(0, alloc, ConflictIndex(PINNED_ROWS, PINNED_WEIGHTS))
+    assert alloc.modules(0) == {1}
+
+
+def test_profiled_assignment_pins_by_execution_count():
+    res = assign_modules(
+        PINNED_ROWS, 2, duplicable=set(), initial=_pinned_initial(),
+        weights=PINNED_WEIGHTS,
+    )
+    assert res.stats.pinned == [0]
+    assert res.allocation.modules(0) == {1}
+    assert res.stats.residual_instructions == [
+        frozenset({0, 2}), frozenset({0, 3})
+    ]
 
 
 def test_residuals_reported_when_unfixable():

@@ -19,6 +19,7 @@ from repro.core import (
     assign_modules,
     backtrack_duplication,
     color_graph,
+    decompose_atoms,
     greedy_hitting_set,
     paper_hitting_set,
     place_copies,
@@ -29,6 +30,7 @@ from repro.core.reference import (
     reference_assign_modules,
     reference_backtrack_duplication,
     reference_color_graph,
+    reference_decompose_atoms,
     reference_greedy_hitting_set,
     reference_hitting_set_duplication,
     reference_paper_hitting_set,
@@ -130,6 +132,100 @@ def test_coloring_matches_reference(seed, k):
         k,
     )
     assert live.num_atoms == ref.num_atoms, (seed, k)
+
+
+def clique_tree_sets(
+    seed: int, n_values: int
+) -> tuple[list[frozenset[int]], list[int] | None]:
+    """Operand sets (and weights, or None) of a graph of ``n_values``
+    values built as a tree of small blocks glued at clique separators,
+    the shape of the generated programs' conflict graphs: dozens of
+    atoms, with one- and two-vertex separators often shared by three or
+    more blocks.  A block is one instruction (a clique) or a cycle of
+    two-operand instructions (an atom that is not a clique).  Ids are
+    shuffled, so decomposition order and id order disagree."""
+    rng = random.Random(seed)
+    ids = list(range(n_values))
+    rng.shuffle(ids)
+    sets: list[frozenset[int]] = []
+
+    def block(shared: list[int]) -> list[int]:
+        take = min(rng.randint(1, 4), len(ids))
+        nodes = shared + [ids.pop() for _ in range(take)]
+        if len(nodes) >= 4 and rng.random() < 0.3:
+            sets.extend(
+                frozenset({nodes[i], nodes[(i + 1) % len(nodes)]})
+                for i in range(len(nodes))
+            )
+        else:
+            sets.append(frozenset(nodes))
+        return nodes
+
+    blocks = [block([])]
+    while ids:
+        parent = rng.choice(blocks)
+        i = rng.randrange(len(parent))
+        # Consecutive nodes of a block are adjacent in both block kinds.
+        sep = parent[i:i + 1] if rng.random() < 0.5 else [
+            parent[i], parent[(i + 1) % len(parent)]
+        ]
+        for _ in range(rng.choice([1, 1, 3, 4])):
+            if ids:
+                blocks.append(block(sep))
+    sets += rng.sample(sets, len(sets) // 5)  # repeated rows
+    if seed % 2:
+        return sets, [rng.randint(1, 3) for _ in sets]
+    return sets, None
+
+
+def _scale_options(seed: int, nodes: list[int], k: int) -> dict:
+    """``preassigned`` (some of it clashing), ``prefer`` and
+    ``module_choice`` inputs for one row."""
+    rng = random.Random(seed * 7 + k)
+    kind = seed % 4
+    options: dict = {}
+    if kind in (1, 3):
+        options["preassigned"] = {
+            v: rng.randrange(k) for v in rng.sample(nodes, len(nodes) // 10)
+        }
+    if kind in (2, 3):
+        options["prefer"] = set(rng.sample(nodes, len(nodes) // 6))
+    if kind == 3:
+        options["module_choice"] = "least_used"
+    return options
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("k", [3, 4, 8])
+def test_coloring_matches_reference_at_scale(seed, k):
+    """150-290 values, dozens of atoms, shared separators, and
+    ``preassigned``/``prefer``/``least_used`` inputs: the colouring and
+    the decomposition equal the reference's."""
+    sets, weights = clique_tree_sets(seed, 150 + 20 * seed)
+    live_graph = ConflictGraph.from_operand_sets(sets, weights)
+    ref_graph = ReferenceConflictGraph.from_operand_sets(sets, weights)
+
+    dec = decompose_atoms(live_graph)
+    ref_atoms, ref_separators = reference_decompose_atoms(ref_graph)
+    ids_of = live_graph.kernel().index.ids_of
+    assert [ids_of(m) for m in dec.masks] == [
+        sorted(a.nodes) for a in ref_atoms
+    ]
+    assert dec.separators == ref_separators
+    assert len(ref_atoms) >= 24
+    assert any(
+        sum(sep <= a.nodes for a in ref_atoms) >= 3
+        for sep in ref_separators
+        if sep
+    )
+
+    options = _scale_options(seed, sorted(ref_graph.nodes), k)
+    live = color_graph(live_graph, k, **options)
+    ref = reference_color_graph(ref_graph, k, **options)
+    assert live.assignment == ref.assignment
+    assert live.unassigned == ref.unassigned
+    assert _normalized_trace(live.trace) == _normalized_trace(ref.trace)
+    assert live.num_atoms == ref.num_atoms
 
 
 @pytest.mark.parametrize("seed", range(40))

@@ -60,6 +60,17 @@ def test_find_kernel_syntax_error():
     assert "not valid Python" in str(err.value)
 
 
+#: A 3,000-term sum: deeper than CPython's compiler recurses.
+LONG_SUM = "def k():\n    x = " + "+".join(["1"] * 3000) + "\n    write(x)\n"
+
+
+def test_long_expression_is_a_typed_error():
+    from repro.pipeline import compile_source
+
+    with pytest.raises(UnsupportedPythonError, match="nested too deeply"):
+        compile_source(LONG_SUM, frontend="python")
+
+
 # -- structure --------------------------------------------------------------
 
 

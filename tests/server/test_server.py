@@ -301,6 +301,30 @@ def test_malformed_and_oversized_lines():
     asyncio.run(main())
 
 
+def test_deeply_nested_json_line_is_a_protocol_error():
+    async def main():
+        server = await _started()
+        host, port = server.address
+
+        reader, writer = await asyncio.open_connection(host, port)
+        # 200 kB, under MAX_LINE_BYTES, but deeper than json recurses.
+        writer.write(b"[" * 100_000 + b"]" * 100_000 + b"\n")
+        await writer.drain()
+        parsed = json.loads(await reader.readline())
+        assert parsed["status"] == "error"
+        assert "nested too deeply" in parsed["error"]
+
+        # The connection and the server keep serving.
+        writer.write(protocol.encode_message({"op": "health"}))
+        await writer.drain()
+        assert json.loads(await reader.readline())["status"] == "ok"
+        writer.close()
+        assert server.stats()["requests"]["protocol_errors"] == 1
+        await _shutdown(server)
+
+    asyncio.run(main())
+
+
 def test_compile_error_reported_per_request():
     async def main():
         server = await _started()

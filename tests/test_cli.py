@@ -195,6 +195,22 @@ def test_bad_programs_exit_1_with_one_error_line(
     assert err.strip().splitlines() == [fragment]
 
 
+def test_long_python_expression_exits_1_with_one_error_line(
+    tmp_path, capsys
+):
+    path = tmp_path / "long.py"
+    path.write_text(
+        "def k():\n    x = " + "+".join(["1"] * 3000) + "\n    write(x)\n"
+    )
+    assert main(["compile", str(path), "--frontend", "python"]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().splitlines() == [
+        "repro compile: error: "
+        "expression nested too deeply for CPython's compiler"
+    ]
+
+
 def test_compiler_faults_still_raise(program_file, monkeypatch):
     import repro.__main__ as cli
 
