@@ -241,9 +241,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
     import json
 
     def announce(event: dict[str, object]) -> None:
-        # One JSON line per lifecycle event so harnesses (CI smoke,
-        # benchmarks/bench_server.py) can scrape the bound port and the
-        # drain summary.
+        # One JSON line per lifecycle event so harnesses (such as
+        # benchmarks/test_server_gate.py) can scrape the bound port and
+        # the drain summary.
         print(json.dumps(event, sort_keys=True), flush=True)
 
     from .server import ServerConfig, serve

@@ -45,7 +45,7 @@ class AssignmentStats:
     num_edges: int = 0
     #: atoms coloured as separate units (0 when ``use_atoms`` is off);
     #: not part of semantic equality — the frozen reference pipeline
-    #: (repro.core.reference) predates the work-unit engine.
+    #: (tests/reference.py) predates the work-unit engine.
     atom_units: int = field(default=0, compare=False)
 
     @property

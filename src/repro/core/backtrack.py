@@ -21,7 +21,7 @@ search.  Pruning of cost-dominated branches never drops a cheapest
 placement (a minimal-cost placement's every prefix is within the
 running bound), so the chosen placements — and the ``rng`` draws that
 break ties — are identical to the exhaustive reference
-(:func:`repro.core.reference.backtrack_duplication`).
+(``reference_backtrack_duplication`` in ``tests/reference.py``).
 """
 
 from __future__ import annotations

@@ -28,7 +28,7 @@ Every kernel increments the module-level :data:`COUNTERS`, which the
 strategy layer snapshots per assignment stage and re-emits through the
 pass Tracer (``kernel_*`` counts in ``--trace-json`` output), so the
 speedup over the retained set-based reference implementations
-(:mod:`repro.core.reference`) is observable, not asserted.
+(``tests/reference.py``) is observable, not asserted.
 """
 
 from __future__ import annotations

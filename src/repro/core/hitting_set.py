@@ -19,7 +19,7 @@ dense value numbering, "already hit" is one AND against the running
 hitting-set mask, and the greedy keeps its per-element coverage counts
 lazily — each pick subtracts the newly-hit sets from their members'
 counters instead of rebuilding the whole coverage table (the reference
-behaviour, kept in :mod:`repro.core.reference`, rescans every surviving
+behaviour, kept in ``tests/reference.py``, rescans every surviving
 set per pick).  Results are identical to the reference.
 """
 

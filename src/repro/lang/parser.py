@@ -23,12 +23,16 @@ Grammar (EBNF):
     unary      := ("-"|"+") unary | primary
     primary    := INT | REAL | "true" | "false" | "(" expr ")"
                 | IDENT [ "[" expr "]" | "(" args ")" ]
+
+The later passes walk the tree recursively, so nesting deeper than
+:data:`MAX_NESTING` levels (``docs/language.md``) is a
+:class:`ParseError`, not a ``RecursionError`` in some later pass.
 """
 
 from __future__ import annotations
 
 from . import ast_nodes as ast
-from .errors import ParseError
+from .errors import ParseError, SourceLocation
 from .lexer import tokenize
 from .tokens import Token, TokenKind
 
@@ -50,6 +54,9 @@ _MUL_OPS = {
     TokenKind.MOD: "mod",
 }
 
+#: Deepest nesting the parser accepts (see the module docstring).
+MAX_NESTING = 64
+
 _STMT_START = {
     TokenKind.IDENT,
     TokenKind.IF,
@@ -67,6 +74,8 @@ class Parser:
     def __init__(self, tokens: list[Token]):
         self._tokens = tokens
         self._pos = 0
+        self._depth = 0  # statements and bracketed expressions now open
+        self._heights: dict[int, int] = {}  # id(expr) -> height; leaves 0
 
     # -- token plumbing -----------------------------------------------------
 
@@ -95,6 +104,29 @@ class Parser:
         if self._at(kind):
             return self._advance()
         return None
+
+    def _too_deep(self, location: SourceLocation) -> ParseError:
+        return ParseError(f"nesting deeper than {MAX_NESTING} levels", location)
+
+    def _open(self) -> None:
+        self._depth += 1
+        if self._depth > MAX_NESTING:
+            raise self._too_deep(self._peek().location)
+
+    def _built(self, node: ast.Expr, *children: ast.Expr) -> ast.Expr:
+        """Record ``node``'s height, checking it under the open levels."""
+        heights = self._heights
+        height = 1 + max([heights.get(id(c), 0) for c in children] or [0])
+        if self._depth + height > MAX_NESTING:
+            raise self._too_deep(node.location)
+        heights[id(node)] = height
+        return node
+
+    def _binary(
+        self, tok: Token, op: str, left: ast.Expr, right: ast.Expr
+    ) -> ast.Expr:
+        node = ast.BinaryOp(tok.location, op, left, right)
+        return self._built(node, left, right)
 
     # -- grammar ------------------------------------------------------------
 
@@ -161,6 +193,12 @@ class Parser:
         return ast.Block(start.location, body)
 
     def _parse_stmt(self) -> ast.Stmt:
+        self._open()
+        stmt = self._parse_stmt_body()
+        self._depth -= 1
+        return stmt
+
+    def _parse_stmt_body(self) -> ast.Stmt:
         tok = self._peek()
         if tok.kind is TokenKind.BEGIN:
             return self._parse_block()
@@ -236,20 +274,24 @@ class Parser:
         if self._accept(TokenKind.LBRACKET):
             index = self._parse_expr()
             self._expect(TokenKind.RBRACKET)
-            return ast.IndexRef(tok.location, tok.text, index)
+            ref = ast.IndexRef(tok.location, tok.text, index)
+            return self._built(ref, index)
         return ast.VarRef(tok.location, tok.text)
 
     # -- expressions ----------------------------------------------------
 
     def _parse_expr(self) -> ast.Expr:
-        return self._parse_or()
+        self._open()
+        expr = self._parse_or()
+        self._depth -= 1
+        return expr
 
     def _parse_or(self) -> ast.Expr:
         left = self._parse_and()
         while self._at(TokenKind.OR):
             tok = self._advance()
             right = self._parse_and()
-            left = ast.BinaryOp(tok.location, "or", left, right)
+            left = self._binary(tok, "or", left, right)
         return left
 
     def _parse_and(self) -> ast.Expr:
@@ -257,13 +299,17 @@ class Parser:
         while self._at(TokenKind.AND):
             tok = self._advance()
             right = self._parse_not()
-            left = ast.BinaryOp(tok.location, "and", left, right)
+            left = self._binary(tok, "and", left, right)
         return left
 
     def _parse_not(self) -> ast.Expr:
         if self._at(TokenKind.NOT):
             tok = self._advance()
-            return ast.UnaryOp(tok.location, "not", self._parse_not())
+            self._open()
+            operand = self._parse_not()
+            self._depth -= 1
+            expr = ast.UnaryOp(tok.location, "not", operand)
+            return self._built(expr, operand)
         return self._parse_rel()
 
     def _parse_rel(self) -> ast.Expr:
@@ -272,7 +318,7 @@ class Parser:
         if kind in _REL_OPS:
             tok = self._advance()
             right = self._parse_add()
-            return ast.BinaryOp(tok.location, _REL_OPS[kind], left, right)
+            return self._binary(tok, _REL_OPS[kind], left, right)
         return left
 
     def _parse_add(self) -> ast.Expr:
@@ -280,7 +326,7 @@ class Parser:
         while self._peek().kind in _ADD_OPS:
             tok = self._advance()
             right = self._parse_mul()
-            left = ast.BinaryOp(tok.location, _ADD_OPS[tok.kind], left, right)
+            left = self._binary(tok, _ADD_OPS[tok.kind], left, right)
         return left
 
     def _parse_mul(self) -> ast.Expr:
@@ -288,17 +334,20 @@ class Parser:
         while self._peek().kind in _MUL_OPS:
             tok = self._advance()
             right = self._parse_unary()
-            left = ast.BinaryOp(tok.location, _MUL_OPS[tok.kind], left, right)
+            left = self._binary(tok, _MUL_OPS[tok.kind], left, right)
         return left
 
     def _parse_unary(self) -> ast.Expr:
         tok = self._peek()
-        if tok.kind is TokenKind.MINUS:
+        if tok.kind is TokenKind.MINUS or tok.kind is TokenKind.PLUS:
             self._advance()
-            return ast.UnaryOp(tok.location, "-", self._parse_unary())
-        if tok.kind is TokenKind.PLUS:
-            self._advance()
-            return self._parse_unary()
+            self._open()
+            operand = self._parse_unary()
+            self._depth -= 1
+            if tok.kind is TokenKind.PLUS:
+                return operand
+            expr = ast.UnaryOp(tok.location, "-", operand)
+            return self._built(expr, operand)
         return self._parse_primary()
 
     def _parse_primary(self) -> ast.Expr:
@@ -325,7 +374,8 @@ class Parser:
             if self._accept(TokenKind.LBRACKET):
                 index = self._parse_expr()
                 self._expect(TokenKind.RBRACKET)
-                return ast.IndexRef(tok.location, tok.text, index)
+                ref = ast.IndexRef(tok.location, tok.text, index)
+                return self._built(ref, index)
             if self._accept(TokenKind.LPAREN):
                 args: list[ast.Expr] = []
                 if not self._at(TokenKind.RPAREN):
@@ -333,7 +383,8 @@ class Parser:
                     while self._accept(TokenKind.COMMA):
                         args.append(self._parse_expr())
                 self._expect(TokenKind.RPAREN)
-                return ast.Call(tok.location, tok.text, args)
+                call = ast.Call(tok.location, tok.text, args)
+                return self._built(call, *args)
             return ast.VarRef(tok.location, tok.text)
         raise ParseError(
             f"expected an expression, found {tok.text or tok.kind.value!r}",

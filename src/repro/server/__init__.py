@@ -27,7 +27,7 @@ Modules:
     overload-aware request policy.
 ``repro.server.loadgen``
     The load generator behind ``python -m repro loadgen`` and
-    ``benchmarks/bench_server.py``.
+    ``benchmarks/test_server_gate.py``.
 
 See ``docs/server.md`` for the protocol, backpressure semantics, and
 the ops runbook.

@@ -9,10 +9,10 @@ content-addressed cache exist for.  Optionally mixes in *poison*
 requests — an oversized source and a syntactically broken program —
 that a healthy server must answer with ``error`` without falling over.
 
-The emitted report (the body of ``BENCH_server.json``) carries client-
+The emitted report (what ``loadgen --json`` writes) carries client-
 side outcome counts and latency percentiles, retry totals, the server's
 own ``stats`` snapshot taken after the run, and the derived
-``checks`` the CI smoke gate asserts:
+``checks`` that ``benchmarks/test_server_gate.py`` asserts:
 
 - ``stayed_up`` — every request got *some* response (no transport
   failures at the end of the retry budget);

@@ -12,15 +12,11 @@ Turns the one-program-at-a-time library into a servable batch system:
     stage-level front-end reuse via a
     :class:`repro.passes.cache.ArtifactCache`.
 
-The per-stage :class:`Metrics`/:class:`StageMetric` protocol lives in
-:mod:`repro.passes.events` and is re-exported here for compatibility.
-
 See ``docs/service.md`` for the API and the cache-key scheme, and
 ``docs/architecture.md`` for the pass framework the service now runs
 on.
 """
 
-from ..passes.events import Metrics, StageMetric
 from .batch import BatchCompiler, BatchJob, BatchReport, JobResult
 from .cache import AllocationCache, job_key, program_fingerprint
 
@@ -30,8 +26,6 @@ __all__ = [
     "BatchJob",
     "BatchReport",
     "JobResult",
-    "Metrics",
-    "StageMetric",
     "job_key",
     "program_fingerprint",
 ]

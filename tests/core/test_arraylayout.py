@@ -81,14 +81,19 @@ def test_disable_moves_keeps_layout_stage():
     assert plan.specs  # layout stage still ran
 
 
-@pytest.mark.parametrize("k", [8, 4])
-def test_optimized_outputs_identical_all_programs(k):
+@pytest.mark.parametrize(
+    "k,unroll",
+    [(8, 2), (4, 2), (8, 4), (4, 4)],
+    ids=["8", "4", "8-unroll4", "4-unroll4"],
+)
+def test_optimized_outputs_identical_all_programs(k, unroll):
     """The differential safety net: under the plan every registry
     program computes exactly what it computed under the default
-    interleaved layout — and never pays more than t_ave."""
+    interleaved layout — and never pays more than t_ave, also at paper
+    scale (unroll 4)."""
     machine = MachineConfig(num_fus=4, num_modules=k)
     for spec in all_programs():
-        program = compile_for_paper(spec.source, machine, unroll=2)
+        program = compile_for_paper(spec.source, machine, unroll=unroll)
         storage = stor1(program.schedule, program.renamed, k)
         inputs = list(spec.inputs)
         base = simulate(program, storage.allocation, inputs)

@@ -2,7 +2,7 @@
 
 The mask-based ports in :mod:`repro.core` are required to be
 *byte-identical* to the original implementations retained in
-:mod:`repro.core.reference` — same allocations, same histories (copy
+``tests/reference.py`` — same allocations, same histories (copy
 creation order), same colouring traces, same rng draw sequences — not
 merely "also conflict-free".  These tests compare the two stacks,
 kernel by kernel and end to end, over several hundred seeded random
@@ -25,7 +25,7 @@ from repro.core import (
     place_copies,
 )
 from repro.core.duplication import hitting_set_duplication
-from repro.core.reference import (
+from tests.reference import (
     ReferenceConflictGraph,
     reference_assign_modules,
     reference_backtrack_duplication,

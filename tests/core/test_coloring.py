@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis.workloads import random_instructions
 from repro.core import ConflictGraph, color_atom, color_graph
-from repro.core.reference import ReferenceConflictGraph, reference_color_atom
+from tests.reference import ReferenceConflictGraph, reference_color_atom
 
 
 def graph_of(sets):

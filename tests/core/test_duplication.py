@@ -132,7 +132,7 @@ def test_identical_instructions_dedupe_with_identical_residual_combos():
     import random
 
     from repro.core.bitset import COUNTERS
-    from repro.core.reference import reference_hitting_set_duplication
+    from tests.reference import reference_hitting_set_duplication
 
     k = 2
     repeats = [frozenset({1, 2})] * 5 + [frozenset({2, 3})]
@@ -165,7 +165,7 @@ def test_duplicated_rows_score_like_their_multiplicity():
     (the live kernel scores distinct rows weighted by multiplicity)."""
     import random
 
-    from repro.core.reference import reference_hitting_set_duplication
+    from tests.reference import reference_hitting_set_duplication
 
     k = 3
     sets = (

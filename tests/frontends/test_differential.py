@@ -11,6 +11,7 @@ simulate) preserves CPython semantics on the supported subset.
 
 import pytest
 
+from repro.core.arraylayout import optimize_arrays
 from repro.core.strategies import run_strategy
 from repro.liw.machine import MachineConfig
 from repro.pipeline import compile_source, simulate
@@ -57,6 +58,28 @@ def test_compiled_matches_native(name, k, strategy):
     assert result.outputs == _NATIVE[name], (
         f"{name} diverged from CPython at k={k} {strategy}"
     )
+
+
+@pytest.mark.parametrize("k", (8, 4))
+@pytest.mark.parametrize("name", pykernel_names())
+def test_array_optimizer_matches_native_without_conflicts(name, k):
+    """STOR2 leaves no residual conflict, the array-layout optimizer's
+    plan keeps native CPython's outputs, and at k = 8 an
+    array-indexing kernel pays no more than t_ave under it."""
+    spec = next(s for s in all_pykernels() if s.name == name)
+    program = _compiled(name, k)
+    storage = run_strategy(
+        "STOR2", program.schedule, program.renamed,
+        method="hitting_set", seed=0,
+    )
+    assert not storage.residual_instructions
+    inputs = list(spec.inputs)
+    base = simulate(program, storage.allocation, inputs)
+    plan = optimize_arrays(program.schedule, storage)
+    opt = simulate(program, storage.allocation, inputs, plan=plan)
+    assert opt.outputs == _NATIVE[name]
+    if k == 8 and spec.uses_arrays:
+        assert opt.memory.t_actual <= base.memory.t_ave + 1e-9
 
 
 @pytest.mark.parametrize("name", pykernel_names())

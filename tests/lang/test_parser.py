@@ -4,6 +4,8 @@ import pytest
 
 from repro.lang import ParseError, parse, parse_expression
 from repro.lang import ast_nodes as ast
+from repro.lang.parser import MAX_NESTING
+from repro.pipeline import compile_source
 
 
 def wrap(body: str, decls: str = "var x, y, i: int; a: array[8] of int;") -> str:
@@ -162,3 +164,39 @@ def test_expression_statement_rejected():
 def test_assign_requires_walrus():
     with pytest.raises(ParseError):
         parse(wrap("x = 1"))
+
+
+#: The three shapes that overflowed Python's recursion limit in a later
+#: pass before nesting was capped.
+DEEP_PROGRAMS = {
+    "parens": wrap("x := " + "(" * 1000 + "1" + ")" * 1000),
+    "sum": wrap("x := " + "+".join(["1"] * 3000)),
+    "ifs": wrap("if x > 0 then begin " * 2000 + "x := 1" + " end" * 2000),
+}
+
+
+@pytest.mark.parametrize("name", DEEP_PROGRAMS)
+def test_deep_programs_fail_with_a_typed_error(name):
+    with pytest.raises(
+        ParseError, match=f"nesting deeper than {MAX_NESTING} levels at 1:"
+    ):
+        compile_source(DEEP_PROGRAMS[name])
+
+
+@pytest.mark.parametrize(
+    "shape,deepest",
+    [
+        # statement + expression + 62 parentheses
+        (lambda n: "x := " + "(" * n + "1" + ")" * n, MAX_NESTING - 2),
+        # statement + expression + n - 1 operators
+        (lambda n: "x := " + "+".join(["1"] * n), MAX_NESTING - 1),
+        # two statements per if-begin, then the assignment and its value
+        (lambda n: "if x > 0 then begin " * n + "x := 1" + " end" * n,
+         MAX_NESTING // 2 - 1),
+    ],
+    ids=["parens", "sum", "ifs"],
+)
+def test_nesting_at_the_cap_compiles_and_one_level_more_fails(shape, deepest):
+    compile_source(wrap(shape(deepest)), unroll=2)
+    with pytest.raises(ParseError, match="nesting deeper than"):
+        parse(wrap(shape(deepest + 1)))

@@ -26,12 +26,12 @@ import random
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-from .allocation import Allocation
-from .assign import AssignmentResult, AssignmentStats
-from .backtrack import BacktrackStats
-from .coloring import ColoringResult, ColoringStep
-from .duplication import DuplicationStats
-from .verify import sdr_exists
+from repro.core.allocation import Allocation
+from repro.core.assign import AssignmentResult, AssignmentStats
+from repro.core.backtrack import BacktrackStats
+from repro.core.coloring import ColoringResult, ColoringStep
+from repro.core.duplication import DuplicationStats
+from repro.core.verify import sdr_exists
 
 
 def _edge(u: int, v: int) -> tuple[int, int]:

@@ -287,7 +287,7 @@ def test_response_builders_are_jsonable():
 
 # --------------------------------------------------------------------------
 # Golden stats-payload schema (ISSUE 6): the `stats` endpoint is consumed
-# by bench_server.py, the CI gate, and format_server_stats — its key sets
+# by the loadgen report, its CI gate, and format_server_stats — its key sets
 # are pinned here so additions are deliberate, schema-stable events.
 # --------------------------------------------------------------------------
 

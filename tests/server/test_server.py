@@ -17,6 +17,7 @@ from repro.server import CompileServer, ServerConfig, ServerClient
 from repro.server import protocol
 from repro.server.loadgen import make_program
 from repro.service.batch import BatchReport, JobResult
+from tests.lang.test_parser import DEEP_PROGRAMS
 
 SOURCE = """
 program srv;
@@ -320,6 +321,21 @@ def test_deeply_nested_json_line_is_a_protocol_error():
         assert json.loads(await reader.readline())["status"] == "ok"
         writer.close()
         assert server.stats()["requests"]["protocol_errors"] == 1
+        await _shutdown(server)
+
+    asyncio.run(main())
+
+
+def test_deep_programs_are_compile_errors_and_the_server_keeps_serving():
+    async def main():
+        server = await _started()
+        host, port = server.address
+        async with ServerClient(host, port) as client:
+            for name, source in DEEP_PROGRAMS.items():
+                reply = await client.compile(source, name=name)
+                assert reply["status"] == "error", name
+                assert "nesting deeper than 64 levels" in reply["error"]
+            assert (await client.health())["status"] == "ok"
         await _shutdown(server)
 
     asyncio.run(main())

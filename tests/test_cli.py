@@ -3,6 +3,7 @@
 import pytest
 
 from repro.__main__ import build_parser, main
+from tests.lang.test_parser import DEEP_PROGRAMS
 
 
 @pytest.fixture()
@@ -209,6 +210,19 @@ def test_long_python_expression_exits_1_with_one_error_line(
         "repro compile: error: "
         "expression nested too deeply for CPython's compiler"
     ]
+
+
+@pytest.mark.parametrize("name", DEEP_PROGRAMS)
+def test_deep_program_exits_1_with_one_error_line(name, tmp_path, capsys):
+    path = tmp_path / "deep.p"
+    path.write_text(DEEP_PROGRAMS[name])
+    assert main(["compile", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    [line] = err.strip().splitlines()
+    assert line.startswith(
+        "repro compile: error: nesting deeper than 64 levels at 1:"
+    )
 
 
 def test_compiler_faults_still_raise(program_file, monkeypatch):

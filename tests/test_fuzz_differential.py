@@ -225,7 +225,7 @@ def test_fuzz_bitset_assign_matches_reference_on_programs(seed, method):
     the frozen set-based reference byte for byte — same allocation, same
     copy-creation history, same stats."""
     from repro.core.assign import assign_modules
-    from repro.core.reference import reference_assign_modules
+    from tests.reference import reference_assign_modules
 
     source = random_source(seed)
     tree = parse(source)
