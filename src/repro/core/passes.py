@@ -1,9 +1,11 @@
 """Storage-assignment and array-layout passes.
 
 ``ALLOCATE`` wraps :func:`repro.core.strategies.run_strategy`; the
-strategy's internal stages (``STOR2.globals``, ``STOR3.chunk1``, ...)
-are re-emitted as sub-events of the ``allocate`` pass so tracers see
-the full per-stage breakdown the strategies already measure.
+strategy's internal stages (``STOR2.globals``, ``STOR3.chunk1``, ...),
+recorded as events on the returned
+:class:`~repro.core.strategies.StorageResult`, are re-emitted as
+sub-events of the ``allocate`` pass so tracers see the full per-stage
+breakdown.
 
 ``ARRAY_OPT`` wraps :func:`repro.core.arraylayout.optimize_arrays` —
 the compile-time bank-conflict minimizer.  It only runs when the
@@ -14,7 +16,6 @@ downstream artifacts, and cache keys are untouched.
 
 from __future__ import annotations
 
-from ..passes.events import Metrics
 from ..passes.manager import Pass, PassContext
 from .arraylayout import optimize_arrays
 from .strategies import run_strategy
@@ -22,7 +23,6 @@ from .strategies import run_strategy
 
 def _run_allocate(ctx: PassContext) -> None:
     opts = ctx.options
-    stage_metrics = Metrics()
     storage = run_strategy(
         opts.strategy,
         ctx.get("schedule"),  # type: ignore[arg-type]
@@ -30,11 +30,10 @@ def _run_allocate(ctx: PassContext) -> None:
         opts.k,
         method=opts.method,
         seed=opts.seed,
-        metrics=stage_metrics,
         **opts.knobs(),
     )
-    for stage in stage_metrics.stages:
-        ctx.emit_sub(stage.name, stage.wall_time, **stage.counts)
+    for event in storage.events:
+        ctx.emit_sub(event.name, event.wall_time, **event.counts)
     ctx.set("storage", storage)
     ctx.count("singles", storage.singles)
     ctx.count("multiples", storage.multiples)

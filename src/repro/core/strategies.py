@@ -24,7 +24,7 @@ from typing import Mapping
 from ..ir.regions import compute_regions
 from ..ir.rename import RenamedProgram
 from ..liw.schedule import Schedule
-from ..passes.events import Metrics
+from ..passes.events import PassEvent
 from .allocation import Allocation
 from .assign import AssignmentResult, assign_modules
 from .bitset import COUNTERS
@@ -39,6 +39,12 @@ class StorageResult:
     allocation: Allocation
     stages: list[AssignmentResult] = field(default_factory=list)
     residual_instructions: list[frozenset[int]] = field(default_factory=list)
+    #: One ``end`` event per timed stage (``STOR2.globals``, ...,
+    #: ``STOR2.finalize``), in run order.  Observation only: never
+    #: encoded into the cache, so a cached result has none.
+    events: list[PassEvent] = field(
+        default_factory=list, compare=False, repr=False
+    )
 
     @property
     def singles(self) -> int:
@@ -78,37 +84,33 @@ def _program_facts(
 
 
 def _timed_assign(
-    metrics: "Metrics | None", stage: str, *args, **kwargs
+    events: list[PassEvent], stage: str, *args, **kwargs
 ) -> AssignmentResult:
-    """Run :func:`assign_modules`, recording a stage metric when asked.
+    """Run :func:`assign_modules`, appending the stage's ``end`` event
+    to ``events``.
 
-    The stage metric carries the bitset-kernel work counters
-    (``kernel_*``) accumulated during the call — masks built, placements
-    enumerated, branches pruned, memo hits, ... — so ``--trace-json``
-    exposes per-stage kernel effort (see
+    The event carries the bitset-kernel work counters (``kernel_*``)
+    accumulated during the call — masks built, placements enumerated,
+    branches pruned, memo hits, ... — so ``--trace-json`` exposes
+    per-stage kernel effort (see
     :class:`repro.core.bitset.KernelCounters`)."""
     before = COUNTERS.snapshot()
     t0 = time.perf_counter()
     result = assign_modules(*args, **kwargs)
     wall = time.perf_counter() - t0
-    if metrics is not None:
-        kernel_counts = {
-            f"kernel_{name}": n
-            for name, n in COUNTERS.delta_since(before).items()
-            if n
-        }
-        metrics.add_stage(
-            stage,
-            wall,
-            graph_values=result.stats.num_values,
-            graph_edges=result.stats.num_edges,
-            instructions=result.stats.num_instructions,
-            atoms=result.coloring.num_atoms,
-            colored=result.stats.colored,
-            removed=result.stats.removed,
-            copies_created=result.stats.copies_created,
-            **kernel_counts,
-        )
+    counts: dict[str, int | float] = {
+        "graph_values": result.stats.num_values,
+        "graph_edges": result.stats.num_edges,
+        "instructions": result.stats.num_instructions,
+        "atoms": result.coloring.num_atoms,
+        "colored": result.stats.colored,
+        "removed": result.stats.removed,
+        "copies_created": result.stats.copies_created,
+    }
+    for name, n in COUNTERS.delta_since(before).items():
+        if n:
+            counts[f"kernel_{name}"] = n
+    events.append(PassEvent(stage, "end", wall, counts=counts))
     return result
 
 
@@ -118,14 +120,14 @@ def stor1(
     k: int | None = None,
     method: str = "hitting_set",
     seed: int = 0,
-    metrics: "Metrics | None" = None,
     **kwargs,
 ) -> StorageResult:
     """Whole-program assignment (no graph-size restriction)."""
     k = k if k is not None else schedule.machine.k
     operand_sets, _, duplicable, all_values = _program_facts(schedule, renamed)
+    events: list[PassEvent] = []
     result = _timed_assign(
-        metrics,
+        events,
         "STOR1.assign",
         operand_sets,
         k,
@@ -142,7 +144,9 @@ def stor1(
         if kwargs.get("weights") is None
         else conflicting_instructions(operand_sets, result.allocation)
     )
-    return StorageResult("STOR1", result.allocation, [result], residual)
+    return StorageResult(
+        "STOR1", result.allocation, [result], residual, events
+    )
 
 
 def stor2(
@@ -151,7 +155,6 @@ def stor2(
     k: int | None = None,
     method: str = "hitting_set",
     seed: int = 0,
-    metrics: "Metrics | None" = None,
     **kwargs,
 ) -> StorageResult:
     """Two-stage assignment: region-crossing globals first, then the
@@ -169,11 +172,12 @@ def stor2(
     }
 
     stages: list[AssignmentResult] = []
+    events: list[PassEvent] = []
 
     # Stage 1: globals only, conflicts projected onto global values.
     global_sets = [ops & global_ids for ops in operand_sets]
     stage1 = _timed_assign(
-        metrics,
+        events,
         "STOR2.globals",
         global_sets,
         k,
@@ -201,7 +205,7 @@ def stor2(
             if v not in global_ids
         }
         stage = _timed_assign(
-            metrics,
+            events,
             f"STOR2.region{region}",
             region_sets,
             k,
@@ -217,7 +221,7 @@ def stor2(
 
     # Values appearing in no instruction at all.
     final = _timed_assign(
-        metrics, "STOR2.finalize",
+        events, "STOR2.finalize",
         [], k, duplicable=duplicable, initial=alloc,
         all_values=all_values, seed=seed,
     )
@@ -226,6 +230,7 @@ def stor2(
         final.allocation,
         stages,
         conflicting_instructions(operand_sets, final.allocation),
+        events,
     )
 
 
@@ -236,7 +241,6 @@ def stor3(
     method: str = "hitting_set",
     groups: int = 2,
     seed: int = 0,
-    metrics: "Metrics | None" = None,
     **kwargs,
 ) -> StorageResult:
     """Split the instruction stream into ``groups`` consecutive chunks
@@ -248,13 +252,14 @@ def stor3(
 
     chunk_size = max(1, -(-len(operand_sets) // groups))
     stages: list[AssignmentResult] = []
+    events: list[PassEvent] = []
     alloc: Allocation | None = None
     for g in range(groups):
         chunk = operand_sets[g * chunk_size : (g + 1) * chunk_size]
         if not chunk and alloc is not None:
             continue
         stage = _timed_assign(
-            metrics,
+            events,
             f"STOR3.chunk{g}",
             chunk,
             k,
@@ -268,7 +273,7 @@ def stor3(
         alloc = stage.allocation
 
     final = _timed_assign(
-        metrics, "STOR3.finalize",
+        events, "STOR3.finalize",
         [], k, duplicable=duplicable, initial=alloc,
         all_values=all_values, seed=seed,
     )
@@ -277,6 +282,7 @@ def stor3(
         final.allocation,
         stages,
         conflicting_instructions(operand_sets, final.allocation),
+        events,
     )
 
 
@@ -286,7 +292,6 @@ def stor_region(
     k: int | None = None,
     method: str = "hitting_set",
     seed: int = 0,
-    metrics: "Metrics | None" = None,
     **kwargs,
 ) -> StorageResult:
     """One region at a time (paper §2: "One solution to this problem is
@@ -306,13 +311,14 @@ def stor_region(
     region_of_liw = [regions.block_region[b] for b in block_of]
 
     stages: list[AssignmentResult] = []
+    events: list[PassEvent] = []
     alloc: Allocation | None = None
     for region in sorted(set(region_of_liw)):
         region_sets = [
             ops for ops, r in zip(operand_sets, region_of_liw) if r == region
         ]
         stage = _timed_assign(
-            metrics,
+            events,
             f"STOR-REGION.region{region}",
             region_sets,
             k,
@@ -326,7 +332,7 @@ def stor_region(
         alloc = stage.allocation
 
     final = _timed_assign(
-        metrics, "STOR-REGION.finalize",
+        events, "STOR-REGION.finalize",
         [], k, duplicable=duplicable, initial=alloc,
         all_values=all_values, seed=seed,
     )
@@ -335,6 +341,7 @@ def stor_region(
         final.allocation,
         stages,
         conflicting_instructions(operand_sets, final.allocation),
+        events,
     )
 
 
@@ -354,7 +361,7 @@ _ASSIGN_KNOBS = (
 )
 
 #: Knobs understood by the strategies themselves (beyond the explicit
-#: ``method``/``seed``/``metrics`` parameters and positional ``k``).
+#: ``method``/``seed`` parameters and positional ``k``).
 STRATEGY_KNOBS: dict[str, tuple[str, ...]] = {
     "STOR1": _ASSIGN_KNOBS,
     "STOR2": _ASSIGN_KNOBS,
@@ -384,7 +391,7 @@ def validate_strategy_kwargs(name: str, kwargs: Mapping[str, object]) -> None:
             f"unknown method {method!r} for {sname}; valid methods: "
             f"{', '.join(METHODS)}"
         )
-    valid = ("method", "seed", "metrics") + STRATEGY_KNOBS[sname]
+    valid = ("method", "seed") + STRATEGY_KNOBS[sname]
     unknown = sorted(set(kwargs) - set(valid))
     if unknown:
         raise ValueError(

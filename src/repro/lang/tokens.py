@@ -9,6 +9,11 @@ from .errors import SourceLocation
 
 
 class TokenKind(enum.Enum):
+    # Members are singletons compared by identity, so the C-level
+    # identity hash is sound; ``Enum.__hash__`` is a Python function
+    # that the parser's ``kind in {...}`` tests would call per token.
+    __hash__ = object.__hash__
+
     # literals / identifiers
     IDENT = "identifier"
     INT = "integer literal"

@@ -25,7 +25,6 @@ from .simulator import (
     MemoryReport,
     MemorySimulator,
     ScalarLoadMemo,
-    instruction_distribution,
     scalar_load_vector,
 )
 
@@ -49,6 +48,5 @@ __all__ = [
     "MemoryReport",
     "MemorySimulator",
     "ScalarLoadMemo",
-    "instruction_distribution",
     "scalar_load_vector",
 ]

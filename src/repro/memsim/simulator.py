@@ -46,11 +46,7 @@ from operator import add
 from ..core.allocation import Allocation
 from ..core.verify import find_sdr
 from ..liw.executor import AccessEvent
-from .distribution import (
-    expected_max_load,
-    max_load_distribution,
-    min_possible_max_load,
-)
+from .distribution import expected_max_load, min_possible_max_load
 from .interleave import ArrayLayout
 
 
@@ -293,15 +289,3 @@ class MemorySimulator:
             scalar_conflict_instructions=self.scalar_conflicts,
             actual_conflict_instructions=self.actual_conflicts,
         )
-
-
-def instruction_distribution(
-    sources: frozenset[int],
-    dests: frozenset[int],
-    n_array: int,
-    alloc: Allocation,
-    k: int,
-) -> dict[int, float]:
-    """p(i) for one instruction — exposed for tests and the docs."""
-    vec = scalar_load_vector(sources, dests, alloc, k)
-    return max_load_distribution(vec, n_array)

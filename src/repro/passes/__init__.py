@@ -1,10 +1,9 @@
 """Typed pass-manager framework for the compilation pipeline.
 
 ``repro.passes.events``
-    :class:`PassEvent` records, :class:`Tracer` sinks, and the
-    :class:`Metrics`/:class:`StageMetric` stage-metrics protocol (the
-    neutral home that breaks the old ``pipeline`` <-> ``service``
-    import cycle).
+    :class:`PassEvent` records and :class:`Tracer` sinks — the one
+    channel through which passes and strategy stages are observed
+    (stdlib only, so any layer may import it without a cycle).
 ``repro.passes.artifacts``
     The artifact type table, the :class:`ArtifactStore`, the frozen
     :class:`PipelineOptions`, and the public result records.
@@ -31,16 +30,7 @@ from .artifacts import (
     compiled_program,
 )
 from .cache import ArtifactCache
-from .events import (
-    CollectingTracer,
-    Metrics,
-    MetricsTracer,
-    NullTracer,
-    PassEvent,
-    StageMetric,
-    TeeTracer,
-    Tracer,
-)
+from .events import CollectingTracer, NullTracer, PassEvent, Tracer
 from .fingerprint import chain_fingerprint, digest, initial_fingerprint
 from .manager import Pass, PassContext, PassError, PassManager, PassRunResult
 
@@ -50,8 +40,6 @@ __all__ = [
     "ArtifactStore",
     "CollectingTracer",
     "CompiledProgram",
-    "Metrics",
-    "MetricsTracer",
     "NullTracer",
     "Pass",
     "PassContext",
@@ -61,8 +49,6 @@ __all__ = [
     "PassRunResult",
     "PipelineOptions",
     "SimulationResult",
-    "StageMetric",
-    "TeeTracer",
     "Tracer",
     "chain_fingerprint",
     "compiled_program",

@@ -1,30 +1,24 @@
-"""Structured per-pass events, tracers, and the stage-metrics protocol.
+"""Structured per-pass events and the tracers that receive them.
 
 This module is deliberately dependency-free (stdlib only) so that any
 layer — ``repro.pipeline``, ``repro.core.strategies``, ``repro.service``
-— can import it without creating an import cycle.  It is the neutral
-home of the :class:`Metrics`/:class:`StageMetric` protocol (which
-originally lived in the since-retired ``repro.service.metrics``).
+— can import it without creating an import cycle.
 
-Two observation channels exist:
-
-:class:`Tracer`
-    A pluggable sink of :class:`PassEvent` records.  The pass manager
-    emits one ``start`` and one terminal event (``end``, ``cache-hit``,
-    ``skip``, or ``error``) per pass, carrying wall time, the pass's
-    chained fingerprint, size counters, and warnings.
-:class:`Metrics`
-    The flat per-stage accumulator consumed by the batch service's JSON
-    reports.  :class:`MetricsTracer` adapts the event stream onto it so
-    the pre-pass-manager report format is preserved byte for byte.
+A :class:`PassEvent` is the one record of an observed stage.  The pass
+manager emits one ``start`` and one terminal event (``end``,
+``cache-hit``, ``skip``, or ``error``) per pass, carrying wall time, the
+pass's chained fingerprint, size counters, and warnings, to a pluggable
+:class:`Tracer`.  The storage strategies record their own stages
+(``STOR2.globals``, ``STOR3.chunk1``, ...) as ``end`` events on the
+:class:`~repro.core.strategies.StorageResult` they return; the
+``allocate`` pass re-emits them as its sub-stages, and the batch
+service renders its per-job metrics from the same events.
 """
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Protocol, runtime_checkable
+from typing import Iterable, Protocol, runtime_checkable
 
 #: Terminal statuses a pass run can end with.
 PASS_STATUSES = ("start", "end", "cache-hit", "skip", "error")
@@ -126,85 +120,6 @@ class CollectingTracer:
         return [e.as_dict() for e in self.completed()]
 
 
-class TeeTracer:
-    """Fans each event out to several tracers."""
-
-    def __init__(self, tracers: Iterable[Tracer]):
-        self.tracers = list(tracers)
-
-    def emit(self, event: PassEvent) -> None:
-        for tracer in self.tracers:
-            tracer.emit(event)
-
-
-# --------------------------------------------------------------------------
-# Stage metrics (moved verbatim from repro.service.metrics)
-# --------------------------------------------------------------------------
-
-
-@dataclass(slots=True)
-class StageMetric:
-    """One pipeline stage's timing and size counters."""
-
-    name: str
-    wall_time: float = 0.0
-    counts: dict[str, int | float] = field(default_factory=dict)
-
-    def as_dict(self) -> dict[str, object]:
-        return {"name": self.name, "wall_time": self.wall_time, **self.counts}
-
-
-@dataclass(slots=True)
-class Metrics:
-    """Accumulates per-stage metrics and global counters."""
-
-    stages: list[StageMetric] = field(default_factory=list)
-    counters: dict[str, int | float] = field(default_factory=dict)
-
-    @contextmanager
-    def stage(self, name: str, **counts: int | float) -> Iterator[StageMetric]:
-        """Time a stage; the yielded record's ``counts`` may be filled
-        in by the body."""
-        record = StageMetric(name, counts=dict(counts))
-        t0 = time.perf_counter()
-        try:
-            yield record
-        finally:
-            record.wall_time = time.perf_counter() - t0
-            self.stages.append(record)
-
-    def add_stage(
-        self, name: str, wall_time: float, **counts: int | float
-    ) -> StageMetric:
-        record = StageMetric(name, wall_time, dict(counts))
-        self.stages.append(record)
-        return record
-
-    def incr(self, counter: str, amount: int | float = 1) -> None:
-        self.counters[counter] = self.counters.get(counter, 0) + amount
-
-    # -- queries ------------------------------------------------------------
-
-    def stage_time(self, name: str) -> float:
-        return sum(s.wall_time for s in self.stages if s.name == name)
-
-    @property
-    def total_time(self) -> float:
-        return sum(s.wall_time for s in self.stages)
-
-    def merge(self, other: "Metrics") -> None:
-        self.stages.extend(other.stages)
-        for key, value in other.counters.items():
-            self.incr(key, value)
-
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "stages": [s.as_dict() for s in self.stages],
-            "counters": dict(self.counters),
-            "total_time": self.total_time,
-        }
-
-
 class LatencyRecorder:
     """Bounded reservoir of duration samples with percentile queries.
 
@@ -254,25 +169,3 @@ class LatencyRecorder:
             "p99": self.percentile(99),
             "max": self.max_seen,
         }
-
-
-class MetricsTracer:
-    """Adapts the pass-event stream onto a :class:`Metrics` collector.
-
-    Executed passes become stages named exactly like the pre-refactor
-    pipeline stages ("parse", "lower", ...), keeping the batch service's
-    JSON stable.  Cache hits are recorded as zero-ish-time stages with a
-    ``cached`` marker and counted in ``counters['pass_cache_hits']``.
-    """
-
-    def __init__(self, metrics: Metrics):
-        self.metrics = metrics
-
-    def emit(self, event: PassEvent) -> None:
-        if event.status in ("end", "error"):
-            self.metrics.add_stage(event.name, event.wall_time, **event.counts)
-        elif event.status == "cache-hit":
-            self.metrics.add_stage(
-                event.name, event.wall_time, cached=1, **event.counts
-            )
-            self.metrics.incr("pass_cache_hits")

@@ -37,7 +37,7 @@ from .passes.artifacts import (
     compiled_program,
 )
 from .passes.cache import ArtifactCache
-from .passes.events import Metrics, MetricsTracer, TeeTracer, Tracer
+from .passes.events import Tracer
 from .passes.manager import Pass, PassManager, PassRunResult
 from .passes.registry import (
     compile_passes_for,
@@ -59,31 +59,6 @@ __all__ = [
 ]
 
 
-def _combined_tracer(
-    tracer: Tracer | None, metrics: Metrics | None
-) -> Tracer | None:
-    """Merge an explicit tracer with the legacy metrics channel."""
-    sinks: list[Tracer] = []
-    if tracer is not None:
-        sinks.append(tracer)
-    if metrics is not None:
-        sinks.append(MetricsTracer(metrics))
-    if not sinks:
-        return None
-    return sinks[0] if len(sinks) == 1 else TeeTracer(sinks)
-
-
-def _note_cache_counters(
-    metrics: Metrics | None, run: PassRunResult, cache: ArtifactCache | None
-) -> None:
-    # Hits are already counted per-event by MetricsTracer; only the
-    # miss total needs recording here.
-    if metrics is None or cache is None:
-        return
-    if run.cache_misses:
-        metrics.incr("pass_cache_misses", run.cache_misses)
-
-
 def run_pipeline(
     source: str,
     options: PipelineOptions | None = None,
@@ -91,7 +66,6 @@ def run_pipeline(
     passes: tuple[Pass, ...] | None = None,
     inputs: list[object] | None = None,
     tracer: Tracer | None = None,
-    metrics: Metrics | None = None,
     cache: ArtifactCache | None = None,
 ) -> PassRunResult:
     """Run a pass pipeline over ``source`` and return the full result
@@ -110,14 +84,9 @@ def run_pipeline(
     initial: dict[str, object] = {"source": source}
     if inputs is not None:
         initial["inputs"] = list(inputs)
-    manager = PassManager(
-        passes,
-        tracer=_combined_tracer(tracer, metrics),
-        cache=cache,
+    return PassManager(passes, tracer=tracer, cache=cache).run(
+        initial, options
     )
-    run = manager.run(initial, options)
-    _note_cache_counters(metrics, run, cache)
-    return run
 
 
 def compile_source(
@@ -129,7 +98,6 @@ def compile_source(
     immediate_limit: int = 15,
     simplify: bool = True,
     rename_mode: str = "web",
-    metrics: Metrics | None = None,
     tracer: Tracer | None = None,
     cache: ArtifactCache | None = None,
     frontend: str = "mini",
@@ -149,9 +117,7 @@ def compile_source(
     storage assignment as read-only values.  The paper-scale experiment
     configuration (:func:`compile_for_paper`) enables both.
 
-    ``metrics`` (a :class:`repro.passes.Metrics`) collects per-stage
-    wall times for the batch service's reports; ``tracer`` receives the
-    richer per-pass event stream; ``cache`` (an
+    ``tracer`` receives the per-pass event stream; ``cache`` (an
     :class:`~repro.passes.cache.ArtifactCache`) enables stage-level
     reuse of the front-end artifacts across calls.
     """
@@ -171,7 +137,6 @@ def compile_source(
         options,
         passes=frontend_passes_for(frontend),
         tracer=tracer,
-        metrics=metrics,
         cache=cache,
     )
     return compiled_program(run.store)

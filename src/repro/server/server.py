@@ -373,7 +373,7 @@ class CompileServer:
             "wall_time": result.wall_time,
         }
         if result.plan is not None:
-            payload["array_opt"] = result.plan.as_dict()  # type: ignore[attr-defined]
+            payload["array_opt"] = result.plan.as_dict()
         if request.include_allocation:
             from ..service.cache import encode_storage_result
 

@@ -36,12 +36,13 @@ from concurrent.futures.process import BrokenProcessPool
 from contextlib import suppress
 from dataclasses import dataclass, field
 
+from ..core.arraylayout import ArrayLayoutPlan, optimize_arrays
 from ..core.strategies import StorageResult, run_strategy
 from ..liw.machine import MachineConfig
 from ..passes.artifacts import PipelineOptions, compiled_program
 from ..passes.cache import ArtifactCache
-from ..passes.events import Metrics
 from ..passes.knobs import JOB_KNOBS, KNOB, key_fields, pipeline_options
+from ..passes.manager import PassRunResult
 from ..passes.registry import frontend_passes_for
 from ..pipeline import run_pipeline
 from .cache import (
@@ -121,7 +122,7 @@ class JobResult:
     timed_out: bool = False
     metrics: dict[str, object] = field(default_factory=dict)
     #: ArrayLayoutPlan for array_layout='optimize' jobs (None otherwise)
-    plan: object | None = None
+    plan: ArrayLayoutPlan | None = None
 
     @property
     def ok(self) -> bool:
@@ -144,7 +145,7 @@ class JobResult:
                 residual=len(self.storage.residual_instructions),
             )
         if self.plan is not None:
-            out["array_opt"] = self.plan.as_dict()  # type: ignore[attr-defined]
+            out["array_opt"] = self.plan.as_dict()
         if self.error is not None:
             out["error"] = self.error
         if self.timed_out:
@@ -204,9 +205,11 @@ class BatchReport:
 
 
 def _compile_and_key(
-    job: BatchJob, metrics: Metrics, artifacts: ArtifactCache | None = None
-):
-    run = run_pipeline(job.source, job.options(), metrics=metrics,
+    job: BatchJob, artifacts: ArtifactCache | None = None
+) -> tuple[PassRunResult, str]:
+    """Run the job's front end (reusing ``artifacts``) and derive its
+    content key."""
+    run = run_pipeline(job.source, job.options(),
                        passes=frontend_passes_for(job.frontend),
                        cache=artifacts)
     program = compiled_program(run.store)
@@ -215,59 +218,103 @@ def _compile_and_key(
         job.machine,
         **key_fields("job_key", job),
     )
-    return program, key
+    return run, key
 
 
-def _allocate(job: BatchJob, program, metrics: Metrics) -> StorageResult:
-    opts = job.options()
-    return run_strategy(
-        opts.strategy, program.schedule, program.renamed, opts.k,
-        method=opts.method, seed=opts.seed, metrics=metrics,
-        **opts.knobs(),
+def _job_metrics(
+    run: PassRunResult | None,
+    allocated: StorageResult | None,
+    hit: bool,
+    plan: ArrayLayoutPlan | None = None,
+) -> dict[str, object]:
+    """``JobResult.metrics``: one row per front-end pass (run, or served
+    from the pass cache) and per strategy stage this job ran, then the
+    pass-cache, allocation-cache and array-layout counters."""
+    events = [
+        e
+        for e in (
+            *(run.events if run is not None else ()),
+            *(allocated.events if allocated is not None else ()),
+        )
+        if e.status in ("end", "cache-hit")
+    ]
+    stages = [
+        {
+            "name": e.name,
+            "wall_time": e.wall_time,
+            **({"cached": 1} if e.status == "cache-hit" else {}),
+            **e.counts,
+        }
+        for e in events
+    ]
+    counters: dict[str, int | float] = {}
+    if run is not None and run.cache_hits:
+        counters["pass_cache_hits"] = run.cache_hits
+    if run is not None and run.cache_misses:
+        counters["pass_cache_misses"] = run.cache_misses
+    counters["cache_hits" if hit else "cache_misses"] = 1
+    if plan is not None:
+        counters.update(
+            array_opt_runs=1,
+            array_moves=plan.num_moves,
+            array_conflicts_predicted=round(plan.predicted_before),
+            array_conflicts_after=round(plan.predicted_after),
+        )
+    return {
+        "stages": stages,
+        "counters": counters,
+        "total_time": sum((e.wall_time for e in events), 0.0),
+    }
+
+
+def _run_job(
+    job: BatchJob,
+    cache: AllocationCache | None,
+    artifacts: ArtifactCache | None,
+    mode: str,
+) -> JobResult:
+    """Compile ``job``, look its allocation up in ``cache``, run the
+    strategy (and store the result) on a miss, and plan the arrays of
+    an ``array_layout='optimize'`` job.  The plan is recomputed
+    (deterministically) even on a cache hit: it is derived state, never
+    persisted.  An exception becomes the job's error."""
+    t0 = time.perf_counter()
+    try:
+        run, key = _compile_and_key(job, artifacts)
+        program = compiled_program(run.store)
+        storage = cache.get(key) if cache is not None else None
+        hit = storage is not None
+        if storage is None:
+            opts = job.options()
+            storage = run_strategy(
+                opts.strategy, program.schedule, program.renamed, opts.k,
+                method=opts.method, seed=opts.seed, **opts.knobs(),
+            )
+            if cache is not None:
+                cache.put(key, storage)
+        plan = (
+            optimize_arrays(program.schedule, storage, seed=job.seed)
+            if job.array_layout == "optimize"
+            else None
+        )
+    except Exception as exc:  # noqa: BLE001 - reported per job
+        return JobResult(
+            job, None, None, False, mode,
+            time.perf_counter() - t0, error=repr(exc),
+        )
+    return JobResult(
+        job, key, storage, hit, mode, time.perf_counter() - t0,
+        metrics=_job_metrics(run, None if hit else storage, hit, plan),
+        plan=plan,
     )
 
 
-def _optimize_plan(job: BatchJob, program, storage: StorageResult,
-                   metrics: Metrics):
-    """Run the array-layout optimizer for an ``array_layout='optimize'``
-    job.  The plan is recomputed (deterministically) even on allocation
-    cache hits — it is derived state, never persisted in the cache."""
-    from ..core.arraylayout import optimize_arrays
-
-    plan = optimize_arrays(program.schedule, storage, seed=job.seed)
-    metrics.incr("array_opt_runs")
-    metrics.incr("array_moves", plan.num_moves)
-    metrics.incr("array_conflicts_predicted", round(plan.predicted_before))
-    metrics.incr("array_conflicts_after", round(plan.predicted_after))
-    return plan
-
-
-def _execute_job(
-    job: BatchJob, cache_dir: str | None
-) -> tuple[str, StorageResult, dict[str, object], bool]:
-    """Worker entry point (top-level so the pool can pickle it): compile,
-    consult the shared disk cache, allocate on a miss."""
-    metrics = Metrics()
-    program, key = _compile_and_key(job, metrics, _WORKER_ARTIFACTS)
+def _execute_job(job: BatchJob, cache_dir: str | None) -> JobResult:
+    """Worker entry point (top-level so the pool can pickle it): the
+    job on the shared disk cache, when one is configured, and this
+    process's front-end artifacts."""
     cache = AllocationCache(cache_dir) if cache_dir is not None else None
-    storage = None
-    hit = False
-    if cache is not None:
-        storage = cache.get(key)
-        hit = storage is not None
-    if storage is None:
-        storage = _allocate(job, program, metrics)
-    metrics.incr("cache_hits" if hit else "cache_misses")
-    if cache is not None and not hit:
-        cache.put(key, storage)
-    mdict = metrics.as_dict()
-    if job.array_layout == "optimize":
-        # The plan rides home in the (picklable) metrics dict; the
-        # parent rebuilds the typed ArrayLayoutPlan from it.
-        plan = _optimize_plan(job, program, storage, metrics)
-        mdict = metrics.as_dict()
-        mdict["array_plan"] = plan.as_dict()
-    return key, storage, mdict, hit
+    return _run_job(job, cache, _WORKER_ARTIFACTS, "parallel")
 
 
 class BatchCompiler:
@@ -357,33 +404,6 @@ class BatchCompiler:
 
     # -- execution ----------------------------------------------------------
 
-    def _run_one(self, job: BatchJob, mode: str = "serial") -> JobResult:
-        """Compile + allocate in the parent process, via the cache."""
-        t0 = time.perf_counter()
-        metrics = Metrics()
-        try:
-            program, key = _compile_and_key(job, metrics, self.artifacts)
-            storage = self.cache.get(key)
-            hit = storage is not None
-            if storage is None:
-                storage = _allocate(job, program, metrics)
-                self.cache.put(key, storage)
-            metrics.incr("cache_hits" if hit else "cache_misses")
-            plan = None
-            if job.array_layout == "optimize":
-                plan = _optimize_plan(job, program, storage, metrics)
-            self._index[job.source_key()] = key
-            return JobResult(
-                job, key, storage, hit, mode,
-                time.perf_counter() - t0, metrics=metrics.as_dict(),
-                plan=plan,
-            )
-        except Exception as exc:  # noqa: BLE001 - reported per job
-            return JobResult(
-                job, None, None, False, mode,
-                time.perf_counter() - t0, error=repr(exc),
-            )
-
     def _try_index(self, job: BatchJob) -> JobResult | None:
         """Serve a job straight from the cache via the source index."""
         if job.array_layout == "optimize":
@@ -403,8 +423,7 @@ class BatchCompiler:
         self.cache.hits += 1
         return JobResult(
             job, key, storage, True, "cache", time.perf_counter() - t0,
-            metrics={"stages": [], "counters": {"cache_hits": 1},
-                     "total_time": 0.0},
+            metrics=_job_metrics(None, None, hit=True),
         )
 
     def _run_parallel(
@@ -432,11 +451,8 @@ class BatchCompiler:
             for i in pending:
                 if broken:
                     break
-                t0 = time.perf_counter()
                 try:
-                    key, storage, mdict, worker_hit = futures[i].result(
-                        timeout=self.timeout
-                    )
+                    result = futures[i].result(timeout=self.timeout)
                 except FutureTimeoutError:
                     futures[i].cancel()
                     results[i] = JobResult(
@@ -453,22 +469,13 @@ class BatchCompiler:
                         error=repr(exc),
                     )
                     continue
-                if worker_hit:
-                    self.cache.hits += 1
-                else:
-                    self.cache.misses += 1
-                self.cache.put(key, storage)
-                self._index[jobs[i].source_key()] = key
-                plan = None
-                plan_dict = mdict.get("array_plan")
-                if plan_dict is not None:
-                    from ..core.arraylayout import ArrayLayoutPlan
-
-                    plan = ArrayLayoutPlan.from_dict(plan_dict)
-                results[i] = JobResult(
-                    jobs[i], key, storage, worker_hit, "parallel",
-                    time.perf_counter() - t0, metrics=mdict, plan=plan,
-                )
+                if result.ok:
+                    if result.cache_hit:
+                        self.cache.hits += 1
+                    else:
+                        self.cache.misses += 1
+                    self.cache.put(result.key, result.storage)
+                results[i] = result
         finally:
             executor.shutdown(wait=False, cancel_futures=True)
             # A hung worker would otherwise stall interpreter exit; the
@@ -507,17 +514,21 @@ class BatchCompiler:
             prior = results[i]
             if prior is not None and not prior.timed_out:
                 continue
-            fallback = self._run_one(
-                jobs[i], "serial" if prior is None else "serial-fallback"
+            fallback = _run_job(
+                jobs[i], self.cache, self.artifacts,
+                "serial" if prior is None else "serial-fallback",
             )
             if prior is not None and prior.timed_out:
                 fallback.timed_out = True
                 fallback.mode = "serial-fallback"
             results[i] = fallback
 
-        self._save_index()
         final = [r for r in results if r is not None]
         assert len(final) == len(jobs)
+        for job, result in zip(jobs, final):
+            if result.ok:
+                self._index[job.source_key()] = result.key
+        self._save_index()
         return BatchReport(
             final,
             time.perf_counter() - t0,

@@ -240,8 +240,7 @@ def test_knobs_outside_the_source_key_leave_it_default():
     ],
 )
 def test_batch_job_keys_pinned(knobs, pin):
-    from repro.passes.events import Metrics
     from repro.service.batch import _compile_and_key
 
-    _, key = _compile_and_key(_taylor1_job(**knobs), Metrics())
+    _, key = _compile_and_key(_taylor1_job(**knobs))
     assert key == PINNED_BATCH_JOB_KEYS[pin]

@@ -34,7 +34,6 @@ from typing import Iterator
 
 from repro.liw.machine import MachineConfig
 from repro.passes.cache import ArtifactCache
-from repro.passes.events import Metrics
 from repro.pipeline import run_pipeline
 from repro.programs import all_programs, all_pykernels
 from repro.service.batch import BatchJob, _compile_and_key
@@ -87,7 +86,7 @@ def compute_cell(job: BatchJob, inputs: tuple[object, ...]) -> dict[str, object]
     )
     storage = run.artifact("storage")
     sim = run.artifact("simulation")
-    _, key = _compile_and_key(job, Metrics(), artifacts)
+    _, key = _compile_and_key(job, artifacts)
     encoded = json.dumps(
         encode_storage_result(storage), sort_keys=True, separators=(",", ":")
     ).encode()

@@ -130,12 +130,10 @@ def test_cache_evictions_surface_in_tracer_events():
 def test_compile_source_shares_cache():
     cache = ArtifactCache()
     compile_source(SRC, cache=cache)
-    from repro.passes.events import Metrics
-
-    metrics = Metrics()
-    compile_source(SRC, metrics=metrics, cache=cache)
-    assert metrics.counters["pass_cache_hits"] == 6
-    assert metrics.counters.get("pass_cache_misses", 0) == 0
+    tracer = CollectingTracer()
+    compile_source(SRC, tracer=tracer, cache=cache)
+    assert len(tracer.cache_hits()) == 6
+    assert not [e for e in tracer.events if e.status == "end"]
 
 
 def test_batch_compiler_reuses_front_end_across_strategies(tmp_path):

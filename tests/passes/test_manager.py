@@ -1,5 +1,5 @@
 """Unit tests for the pass-manager framework itself: typed artifacts,
-ordering checks, fingerprints, events, and the metrics adapter."""
+ordering checks, fingerprints, and events."""
 
 import time
 
@@ -9,14 +9,14 @@ from repro.ir.passes import RENAME
 from repro.lang.passes import PARSE
 from repro.liw.machine import MachineConfig
 from repro.passes.artifacts import ArtifactStore, PipelineOptions
-from repro.passes.events import CollectingTracer, Metrics, MetricsTracer
+from repro.passes.events import CollectingTracer
 from repro.passes.manager import Pass, PassError, PassManager
 from repro.passes.registry import (
     compile_passes_for,
     frontend_passes_for,
     full_pipeline_for,
 )
-from repro.pipeline import compile_source, run_pipeline
+from repro.pipeline import run_pipeline
 from repro.programs import get_program
 
 SRC = """
@@ -102,6 +102,9 @@ def test_unroll_and_simplify_run_when_enabled():
     statuses = {e.name: e.status for e in tracer.completed()}
     assert statuses["unroll"] == "end"
     assert statuses["simplify"] == "skip"
+    ran = [e for e in tracer.completed() if e.status == "end"]
+    assert [e.name for e in ran][:2] == ["parse", "unroll"]
+    assert {e.name: e for e in ran}["rename"].counts["values"] > 0
 
 
 def test_schedule_counts_reported():
@@ -166,40 +169,6 @@ def test_disabled_pass_still_fingerprinted():
     # unroll is skipped in `base` but its knob still feeds the chain
     assert base["unroll"] != unrolled["unroll"]
     assert base["schedule"] != unrolled["schedule"]
-
-
-# -- metrics adapter (legacy batch-report channel) --------------------------
-
-
-def test_metrics_stage_names_match_legacy_pipeline():
-    metrics = Metrics()
-    compile_source(SRC, metrics=metrics)
-    assert [s.name for s in metrics.stages] == [
-        "parse", "sema", "lower", "simplify", "rename", "schedule",
-    ]
-    assert all(s.wall_time >= 0.0 for s in metrics.stages)
-
-
-def test_metrics_records_unroll_and_counts():
-    metrics = Metrics()
-    compile_source(SRC, unroll=4, metrics=metrics)
-    names = [s.name for s in metrics.stages]
-    assert names[1] == "unroll"
-    by_name = {s.name: s for s in metrics.stages}
-    assert by_name["rename"].counts["values"] > 0
-    assert by_name["schedule"].counts["instructions"] > 0
-
-
-def test_metrics_tracer_marks_cache_hits():
-    metrics = Metrics()
-    tracer = MetricsTracer(metrics)
-    from repro.passes.events import PassEvent
-
-    tracer.emit(PassEvent("parse", "cache-hit"))
-    tracer.emit(PassEvent("parse", "skip"))
-    assert metrics.counters["pass_cache_hits"] == 1
-    assert metrics.stages[0].counts["cached"] == 1
-    assert len(metrics.stages) == 1  # skips are not stages
 
 
 def test_pass_times_count_each_pass_once():

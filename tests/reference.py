@@ -8,8 +8,9 @@ for naming, so that
 - the differential suite (``tests/core/test_bitset_differential.py``)
   can fuzz the bitset kernels against them — the ports are required to
   be *byte-identical*, not merely equivalent;
-- the perf harness (``benchmarks/bench_alloc.py``) can measure the
-  old-vs-new ratio on real programs.
+- the allocation gate (``benchmarks/test_alloc_gate.py``) can check
+  that the live kernels allocate identically and are not slower on
+  real programs.
 
 Everything here shares the result dataclasses of the live modules
 (:class:`~repro.core.coloring.ColoringResult`,

@@ -1,14 +1,16 @@
 """BatchCompiler: serial/parallel equality, caching, and fallback paths."""
 
+import json
 import os
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.liw.machine import MachineConfig
-from repro.passes.events import Metrics
 from repro.programs import all_programs
-from repro.service import AllocationCache, BatchCompiler, BatchJob
+from repro.passes.cache import ArtifactCache
+from repro.service import AllocationCache, BatchCompiler, BatchJob, batch
 from repro.service.batch import _compile_and_key, _execute_job
 from repro.service.cache import encode_storage_result
 
@@ -108,15 +110,17 @@ def test_workers_share_disk_cache(tmp_path):
     """With a disk cache, pool workers themselves see earlier results
     (no parent index involved — the entry is found by content key)."""
     job = _registry_jobs()[0]
-    key, storage, metrics, hit = _execute_job(job, str(tmp_path))
-    assert not hit
-    key2, storage2, metrics2, hit2 = _execute_job(job, str(tmp_path))
-    assert hit2
-    assert key2 == key
-    assert encode_storage_result(storage2) == encode_storage_result(storage)
+    cold = _execute_job(job, str(tmp_path))
+    assert cold.ok and not cold.cache_hit
+    warm = _execute_job(job, str(tmp_path))
+    assert warm.cache_hit
+    assert warm.key == cold.key
+    assert encode_storage_result(warm.storage) == encode_storage_result(
+        cold.storage
+    )
     # On a hit the worker skipped allocation: no STOR stage was timed.
     stor_stages = [
-        s for s in metrics2["stages"] if str(s["name"]).startswith("STOR")
+        s for s in warm.metrics["stages"] if str(s["name"]).startswith("STOR")
     ]
     assert stor_stages == []
 
@@ -312,6 +316,79 @@ def test_job_key_discipline():
     )
     assert bounded.source_key() != base.source_key()
     assert serial.source_key() == base.source_key()
-    assert _compile_and_key(serial, Metrics())[1] == (
-        _compile_and_key(base, Metrics())[1]
+    assert _compile_and_key(serial)[1] == (
+        _compile_and_key(base)[1]
     )
+
+
+# -- report contract ---------------------------------------------------------
+
+_CONTRACT = Path(__file__).with_name("batch_report_contract.json")
+
+
+def _untimed(value):
+    """``value`` with every time replaced by a placeholder."""
+    if isinstance(value, dict):
+        return {
+            k: "<time>" if k in ("wall_time", "total_time") else _untimed(v)
+            for k, v in value.items()
+        }
+    if isinstance(value, list):
+        return [_untimed(v) for v in value]
+    return value
+
+
+def _contract_reports():
+    """Two runs of one compiler over a fixed job mix: STOR1/2/3 over one
+    source (the front end is served from the pass cache), one
+    ``array_layout="optimize"`` job, then the same mix again (the fixed
+    jobs are served from the source index)."""
+    programs = {s.name: s.source for s in all_programs()}
+    machine = MachineConfig(num_fus=4, num_modules=8)
+    jobs = [
+        BatchJob(f"TAYLOR1-{s}", programs["TAYLOR1"], machine, strategy=s)
+        for s in ("STOR1", "STOR2", "STOR3")
+    ]
+    jobs.append(
+        BatchJob("FFT-opt", programs["FFT"], machine, array_layout="optimize")
+    )
+    compiler = BatchCompiler(workers=1, cache=AllocationCache())
+    reports = [compiler.run(jobs).as_dict() for _ in range(2)]
+    for report in reports:
+        report["stage_totals"] = dict.fromkeys(report["stage_totals"], "<time>")
+    return _untimed(reports)
+
+
+def test_batch_report_contract():
+    """Stage names, order and counts, counters, and both caches' stats
+    of a fixed job mix, pinned apart from times.  Regenerate only for
+    an intended report change:
+    ``PYTHONPATH=src python -m tests.service.test_batch``."""
+    assert _contract_reports() == json.loads(_CONTRACT.read_text())
+
+
+def test_job_metrics_equal_serial_and_parallel(monkeypatch):
+    """Both job paths report the same metrics (times apart).  The jobs
+    share no front end, and the workers start with an empty pass cache
+    (a forked worker inherits the parent's), so pass-cache hits cannot
+    tell the paths apart."""
+    monkeypatch.setattr(batch, "_WORKER_ARTIFACTS", ArtifactCache())
+    programs = {s.name: s.source for s in all_programs()}
+    machine = MachineConfig(num_fus=3, num_modules=4)
+    jobs = [
+        BatchJob("TAYLOR1", programs["TAYLOR1"], machine, strategy="STOR2"),
+        BatchJob("FFT", programs["FFT"], machine, strategy="STOR3"),
+        BatchJob("SORT", programs["SORT"], machine, array_layout="optimize"),
+    ]
+    serial, parallel = (
+        BatchCompiler(workers=n, cache=AllocationCache()).run(jobs)
+        for n in (1, 2)
+    )
+    assert {r.mode for r in parallel.results} == {"parallel"}
+    assert _untimed(serial.as_dict()["job_metrics"]) == _untimed(
+        parallel.as_dict()["job_metrics"]
+    )
+
+
+if __name__ == "__main__":
+    _CONTRACT.write_text(json.dumps(_contract_reports(), indent=1) + "\n")
