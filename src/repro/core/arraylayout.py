@@ -130,28 +130,6 @@ class ArrayLayoutPlan:
             "affine_fraction": round(self.affine_fraction, 3),
         }
 
-    @staticmethod
-    def from_dict(data: dict[str, object]) -> "ArrayLayoutPlan":
-        specs = {
-            str(name): LayoutSpec(str(d["kind"]), int(d["base"]))  # type: ignore[index]
-            for name, d in dict(data.get("specs", {})).items()  # type: ignore[arg-type]
-        }
-        moves = tuple(
-            Move(
-                int(m["block"]), int(m["from_cycle"]),
-                int(m["op_index"]), int(m["to_cycle"]),
-            )
-            for m in list(data.get("moves", []))  # type: ignore[union-attr]
-        )
-        return ArrayLayoutPlan(
-            k=int(data["k"]),  # type: ignore[arg-type]
-            specs=specs,
-            moves=moves,
-            predicted_before=float(data.get("predicted_before", 0.0)),  # type: ignore[arg-type]
-            predicted_after=float(data.get("predicted_after", 0.0)),  # type: ignore[arg-type]
-            affine_fraction=float(data.get("affine_fraction", 1.0)),  # type: ignore[arg-type]
-        )
-
 
 # --------------------------------------------------------------------------
 # Predicted conflict cost of one long instruction

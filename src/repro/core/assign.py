@@ -43,10 +43,6 @@ class AssignmentStats:
     copies_created: int = 0
     residual_instructions: list[frozenset[int]] = field(default_factory=list)
     num_edges: int = 0
-    #: atoms coloured as separate units (0 when ``use_atoms`` is off);
-    #: not part of semantic equality — the frozen reference pipeline
-    #: (tests/reference.py) predates the work-unit engine.
-    atom_units: int = field(default=0, compare=False)
 
     @property
     def conflict_free(self) -> bool:
@@ -237,6 +233,5 @@ def assign_modules(
         copies_created=alloc.total_copies - copies_before,
         residual_instructions=conflicting_instructions(index, alloc),
         num_edges=graph.num_edges,
-        atom_units=coloring.num_atoms if use_atoms else 0,
     )
     return AssignmentResult(alloc, coloring, stats, method)

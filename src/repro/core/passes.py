@@ -38,9 +38,6 @@ def _run_allocate(ctx: PassContext) -> None:
     ctx.count("singles", storage.singles)
     ctx.count("multiples", storage.multiples)
     ctx.count("total_copies", storage.total_copies)
-    units = sum(s.stats.atom_units for s in storage.stages)
-    if units:
-        ctx.count("atom_units", units)
     residual = len(storage.residual_instructions)
     ctx.count("residual", residual)
     if residual:

@@ -17,9 +17,9 @@ This module implements that extension end to end:
    conflicts;
 3. assign as usual.
 
-``profile_guided_stor1`` mirrors :func:`repro.core.strategies.stor1`
-with the weighted graph; :func:`compare_static_vs_profiled` quantifies
-the stall-time difference on one program.
+``profile_guided_stor1`` is :func:`repro.core.strategies.stor1` with
+those counts as its ``weights``; :func:`compare_static_vs_profiled`
+quantifies the stall-time difference on one program.
 """
 
 from __future__ import annotations
@@ -29,9 +29,7 @@ from dataclasses import dataclass
 from ..ir.rename import RenamedProgram
 from ..liw.executor import LiwExecutor
 from ..liw.schedule import Schedule
-from .assign import AssignmentResult, assign_modules
-from .strategies import StorageResult, _program_facts
-from .verify import conflicting_instructions
+from .strategies import StorageResult, stor1
 
 
 def profile_schedule(
@@ -62,27 +60,19 @@ def profile_guided_stor1(
     seed: int = 0,
     **kwargs,
 ) -> StorageResult:
-    """Whole-program assignment with frequency-weighted conflicts."""
-    k = k if k is not None else schedule.machine.k
-    operand_sets, _, duplicable, all_values = _program_facts(schedule, renamed)
+    """Whole-program assignment with frequency-weighted conflicts.
+
+    The profile run is no pipeline pass, so the result records no stage
+    events."""
     frequencies = profile_schedule(
         schedule, inputs, renamed.initial_values()
     )
-    result: AssignmentResult = assign_modules(
-        operand_sets,
-        k,
-        method=method,
-        duplicable=duplicable,
-        all_values=all_values,
-        weights=frequencies,
-        seed=seed,
-        **kwargs,
+    result = stor1(
+        schedule, renamed, k, method=method, seed=seed,
+        weights=frequencies, **kwargs,
     )
     return StorageResult(
-        "STOR1-profiled",
-        result.allocation,
-        [result],
-        conflicting_instructions(operand_sets, result.allocation),
+        "STOR1-profiled", result.allocation, result.residual_instructions
     )
 
 
@@ -108,7 +98,6 @@ def compare_static_vs_profiled(
     """Run both allocators on a compiled program and measure dynamic
     transfer stalls (uses :func:`repro.pipeline.simulate`)."""
     from ..pipeline import simulate
-    from .strategies import stor1
 
     static = stor1(program.schedule, program.renamed)
     guided = profile_guided_stor1(

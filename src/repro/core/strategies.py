@@ -1,43 +1,52 @@
 """The paper's three storage-assignment strategies (§3).
 
-- **STOR1** — one conflict graph over the whole program's instructions;
-  no size restriction.
-- **STOR2** — two stages: first the values live across regions
-  (globals), considering only their mutual conflicts; then, one region
-  at a time, the values local to that region with the globals' modules
-  fixed.
-- **STOR3** — the instruction stream is split into ``groups`` (two, in
-  the paper's experiment) consecutive chunks; each chunk is assigned in
-  turn with all earlier placements fixed.
+Every strategy is the Fig. 2 assignment (:func:`assign_modules`)
+applied to a sequence of *phases*, each seeing a subset of the
+instruction stream with all earlier placements fixed:
 
-All three consume a scheduled program and return a
-:class:`StorageResult` whose ``singles``/``multiples`` counts are the
-two columns of the paper's Table 1.
+- **STOR1** — one phase over the whole program's instructions; no size
+  restriction.
+- **STOR2** — the values live across regions (globals) first,
+  considering only their mutual conflicts; then, one region at a time,
+  the values local to that region with the globals' modules fixed.
+- **STOR3** — the instruction stream is split into ``groups`` (two, in
+  the paper's experiment) consecutive chunks, assigned in turn.
+- **STOR-REGION** — one region at a time, with no global pre-pass.
+
+A strategy only declares its :class:`Phase` list; :func:`_run_phases`
+runs them, places the values no instruction uses (the ``finalize``
+phase of the multi-phase strategies) and computes the residual
+conflicts once.  The returned :class:`StorageResult`'s
+``singles``/``multiples`` counts are the two columns of the paper's
+Table 1.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Mapping
+from functools import partial
+from typing import Callable, Collection, Mapping, Sequence
 
-from ..ir.regions import compute_regions
+from ..ir.regions import Regions, compute_regions
 from ..ir.rename import RenamedProgram
 from ..liw.schedule import Schedule
 from ..passes.events import PassEvent
 from .allocation import Allocation
-from .assign import AssignmentResult, assign_modules
+from .assign import assign_modules
 from .bitset import COUNTERS
 from .verify import conflicting_instructions
 
 
 @dataclass(slots=True)
 class StorageResult:
-    """Outcome of one STOR strategy on one program."""
+    """Outcome of one STOR strategy on one program.
+
+    ``residual_instructions`` is in canonical (sorted operand list)
+    order, so a result decoded from the cache equals the cold one."""
 
     strategy: str
     allocation: Allocation
-    stages: list[AssignmentResult] = field(default_factory=list)
     residual_instructions: list[frozenset[int]] = field(default_factory=list)
     #: One ``end`` event per timed stage (``STOR2.globals``, ...,
     #: ``STOR2.finalize``), in run order.  Observation only: never
@@ -59,6 +68,21 @@ class StorageResult:
     @property
     def total_copies(self) -> int:
         return self.allocation.total_copies
+
+
+@dataclass(frozen=True, slots=True)
+class Phase:
+    """One :func:`assign_modules` call of a strategy.
+
+    ``rows`` index the program's instructions the phase sees;
+    ``values`` (when given) are placed even if no row uses them, and
+    with ``project`` each row is cut down to them."""
+
+    stage: str
+    rows: Sequence[int]
+    values: Collection[int] | None
+    duplicable: set[int]
+    project: bool = False
 
 
 def _program_facts(
@@ -85,9 +109,9 @@ def _program_facts(
 
 def _timed_assign(
     events: list[PassEvent], stage: str, *args, **kwargs
-) -> AssignmentResult:
+) -> Allocation:
     """Run :func:`assign_modules`, appending the stage's ``end`` event
-    to ``events``.
+    to ``events``, and return the allocation.
 
     The event carries the bitset-kernel work counters (``kernel_*``)
     accumulated during the call — masks built, placements enumerated,
@@ -111,126 +135,139 @@ def _timed_assign(
         if n:
             counts[f"kernel_{name}"] = n
     events.append(PassEvent(stage, "end", wall, counts=counts))
-    return result
+    return result.allocation
 
 
-def stor1(
+#: ``plan(renamed, operand_sets, block_of, duplicable, all_values)``
+#: returns a strategy's phases, in run order.
+PhasePlan = Callable[
+    [RenamedProgram, list[frozenset[int]], list[int], set[int], list[int]],
+    list[Phase],
+]
+
+
+def _run_phases(
+    strategy: str,
+    plan: PhasePlan,
     schedule: Schedule,
     renamed: RenamedProgram,
     k: int | None = None,
     method: str = "hitting_set",
     seed: int = 0,
+    weights: Sequence[int] | None = None,
     **kwargs,
 ) -> StorageResult:
-    """Whole-program assignment (no graph-size restriction)."""
-    k = k if k is not None else schedule.machine.k
-    operand_sets, _, duplicable, all_values = _program_facts(schedule, renamed)
-    events: list[PassEvent] = []
-    result = _timed_assign(
-        events,
-        "STOR1.assign",
-        operand_sets,
-        k,
-        method=method,
-        duplicable=duplicable,
-        all_values=all_values,
-        seed=seed,
-        **kwargs,
-    )
-    # assign_modules checked the same sets less the empty ones, which
-    # never conflict; with ``weights`` it also skips zero-weight ones.
-    residual = (
-        result.stats.residual_instructions
-        if kwargs.get("weights") is None
-        else conflicting_instructions(operand_sets, result.allocation)
-    )
-    return StorageResult(
-        "STOR1", result.allocation, [result], residual, events
-    )
-
-
-def stor2(
-    schedule: Schedule,
-    renamed: RenamedProgram,
-    k: int | None = None,
-    method: str = "hitting_set",
-    seed: int = 0,
-    **kwargs,
-) -> StorageResult:
-    """Two-stage assignment: region-crossing globals first, then the
-    locals of each region with the globals fixed."""
+    """Run ``plan``'s phases in order, each with every earlier placement
+    fixed; ``weights`` (one per instruction) are sliced along with each
+    phase's rows."""
     k = k if k is not None else schedule.machine.k
     operand_sets, block_of, duplicable, all_values = _program_facts(
         schedule, renamed
     )
+    if weights is not None and len(weights) != len(operand_sets):
+        raise ValueError("weights must align with operand_sets")
+    events: list[PassEvent] = []
+    alloc: Allocation | None = None
+    for phase in plan(renamed, operand_sets, block_of, duplicable, all_values):
+        rows = [operand_sets[i] for i in phase.rows]
+        if phase.project:
+            scope = frozenset(phase.values or ())
+            rows = [ops & scope for ops in rows]
+        alloc = _timed_assign(
+            events,
+            f"{strategy}.{phase.stage}",
+            rows,
+            k,
+            method=method,
+            duplicable=phase.duplicable,
+            initial=alloc,
+            all_values=phase.values,
+            seed=seed,
+            weights=(
+                None if weights is None else [weights[i] for i in phase.rows]
+            ),
+            **kwargs,
+        )
+    assert alloc is not None
+    residual = sorted(conflicting_instructions(operand_sets, alloc), key=sorted)
+    return StorageResult(strategy, alloc, residual, events)
+
+
+def _finalize(duplicable: set[int], all_values: list[int]) -> Phase:
+    """Places the values that appear in no instruction at all."""
+    return Phase("finalize", (), all_values, duplicable)
+
+
+def _region_rows(regions: Regions, block_of: list[int]) -> dict[int, list[int]]:
+    """Instruction indices per region, in region order."""
+    rows: dict[int, list[int]] = {}
+    for i, block in enumerate(block_of):
+        rows.setdefault(regions.block_region[block], []).append(i)
+    return dict(sorted(rows.items()))
+
+
+def _whole_program(renamed, operand_sets, block_of, duplicable, all_values):
+    return [Phase("assign", range(len(operand_sets)), all_values, duplicable)]
+
+
+def _globals_then_regions(
+    renamed, operand_sets, block_of, duplicable, all_values
+):
     regions = compute_regions(renamed.cfg)
     global_ids = {
         v.id
         for v in renamed.values
-        if (v.def_sites or v.use_sites)
-        and len(regions.regions_of_value(v)) > 1
+        if (v.def_sites or v.use_sites) and regions.is_global(v)
     }
-
-    stages: list[AssignmentResult] = []
-    events: list[PassEvent] = []
-
-    # Stage 1: globals only, conflicts projected onto global values.
-    global_sets = [ops & global_ids for ops in operand_sets]
-    stage1 = _timed_assign(
-        events,
-        "STOR2.globals",
-        global_sets,
-        k,
-        method=method,
-        duplicable=duplicable & global_ids,
-        all_values=global_ids,
-        seed=seed,
-        **kwargs,
-    )
-    stages.append(stage1)
-    alloc = stage1.allocation
-
-    # Stage 2: per region, locals with globals pre-placed.
-    region_of_liw = [regions.block_region[b] for b in block_of]
-    for region in sorted(set(region_of_liw)):
-        region_sets = [
-            ops
-            for ops, r in zip(operand_sets, region_of_liw)
-            if r == region
-        ]
+    # Globals only, conflicts projected onto global values.
+    phases = [Phase(
+        "globals", range(len(operand_sets)), global_ids,
+        duplicable & global_ids, project=True,
+    )]
+    # Per region, locals with globals pre-placed.
+    for region, rows in _region_rows(regions, block_of).items():
         local_ids = {
-            v
-            for ops in region_sets
-            for v in ops
-            if v not in global_ids
+            v for i in rows for v in operand_sets[i] if v not in global_ids
         }
-        stage = _timed_assign(
-            events,
-            f"STOR2.region{region}",
-            region_sets,
-            k,
-            method=method,
-            duplicable=duplicable,
-            initial=alloc,
-            all_values=local_ids,
-            seed=seed,
-            **kwargs,
-        )
-        stages.append(stage)
-        alloc = stage.allocation
+        phases.append(Phase(f"region{region}", rows, local_ids, duplicable))
+    return phases + [_finalize(duplicable, all_values)]
 
-    # Values appearing in no instruction at all.
-    final = _timed_assign(
-        events, "STOR2.finalize",
-        [], k, duplicable=duplicable, initial=alloc,
-        all_values=all_values, seed=seed,
-    )
-    return StorageResult(
-        "STOR2",
-        final.allocation,
-        stages,
-        conflicting_instructions(operand_sets, final.allocation),
-        events,
+
+def _chunks(groups, renamed, operand_sets, block_of, duplicable, all_values):
+    n = len(operand_sets)
+    size = max(1, -(-n // groups))
+    chunks = [range(g * size, min((g + 1) * size, n)) for g in range(groups)]
+    # A chunk past the end of the stream has nothing to assign.
+    return [
+        Phase(f"chunk{g}", rows, None, duplicable)
+        for g, rows in enumerate(chunks)
+        if rows or g == 0
+    ] + [_finalize(duplicable, all_values)]
+
+
+def _regions(renamed, operand_sets, block_of, duplicable, all_values):
+    return [
+        Phase(f"region{region}", rows, None, duplicable)
+        for region, rows in _region_rows(
+            compute_regions(renamed.cfg), block_of
+        ).items()
+    ] + [_finalize(duplicable, all_values)]
+
+
+def stor1(
+    schedule: Schedule, renamed: RenamedProgram, k: int | None = None, **kwargs
+) -> StorageResult:
+    """Whole-program assignment (no graph-size restriction)."""
+    return _run_phases("STOR1", _whole_program, schedule, renamed, k, **kwargs)
+
+
+def stor2(
+    schedule: Schedule, renamed: RenamedProgram, k: int | None = None, **kwargs
+) -> StorageResult:
+    """Two-stage assignment: region-crossing globals first, then the
+    locals of each region with the globals fixed."""
+    return _run_phases(
+        "STOR2", _globals_then_regions, schedule, renamed, k, **kwargs
     )
 
 
@@ -238,61 +275,20 @@ def stor3(
     schedule: Schedule,
     renamed: RenamedProgram,
     k: int | None = None,
-    method: str = "hitting_set",
     groups: int = 2,
-    seed: int = 0,
     **kwargs,
 ) -> StorageResult:
     """Split the instruction stream into ``groups`` consecutive chunks
     (the paper used two) and assign chunk by chunk."""
     if groups < 1:
         raise ValueError("groups must be >= 1")
-    k = k if k is not None else schedule.machine.k
-    operand_sets, _, duplicable, all_values = _program_facts(schedule, renamed)
-
-    chunk_size = max(1, -(-len(operand_sets) // groups))
-    stages: list[AssignmentResult] = []
-    events: list[PassEvent] = []
-    alloc: Allocation | None = None
-    for g in range(groups):
-        chunk = operand_sets[g * chunk_size : (g + 1) * chunk_size]
-        if not chunk and alloc is not None:
-            continue
-        stage = _timed_assign(
-            events,
-            f"STOR3.chunk{g}",
-            chunk,
-            k,
-            method=method,
-            duplicable=duplicable,
-            initial=alloc,
-            seed=seed,
-            **kwargs,
-        )
-        stages.append(stage)
-        alloc = stage.allocation
-
-    final = _timed_assign(
-        events, "STOR3.finalize",
-        [], k, duplicable=duplicable, initial=alloc,
-        all_values=all_values, seed=seed,
-    )
-    return StorageResult(
-        "STOR3",
-        final.allocation,
-        stages,
-        conflicting_instructions(operand_sets, final.allocation),
-        events,
+    return _run_phases(
+        "STOR3", partial(_chunks, groups), schedule, renamed, k, **kwargs
     )
 
 
 def stor_region(
-    schedule: Schedule,
-    renamed: RenamedProgram,
-    k: int | None = None,
-    method: str = "hitting_set",
-    seed: int = 0,
-    **kwargs,
+    schedule: Schedule, renamed: RenamedProgram, k: int | None = None, **kwargs
 ) -> StorageResult:
     """One region at a time (paper §2: "One solution to this problem is
     to perform the memory module assignment for one program region at a
@@ -303,46 +299,7 @@ def stor_region(
     first region that placed it.  Cross-region clashes are repaired by
     the duplication machinery like any pre-assignment conflict.
     """
-    k = k if k is not None else schedule.machine.k
-    operand_sets, block_of, duplicable, all_values = _program_facts(
-        schedule, renamed
-    )
-    regions = compute_regions(renamed.cfg)
-    region_of_liw = [regions.block_region[b] for b in block_of]
-
-    stages: list[AssignmentResult] = []
-    events: list[PassEvent] = []
-    alloc: Allocation | None = None
-    for region in sorted(set(region_of_liw)):
-        region_sets = [
-            ops for ops, r in zip(operand_sets, region_of_liw) if r == region
-        ]
-        stage = _timed_assign(
-            events,
-            f"STOR-REGION.region{region}",
-            region_sets,
-            k,
-            method=method,
-            duplicable=duplicable,
-            initial=alloc,
-            seed=seed,
-            **kwargs,
-        )
-        stages.append(stage)
-        alloc = stage.allocation
-
-    final = _timed_assign(
-        events, "STOR-REGION.finalize",
-        [], k, duplicable=duplicable, initial=alloc,
-        all_values=all_values, seed=seed,
-    )
-    return StorageResult(
-        "STOR-REGION",
-        final.allocation,
-        stages,
-        conflicting_instructions(operand_sets, final.allocation),
-        events,
-    )
+    return _run_phases("STOR-REGION", _regions, schedule, renamed, k, **kwargs)
 
 
 STRATEGIES = {

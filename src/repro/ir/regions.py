@@ -66,9 +66,6 @@ class Regions:
     def count(self) -> int:
         return len(self.loops) + 1
 
-    def region_blocks(self, region: int) -> set[int]:
-        return {b for b, r in enumerate(self.block_region) if r == region}
-
     def regions_of_value(self, value: DataValue) -> set[int]:
         return {self.block_region[b] for b in value.blocks}
 

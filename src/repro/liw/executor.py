@@ -72,11 +72,6 @@ class AccessEvent:
     #: scheduled inter-module copies: (value, src_module, dst_module)
     transfers: tuple[tuple[int, int, int], ...] = ()
 
-    @property
-    def fetch_count(self) -> int:
-        loads = sum(1 for t in self.array_touches if not t.is_store)
-        return len(self.scalar_sources) + loads
-
 
 class Observer(Protocol):
     def __call__(self, event: AccessEvent) -> None: ...

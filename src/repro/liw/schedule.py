@@ -82,12 +82,6 @@ class LiwInstruction:
         return [op for op in self.ops if isinstance(op, tac.Transfer)]
 
     @property
-    def mem_fetches(self) -> int:
-        """Operand fetches this instruction performs (scalars + array loads)."""
-        loads = sum(1 for a in self.array_accesses() if not a.is_store)
-        return len(self.scalar_sources()) + loads
-
-    @property
     def mem_accesses(self) -> int:
         """All memory accesses: scalar operands (R+W) plus array touches
         plus two per scheduled transfer — what the machine's "up to k

@@ -19,7 +19,7 @@ facade both need them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache
 from importlib import import_module
 from typing import TYPE_CHECKING
@@ -158,12 +158,6 @@ class PipelineOptions:
 
     def knobs(self) -> dict[str, object]:
         return dict(self.strategy_knobs)
-
-    def with_knobs(self, **knobs: object) -> "PipelineOptions":
-        merged = {**self.knobs(), **knobs}
-        return replace(
-            self, strategy_knobs=tuple(sorted(merged.items()))
-        )
 
 
 # --------------------------------------------------------------------------

@@ -116,9 +116,6 @@ class CollectingTracer:
     def pass_times(self) -> dict[str, float]:
         return pass_times(self.events)
 
-    def as_rows(self) -> list[dict[str, object]]:
-        return [e.as_dict() for e in self.completed()]
-
 
 class LatencyRecorder:
     """Bounded reservoir of duration samples with percentile queries.

@@ -235,13 +235,6 @@ class CompileServer:
         finishes: queue empty, every waiter answered, sockets closed."""
         await self._drained.wait()
 
-    async def run_until_drained(self) -> dict[str, object]:
-        """Start (if needed), serve until drained, return the summary."""
-        if self._server is None:
-            await self.start()
-        await self.wait_drained()
-        return self.drain_summary()
-
     async def aclose(self) -> None:
         """Drain and shut down (idempotent)."""
         self.begin_drain()

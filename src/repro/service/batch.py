@@ -474,7 +474,10 @@ class BatchCompiler:
                         self.cache.hits += 1
                     else:
                         self.cache.misses += 1
-                    self.cache.put(result.key, result.storage)
+                    # With a directory the worker already published the
+                    # entry; ``peek`` loads it from disk on demand.
+                    if self.cache.directory is None:
+                        self.cache.put(result.key, result.storage)
                 results[i] = result
         finally:
             executor.shutdown(wait=False, cancel_futures=True)

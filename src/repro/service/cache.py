@@ -29,10 +29,8 @@ This cache is the *final-result* tier of the two-level caching scheme:
 Cached entries round-trip the :class:`~repro.core.strategies
 .StorageResult`'s allocation *including its placement history* (so
 :meth:`~repro.core.allocation.Allocation.primary` is preserved) plus the
-residual-conflict list.  Per-stage ``AssignmentResult`` traces are
-deliberately not persisted — they exist for tests replaying the paper's
-figures, not for serving — so a cache-reconstructed result has
-``stages == []``.
+residual-conflict list — every field but the observation-only
+``events`` — so a cache-reconstructed result equals the cold one.
 """
 
 from __future__ import annotations
@@ -125,7 +123,7 @@ def decode_storage_result(data: dict[str, object]) -> StorageResult:
     for v, m in data["history"]:  # type: ignore[union-attr]
         alloc.add_copy(int(v), int(m))
     residual = [frozenset(ops) for ops in data["residual"]]  # type: ignore[union-attr]
-    return StorageResult(str(data["strategy"]), alloc, [], residual)
+    return StorageResult(str(data["strategy"]), alloc, residual)
 
 
 class AllocationCache:

@@ -41,18 +41,6 @@ def test_plan_deterministic_for_seed():
     assert a.as_dict() == b.as_dict()
 
 
-def test_plan_dict_round_trip():
-    _, program, storage = _compiled("FFT")
-    plan = optimize_arrays(program.schedule, storage)
-    back = ArrayLayoutPlan.from_dict(plan.as_dict())
-    assert back.k == plan.k
-    assert back.specs == plan.specs
-    assert back.moves == plan.moves
-    assert back.predicted_before == pytest.approx(
-        plan.predicted_before, abs=1e-3
-    )
-
-
 def test_specs_validated_for_k():
     _, program, storage = _compiled("SORT", k=4)
     plan = optimize_arrays(program.schedule, storage)

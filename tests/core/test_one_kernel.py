@@ -67,7 +67,7 @@ def test_assign_modules_builds_one_kernel(
     sets, duplicable = _allocation_inputs(source, unroll)
     builds["kernel"] = 0
     result = assign_modules(sets, 8, method=method, duplicable=duplicable)
-    assert result.stats.atom_units >= min_atoms
+    assert result.coloring.num_atoms >= min_atoms
     assert builds == {"kernel": 1, "subgraph": 0}
 
 

@@ -6,6 +6,7 @@ from repro import MachineConfig, compile_source
 from repro.core import run_strategy, verify_allocation
 from repro.core.verify import conflicting_instructions
 from repro.core.strategies import STRATEGIES, stor3
+from repro.service.cache import decode_storage_result, encode_storage_result
 
 SRC = """
 program demo;
@@ -66,7 +67,10 @@ def test_stor1_residual_is_every_conflicting_instruction(compiled, k, weighted):
     result = run_strategy(
         "STOR1", compiled.schedule, compiled.renamed, k, **kwargs
     )
-    expected = conflicting_instructions(sets, result.allocation)
+    # In canonical order: the order a cache round trip gives back.
+    expected = sorted(
+        conflicting_instructions(sets, result.allocation), key=sorted
+    )
     assert result.residual_instructions == expected
     if weighted and k == 2:
         assert expected
@@ -106,7 +110,9 @@ def test_stor3_group_count_configurable(compiled):
     r2 = stor3(compiled.schedule, compiled.renamed, groups=2)
     r4 = stor3(compiled.schedule, compiled.renamed, groups=4)
     assert r2.allocation.values() and r4.allocation.values()
-    assert len(r2.stages) <= 3 and len(r4.stages) <= 5
+    # one event per chunk with instructions, plus the finalize stage
+    assert len(r2.events) <= 3 and len(r4.events) <= 5
+    assert r4.events[-1].name == "STOR3.finalize"
 
 
 def test_invalid_strategy_name():
@@ -121,7 +127,9 @@ def test_k_override(compiled):
 
 def test_stages_exposed(compiled):
     result = run_strategy("STOR2", compiled.schedule, compiled.renamed)
-    assert len(result.stages) >= 2  # globals + at least one region
+    names = [e.name for e in result.events]
+    assert names[0] == "STOR2.globals" and names[-1] == "STOR2.finalize"
+    assert len(names) >= 3  # globals + at least one region + finalize
 
 
 def test_stor_region_no_global_prepass(compiled):
@@ -129,8 +137,10 @@ def test_stor_region_no_global_prepass(compiled):
 
     result = stor_region(compiled.schedule, compiled.renamed)
     assert result.strategy == "STOR-REGION"
-    # one stage per region that has instructions
-    assert len(result.stages) >= 2
+    # one stage per region that has instructions, then finalize
+    names = [e.name for e in result.events]
+    assert len(names) >= 3 and names[-1] == "STOR-REGION.finalize"
+    assert all(n.startswith("STOR-REGION.region") for n in names[:-1])
     live = [
         v.id for v in compiled.renamed.values if v.def_sites or v.use_sites
     ]
@@ -149,3 +159,45 @@ def test_stor_region_duplication_between_stor1_and_stor2(compiled):
         results["STOR1"].multiples
         <= results["STOR-REGION"].multiples + 2
     )
+
+
+@pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+def test_weights_accepted_by_every_strategy(compiled, strategy):
+    sets = compiled.schedule.operand_sets()
+    weights = [i % 3 for i in range(len(sets))]
+    result = run_strategy(
+        strategy, compiled.schedule, compiled.renamed, weights=weights
+    )
+    for v in compiled.renamed.values:
+        if v.def_sites or v.use_sites:
+            assert result.allocation.is_placed(v.id), f"{strategy}: {v.id}"
+    assert result.residual_instructions == sorted(
+        conflicting_instructions(sets, result.allocation), key=sorted
+    )
+
+
+@pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+def test_unit_weights_equal_no_weights(compiled, strategy):
+    plain = run_strategy(strategy, compiled.schedule, compiled.renamed)
+    ones = [1] * len(compiled.schedule.operand_sets())
+    weighted = run_strategy(
+        strategy, compiled.schedule, compiled.renamed, weights=ones
+    )
+    assert encode_storage_result(weighted) == encode_storage_result(plain)
+
+
+def test_weights_must_align(compiled):
+    with pytest.raises(ValueError, match="weights must align"):
+        run_strategy(
+            "STOR2", compiled.schedule, compiled.renamed, weights=[1, 2]
+        )
+
+
+@pytest.mark.parametrize("k", [2, 4])
+@pytest.mark.parametrize("method", ["hitting_set", "backtrack"])
+@pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+def test_cold_result_equals_its_cache_round_trip(compiled, strategy, method, k):
+    cold = run_strategy(
+        strategy, compiled.schedule, compiled.renamed, k, method=method
+    )
+    assert cold == decode_storage_result(encode_storage_result(cold))

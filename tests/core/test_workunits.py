@@ -51,8 +51,8 @@ def test_max_atom_nodes_changes_unit_shape(taylor1):
     )
     unbounded = run_strategy("STOR1", program.schedule, program.renamed)
     assert (
-        sum(s.stats.atom_units for s in bounded.stages)
-        <= sum(s.stats.atom_units for s in unbounded.stages)
+        sum(e.counts["atoms"] for e in bounded.events)
+        <= sum(e.counts["atoms"] for e in unbounded.events)
     )
     # the allocation stays total and conflict-free either way
     assert not bounded.residual_instructions

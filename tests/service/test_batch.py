@@ -125,6 +125,31 @@ def test_workers_share_disk_cache(tmp_path):
     assert stor_stages == []
 
 
+def test_pool_results_written_to_disk_once(tmp_path, monkeypatch):
+    """A pool worker publishes each miss as ``<key>.json``; the parent
+    counts the job but never encodes and writes the entry again."""
+    parent = os.getpid()
+    writes = []
+    real_write = AllocationCache._write_disk
+
+    def counting_write(self, key, entry):
+        if os.getpid() == parent:
+            writes.append(key)
+        real_write(self, key, entry)
+
+    monkeypatch.setattr(AllocationCache, "_write_disk", counting_write)
+    jobs = _registry_jobs()[:3]
+    cache = AllocationCache(tmp_path)
+    report = BatchCompiler(workers=2, cache=cache).run(jobs)
+    assert report.num_ok == 3
+    assert all(r.mode == "parallel" for r in report.results)
+    assert writes == []
+    assert cache.stats()["misses"] == 3
+    for result in report.results:
+        assert (tmp_path / f"{result.key}.json").is_file()
+        assert cache.peek(result.key) == encode_storage_result(result.storage)
+
+
 def test_mixed_corpus_partial_hits():
     jobs = _registry_jobs()
     compiler = BatchCompiler(workers=1, cache=AllocationCache())
