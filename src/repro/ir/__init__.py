@@ -1,9 +1,8 @@
-"""Compiler middle end: TAC, CFG, dataflow, renaming, regions."""
+"""Compiler middle end: TAC, CFG, renaming, regions."""
 
 from . import tac
 from .builder import compile_to_tac, lower_ast
 from .cfg import BasicBlock, Cfg, build_cfg
-from .dataflow import Liveness, ReachingDefs, compute_liveness, compute_reaching
 from .interp import (
     ArrayIndexError,
     ExecutionLimitExceeded,
@@ -12,7 +11,7 @@ from .interp import (
     TacInterpreter,
     run_cfg,
 )
-from .rename import DataValue, RenamedProgram, rename
+from .rename import DataValue, RenamedProgram, RenameError, rename
 from .regions import (
     Loop,
     Regions,
@@ -30,10 +29,6 @@ __all__ = [
     "BasicBlock",
     "Cfg",
     "build_cfg",
-    "Liveness",
-    "ReachingDefs",
-    "compute_liveness",
-    "compute_reaching",
     "ArrayIndexError",
     "ExecutionLimitExceeded",
     "InputExhausted",
@@ -42,6 +37,7 @@ __all__ = [
     "run_cfg",
     "DataValue",
     "RenamedProgram",
+    "RenameError",
     "rename",
     "Loop",
     "Regions",

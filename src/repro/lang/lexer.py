@@ -9,6 +9,11 @@ from __future__ import annotations
 from .errors import LexError, SourceLocation
 from .tokens import KEYWORDS, Token, TokenKind
 
+# ASCII only: ``str.isdigit`` is true for ``²``, which ``int()`` rejects.
+_DIGITS = frozenset("0123456789")
+_WORD_START = frozenset("_abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
+_WORD = _WORD_START | _DIGITS
+
 _SINGLE = {
     ";": TokenKind.SEMI,
     ",": TokenKind.COMMA,
@@ -73,25 +78,25 @@ class Lexer:
     def _lex_number(self) -> Token:
         loc = self._loc()
         start = self._pos
-        while self._peek().isdigit():
+        while self._peek() in _DIGITS:
             self._advance()
         is_real = False
         # A '.' is part of the number only when followed by a digit, so the
         # terminating 'end.' of a program never merges into a literal.
-        if self._peek() == "." and self._peek(1).isdigit():
+        if self._peek() == "." and self._peek(1) in _DIGITS:
             is_real = True
             self._advance()
-            while self._peek().isdigit():
+            while self._peek() in _DIGITS:
                 self._advance()
         if self._peek() in "eE" and (
-            self._peek(1).isdigit()
-            or (self._peek(1) in "+-" and self._peek(2).isdigit())
+            self._peek(1) in _DIGITS
+            or (self._peek(1) in "+-" and self._peek(2) in _DIGITS)
         ):
             is_real = True
             self._advance()
             if self._peek() in "+-":
                 self._advance()
-            while self._peek().isdigit():
+            while self._peek() in _DIGITS:
                 self._advance()
         text = self._src[start : self._pos]
         if is_real:
@@ -101,7 +106,7 @@ class Lexer:
     def _lex_word(self) -> Token:
         loc = self._loc()
         start = self._pos
-        while self._peek().isalnum() or self._peek() == "_":
+        while self._peek() in _WORD:
             self._advance()
         text = self._src[start : self._pos]
         kind = KEYWORDS.get(text)
@@ -115,9 +120,9 @@ class Lexer:
         if self._pos >= len(self._src):
             return Token(TokenKind.EOF, "", loc)
         ch = self._peek()
-        if ch.isdigit():
+        if ch in _DIGITS:
             return self._lex_number()
-        if ch.isalpha() or ch == "_":
+        if ch in _WORD_START:
             return self._lex_word()
         if ch == ":":
             self._advance()

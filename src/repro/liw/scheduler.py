@@ -13,9 +13,31 @@ Standard critical-path list scheduling per basic block:
   mirroring the paper's "up to k operands" bound;
 - the block terminator rides in the last long instruction when its
   condition operand fits, else in one extra instruction.
+
+Each cycle fills one long instruction in *sweeps*:
+
+- a sweep takes the operations ready at its start, highest first, ties
+  by program order (the key ``(-height, index)``), and places each that
+  fits the free FU slots and ports;
+- an operation skipped for ports stays ready;
+- operations released mid-sweep (0-latency successors of one just
+  placed) join only the next sweep;
+- sweeps repeat while the last one placed something and FU slots
+  remain;
+- if a cycle places nothing (a port budget below one operation's
+  fetch count, e.g. ``ports=1``), the best ready operation is forced
+  into it alone.
+
+A ready heap on that key, a heap of released operations keyed by the
+cycle they become ready and per-operation predecessor counts make each
+placement cost only its out-edges.  Within a cycle an operation's extra
+fetches plus the instruction's access count never fall, so one skipped
+for ports is next looked at in the following cycle.
 """
 
 from __future__ import annotations
+
+import heapq
 
 from ..ir import tac
 from ..ir.cfg import BasicBlock, Cfg
@@ -25,20 +47,6 @@ from .machine import MachineConfig
 from .schedule import BlockSchedule, LiwInstruction, Schedule
 
 
-def _access_cost(
-    instr: tac.TacInstr, current_operands: set[int]
-) -> tuple[int, set[int]]:
-    """Extra memory accesses ``instr`` adds to an instruction already
-    touching ``current_operands`` (scalar value ids, R+W).  Array loads
-    and stores each cost one access.  Returns (cost, new ids)."""
-    new_ids: set[int] = set()
-    for op in (*instr.uses(), *instr.defs()):
-        if isinstance(op, tac.Value) and op.id not in current_operands:
-            new_ids.add(op.id)
-    arrays = 1 if instr.ARRAY_ACCESS else 0
-    return len(new_ids) + arrays, new_ids
-
-
 def schedule_block(
     block: BasicBlock, machine: MachineConfig
 ) -> BlockSchedule:
@@ -46,67 +54,79 @@ def schedule_block(
     terminator = block.terminator
     ddg = build_ddg(block)
     heights = ddg.heights()
+    succs = ddg.succs
     n = len(body)
-
-    cycle_of: dict[int, int] = {}
-    unscheduled = set(range(n))
-    liws: list[LiwInstruction] = []
+    num_fus = machine.num_fus
     ports = machine.ports
 
+    # Per op, once: its distinct scalar value ids (R+W), its array
+    # access count, its count of unscheduled predecessors and its
+    # earliest-ready cycle so far.
+    vids = [
+        frozenset([op.id for op in i.uses() + i.defs()
+                   if isinstance(op, tac.Value)])
+        for i in body
+    ]
+    arrays = [1 if i.ARRAY_ACCESS else 0 for i in body]
+    waiting = [len(p) for p in ddg.preds]
+    earliest = [0] * n
+    # Key (-height, index) as one int: ``key % n`` is the index.
+    keys = [-heights[i] * n + i for i in range(n)]
+    ready = [keys[i] for i in range(n) if not waiting[i]]
+    heapq.heapify(ready)
+    released: list[tuple[int, int]] = []  # (ready cycle, key)
+
+    def place(i: int, cycle: int) -> None:
+        for e in succs[i]:
+            d = e.dst
+            waiting[d] -= 1
+            if cycle + e.latency > earliest[d]:
+                earliest[d] = cycle + e.latency
+            if not waiting[d]:
+                heapq.heappush(released, (earliest[d], keys[d]))
+
+    liws: list[LiwInstruction] = []
+    left = n
     cycle = 0
-    while unscheduled:
-        liw = LiwInstruction()
+    while left:
+        ops: list[tac.TacInstr] = []
         operands: set[int] = set()
         accesses = 0
+        skipped: list[int] = []
         placed_any = True
-        # Keep sweeping the ready list: placing a node can make a
-        # 0-latency (anti-dependent) successor ready within this cycle.
-        while placed_any and len(liw.ops) < machine.num_fus:
+        while placed_any and len(ops) < num_fus:
             placed_any = False
-            ready = [
-                i
-                for i in unscheduled
-                if all(
-                    e.src in cycle_of and cycle_of[e.src] + e.latency <= cycle
-                    for e in ddg.preds[i]
-                )
-            ]
-            # Highest first; ties broken by program order for determinism.
-            ready.sort(key=lambda i: (-heights[i], i))
-            for i in ready:
-                if len(liw.ops) >= machine.num_fus:
-                    break
-                cost, new_ids = _access_cost(body[i], operands)
+            while released and released[0][0] <= cycle:
+                heapq.heappush(ready, heapq.heappop(released)[1])
+            while ready and len(ops) < num_fus:
+                key = heapq.heappop(ready)
+                i = key % n
+                new_ids = vids[i] - operands
+                cost = len(new_ids) + arrays[i]
                 if accesses + cost > ports:
+                    skipped.append(key)
                     continue
-                liw.ops.append(body[i])
+                ops.append(body[i])
                 operands |= new_ids
                 accesses += cost
-                cycle_of[i] = cycle
-                unscheduled.discard(i)
+                place(i, cycle)
+                left -= 1
                 placed_any = True
-        if not liw.ops:
+        for key in skipped:
+            heapq.heappush(ready, key)
+        if not ops:
             # Port budget smaller than one op's fetch count (ports=1
             # machines): force the best ready op so scheduling always
             # terminates; the memory system serialises the fetches.
-            ready = [
-                i
-                for i in unscheduled
-                if all(
-                    e.src in cycle_of and cycle_of[e.src] + e.latency <= cycle
-                    for e in ddg.preds[i]
-                )
-            ]
             if not ready:
                 raise RuntimeError(
                     f"scheduler made no progress in block {block.label!r}"
                 )
-            ready.sort(key=lambda i: (-heights[i], i))
-            forced = ready[0]
-            liw.ops.append(body[forced])
-            cycle_of[forced] = cycle
-            unscheduled.discard(forced)
-        liws.append(liw)
+            i = heapq.heappop(ready) % n
+            ops.append(body[i])
+            place(i, cycle)
+            left -= 1
+        liws.append(LiwInstruction(ops))
         cycle += 1
 
     # Attach the terminator.  It must issue no earlier than one cycle

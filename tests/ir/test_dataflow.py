@@ -1,6 +1,11 @@
-"""Unit tests for liveness and reaching definitions."""
+"""Unit tests for the reference liveness and reaching-definitions
+analyses (the oracle of :mod:`repro.ir.rename`)."""
 
-from repro.ir import build_cfg, compile_to_tac, compute_liveness, compute_reaching
+from repro.ir import build_cfg, compile_to_tac
+from tests.reference import (
+    reference_liveness as compute_liveness,
+    reference_reaching as compute_reaching,
+)
 
 
 def cfg_of(body: str, decls: str = "var x, y, z, i: int;"):

@@ -116,3 +116,18 @@ def test_all_single_char_punctuation():
         TokenKind.SLASH, TokenKind.EQ,
     ]
     assert kinds(src)[:-1] == expected
+
+
+@pytest.mark.parametrize("char", ["²", "٣", "é"])
+def test_non_ascii_digits_and_letters_raise_lex_error(char):
+    # ``str.isdigit``/``isalpha`` accept these; the language does not.
+    with pytest.raises(LexError) as exc:
+        tokenize(f"x := {char};")
+    assert repr(char) in str(exc.value)
+
+
+def test_superscript_digit_fails_compile_source_with_lex_error():
+    from repro.pipeline import compile_source
+
+    with pytest.raises(LexError, match="unexpected character '²' at 1:35"):
+        compile_source("program p; var x: int; begin x := ²; write(x) end.")

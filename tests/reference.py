@@ -1,4 +1,5 @@
-"""Frozen set-based reference implementations of the allocation kernels.
+"""Frozen reference implementations of the allocation kernels and of
+the front end's renaming and list scheduling.
 
 The live modules in :mod:`repro.core` run on the integer-bitmask kernels
 of :mod:`repro.core.bitset`.  This module retains the original
@@ -12,6 +13,11 @@ for naming, so that
   that the live kernels allocate identically and are not slower on
   real programs.
 
+The same holds for the front end: the whole-program reaching-definitions
+renamer and the sweep-rebuilding list scheduler (the last section) are
+the oracles of :func:`repro.ir.rename.rename` and
+:func:`repro.liw.scheduler.schedule_block`.
+
 Everything here shares the result dataclasses of the live modules
 (:class:`~repro.core.coloring.ColoringResult`,
 :class:`~repro.core.backtrack.BacktrackStats`,
@@ -22,8 +28,10 @@ change.
 
 from __future__ import annotations
 
+import copy
 import heapq
 import random
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
@@ -33,6 +41,12 @@ from repro.core.backtrack import BacktrackStats
 from repro.core.coloring import ColoringResult, ColoringStep
 from repro.core.duplication import DuplicationStats
 from repro.core.verify import sdr_exists
+from repro.ir import tac
+from repro.ir.cfg import BasicBlock, Cfg
+from repro.ir.rename import RENAME_MODES, DataValue, RenamedProgram
+from repro.liw.ddg import build_ddg
+from repro.liw.machine import MachineConfig
+from repro.liw.schedule import BlockSchedule, LiwInstruction, Schedule
 
 
 def _edge(u: int, v: int) -> tuple[int, int]:
@@ -993,3 +1007,427 @@ def reference_assign_modules(
         num_edges=graph.num_edges,
     )
     return AssignmentResult(alloc, coloring, stats, method)
+
+
+# --------------------------------------------------------------------------
+# Front end: dataflow, renaming and list scheduling
+# --------------------------------------------------------------------------
+#
+# The original ``repro.ir.dataflow`` module, ``repro.ir.rename.rename``
+# on top of its reaching definitions, and ``repro.liw.scheduler``'s
+# sweep-rebuilding ``schedule_block``.  The live renamer and scheduler
+# must give byte-identical CFGs, value tables and schedules
+# (``tests/ir/test_rename_differential.py``,
+# ``tests/liw/test_scheduler_differential.py``,
+# ``benchmarks/test_frontend_gate.py``).
+
+
+@dataclass(slots=True)
+class Liveness:
+    """live_in/live_out per block index, over Sym names."""
+
+    live_in: list[set[str]]
+    live_out: list[set[str]]
+
+
+def reference_liveness(cfg: Cfg) -> Liveness:
+    n = len(cfg.blocks)
+    use_b: list[set[str]] = [set() for _ in range(n)]
+    def_b: list[set[str]] = [set() for _ in range(n)]
+    for block in cfg.blocks:
+        seen_def: set[str] = set()
+        for instr in block.instrs:
+            for u in instr.uses():
+                assert isinstance(u, tac.Sym)
+                if u.name not in seen_def:
+                    use_b[block.index].add(u.name)
+            for d in instr.defs():
+                assert isinstance(d, tac.Sym)
+                seen_def.add(d.name)
+        def_b[block.index] = seen_def
+
+    live_in: list[set[str]] = [set() for _ in range(n)]
+    live_out: list[set[str]] = [set() for _ in range(n)]
+    changed = True
+    while changed:
+        changed = False
+        for block in reversed(cfg.blocks):
+            bi = block.index
+            out: set[str] = set()
+            for s in block.succs:
+                out |= live_in[s]
+            inn = use_b[bi] | (out - def_b[bi])
+            if out != live_out[bi] or inn != live_in[bi]:
+                live_out[bi] = out
+                live_in[bi] = inn
+                changed = True
+    return Liveness(live_in, live_out)
+
+
+@dataclass(frozen=True, slots=True)
+class DefSite:
+    """One definition of a scalar.  ``block == -1`` marks the entry
+    pseudo-definition that models a variable's initial (uninitialised)
+    storage, so every use has at least one reaching definition."""
+
+    id: int
+    var: str
+    block: int
+    pos: int
+
+    @property
+    def is_entry(self) -> bool:
+        return self.block == -1
+
+
+@dataclass(slots=True)
+class ReachingDefs:
+    """Reaching-definition results.
+
+    ``use_defs`` maps each use site ``(block, pos, var)`` to the ids of
+    definitions that may reach it.
+    """
+
+    defs: list[DefSite]
+    #: per-block reach-in as integer bitmasks over def ids
+    reach_in_masks: list[int]
+    use_defs: dict[tuple[int, int, str], frozenset[int]] = field(
+        default_factory=dict
+    )
+
+    def def_by_id(self, def_id: int) -> DefSite:
+        return self.defs[def_id]
+
+    def reach_in(self, block: int) -> frozenset[int]:
+        """Def ids reaching the top of ``block`` (decoded on demand)."""
+        return _bits(self.reach_in_masks[block])
+
+
+def _bits(mask: int) -> frozenset[int]:
+    out = set()
+    while mask:
+        low = mask & -mask
+        out.add(low.bit_length() - 1)
+        mask ^= low
+    return frozenset(out)
+
+
+def reference_reaching(cfg: Cfg) -> ReachingDefs:
+    """Reaching definitions with integer-bitset dataflow (def sites are
+    bit positions), which keeps the fixpoint fast on unrolled programs
+    with thousands of definitions."""
+    # Enumerate definition sites.  Entry pseudo-defs cover declared
+    # variables only; temporaries are always defined before use.
+    defs: list[DefSite] = []
+    var_mask: dict[str, int] = {}
+
+    def add_def(var: str, block: int, pos: int) -> int:
+        d = DefSite(len(defs), var, block, pos)
+        defs.append(d)
+        var_mask[var] = var_mask.get(var, 0) | (1 << d.id)
+        return d.id
+
+    for var in cfg.scalars:
+        add_def(var, -1, 0)
+    def_at: dict[tuple[int, int], list[int]] = {}
+    for block in cfg.blocks:
+        for pos, instr in enumerate(block.instrs):
+            for d in instr.defs():
+                assert isinstance(d, tac.Sym)
+                def_at.setdefault((block.index, pos), []).append(
+                    add_def(d.name, block.index, pos)
+                )
+
+    n = len(cfg.blocks)
+    gen = [0] * n
+    kill = [0] * n
+    for block in cfg.blocks:
+        bi = block.index
+        latest: dict[str, int] = {}
+        for pos, _ in enumerate(block.instrs):
+            for did in def_at.get((bi, pos), ()):
+                latest[defs[did].var] = did
+        for var, did in latest.items():
+            gen[bi] |= 1 << did
+            kill[bi] |= var_mask[var] & ~(1 << did)
+        # A block that redefines var kills all other defs of var, even the
+        # non-latest defs inside itself (handled by `latest` above).
+
+    entry_mask = 0
+    for d in defs:
+        if d.is_entry:
+            entry_mask |= 1 << d.id
+
+    reach_in = [0] * n
+    reach_out = [0] * n
+    reach_out[0] = gen[0] | (entry_mask & ~kill[0])
+
+    changed = True
+    while changed:
+        changed = False
+        for block in cfg.blocks:
+            bi = block.index
+            inn = entry_mask if bi == 0 else 0
+            for p in block.preds:
+                inn |= reach_out[p]
+            out = gen[bi] | (inn & ~kill[bi])
+            if inn != reach_in[bi] or out != reach_out[bi]:
+                reach_in[bi] = inn
+                reach_out[bi] = out
+                changed = True
+
+    result = ReachingDefs(defs, list(reach_in))
+    # Per-use resolution by a forward scan of each block.
+    decode_cache: dict[int, frozenset[int]] = {}
+    for block in cfg.blocks:
+        bi = block.index
+        current: dict[str, int] = {}
+        inn = reach_in[bi]
+        for pos, instr in enumerate(block.instrs):
+            for u in instr.uses():
+                assert isinstance(u, tac.Sym)
+                mask = current.get(u.name)
+                if mask is None:
+                    mask = inn & var_mask.get(u.name, 0)
+                    current[u.name] = mask
+                reaching = decode_cache.get(mask)
+                if reaching is None:
+                    reaching = _bits(mask)
+                    decode_cache[mask] = reaching
+                result.use_defs[(bi, pos, u.name)] = reaching
+            for did in def_at.get((bi, pos), ()):
+                current[defs[did].var] = 1 << did
+    return result
+
+
+class _UnionFind:
+    def __init__(self, n: int):
+        self._parent = list(range(n))
+
+    def find(self, x: int) -> int:
+        root = x
+        while self._parent[root] != root:
+            root = self._parent[root]
+        while self._parent[x] != root:
+            self._parent[x], x = root, self._parent[x]
+        return root
+
+    def union(self, a: int, b: int) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self._parent[max(ra, rb)] = min(ra, rb)
+
+
+def reference_rename(cfg: Cfg, mode: str = "web") -> RenamedProgram:
+    """Compute data values over ``cfg`` and return a rewritten copy.
+
+    ``mode='web'`` (default) renames at du-chain web granularity — the
+    paper's "each definition creates a distinct data value", made sound
+    under control flow.  ``mode='variable'`` keeps one value per source
+    variable (no renaming), the baseline the paper's §3 closing remark
+    says renaming improves on; it exists for that ablation
+    (`benchmarks/test_ablations.py::test_ablation_renaming`).
+
+    The input CFG is not modified.
+    """
+    if mode not in RENAME_MODES:
+        raise ValueError(f"unknown rename mode {mode!r}")
+    reaching = reference_reaching(cfg)
+    uf = _UnionFind(len(reaching.defs))
+    for def_ids in reaching.use_defs.values():
+        ids = sorted(def_ids)
+        for other in ids[1:]:
+            uf.union(ids[0], other)
+    if mode == "variable":
+        # Collapse every definition of the same variable into one value.
+        by_var: dict[str, int] = {}
+        for d in reaching.defs:
+            first = by_var.setdefault(d.var, d.id)
+            uf.union(first, d.id)
+
+    # Assign value ids to web roots in first-encounter order so numbering
+    # is stable and readable.
+    root_to_value: dict[int, int] = {}
+    values: list[DataValue] = []
+    per_origin_count: dict[str, int] = {}
+
+    def value_for_root(root: int) -> DataValue:
+        vid = root_to_value.get(root)
+        if vid is not None:
+            return values[vid]
+        origin = reaching.defs[root].var
+        seq = per_origin_count.get(origin, 0)
+        per_origin_count[origin] = seq + 1
+        is_temp = origin.startswith("%")
+        name = origin if is_temp or seq == 0 else f"{origin}#{seq}"
+        dv = DataValue(len(values), name, origin, is_temp)
+        root_to_value[root] = dv.id
+        values.append(dv)
+        return dv
+
+    # Deterministic order: walk defs by id (entry defs first, then program
+    # order), so web numbering follows the program text.
+    for d in reaching.defs:
+        root = uf.find(d.id)
+        dv = value_for_root(root)
+        if d.is_entry:
+            dv.from_entry = True
+        else:
+            dv.def_sites.append((d.block, d.pos))
+
+    def value_of_def(def_id: int) -> DataValue:
+        return values[root_to_value[uf.find(def_id)]]
+
+    # Rewrite a deep copy of the CFG block by block.
+    new_blocks: list[BasicBlock] = []
+    def_at: dict[tuple[int, int, str], int] = {}
+    for d in reaching.defs:
+        if not d.is_entry:
+            def_at[(d.block, d.pos, d.var)] = d.id
+
+    for block in cfg.blocks:
+        new_instrs: list[tac.TacInstr] = []
+        for pos, instr in enumerate(block.instrs):
+            new_instr = copy.copy(instr)
+
+            # Uses before defs: that fixes the order of ``use_sites``.
+            for slot in new_instr.USES:
+                op = getattr(new_instr, slot)
+                if isinstance(op, tac.Sym):
+                    def_ids = reaching.use_defs[(block.index, pos, op.name)]
+                    dv = value_of_def(next(iter(def_ids)))
+                    dv.use_sites.append((block.index, pos))
+                    setattr(new_instr, slot, tac.Value(dv.id))
+            for slot in new_instr.DEFS:
+                op = getattr(new_instr, slot)
+                assert isinstance(op, tac.Sym)
+                dv = value_of_def(def_at[(block.index, pos, op.name)])
+                setattr(new_instr, slot, tac.Value(dv.id))
+            new_instrs.append(new_instr)
+        new_blocks.append(
+            BasicBlock(
+                block.index, block.label, new_instrs,
+                list(block.succs), list(block.preds),
+            )
+        )
+
+    new_cfg = Cfg(
+        cfg.name,
+        new_blocks,
+        dict(cfg.arrays),
+        list(cfg.scalars),
+        dict(cfg.const_table),
+    )
+    return RenamedProgram(new_cfg, values)
+
+
+def _access_cost(
+    instr: tac.TacInstr, current_operands: set[int]
+) -> tuple[int, set[int]]:
+    """Extra memory accesses ``instr`` adds to an instruction already
+    touching ``current_operands`` (scalar value ids, R+W).  Array loads
+    and stores each cost one access.  Returns (cost, new ids)."""
+    new_ids: set[int] = set()
+    for op in (*instr.uses(), *instr.defs()):
+        if isinstance(op, tac.Value) and op.id not in current_operands:
+            new_ids.add(op.id)
+    arrays = 1 if instr.ARRAY_ACCESS else 0
+    return len(new_ids) + arrays, new_ids
+
+
+def reference_schedule_block(
+    block: BasicBlock, machine: MachineConfig
+) -> BlockSchedule:
+    body = block.body
+    terminator = block.terminator
+    ddg = build_ddg(block)
+    heights = ddg.heights()
+    n = len(body)
+
+    cycle_of: dict[int, int] = {}
+    unscheduled = set(range(n))
+    liws: list[LiwInstruction] = []
+    ports = machine.ports
+
+    cycle = 0
+    while unscheduled:
+        liw = LiwInstruction()
+        operands: set[int] = set()
+        accesses = 0
+        placed_any = True
+        # Keep sweeping the ready list: placing a node can make a
+        # 0-latency (anti-dependent) successor ready within this cycle.
+        while placed_any and len(liw.ops) < machine.num_fus:
+            placed_any = False
+            ready = [
+                i
+                for i in unscheduled
+                if all(
+                    e.src in cycle_of and cycle_of[e.src] + e.latency <= cycle
+                    for e in ddg.preds[i]
+                )
+            ]
+            # Highest first; ties broken by program order for determinism.
+            ready.sort(key=lambda i: (-heights[i], i))
+            for i in ready:
+                if len(liw.ops) >= machine.num_fus:
+                    break
+                cost, new_ids = _access_cost(body[i], operands)
+                if accesses + cost > ports:
+                    continue
+                liw.ops.append(body[i])
+                operands |= new_ids
+                accesses += cost
+                cycle_of[i] = cycle
+                unscheduled.discard(i)
+                placed_any = True
+        if not liw.ops:
+            # Port budget smaller than one op's fetch count (ports=1
+            # machines): force the best ready op so scheduling always
+            # terminates; the memory system serialises the fetches.
+            ready = [
+                i
+                for i in unscheduled
+                if all(
+                    e.src in cycle_of and cycle_of[e.src] + e.latency <= cycle
+                    for e in ddg.preds[i]
+                )
+            ]
+            if not ready:
+                raise RuntimeError(
+                    f"scheduler made no progress in block {block.label!r}"
+                )
+            ready.sort(key=lambda i: (-heights[i], i))
+            forced = ready[0]
+            liw.ops.append(body[forced])
+            cycle_of[forced] = cycle
+            unscheduled.discard(forced)
+        liws.append(liw)
+        cycle += 1
+
+    # Attach the terminator.  It must issue no earlier than one cycle
+    # after the flow-dependence producing its condition; since the
+    # producer is in some earlier-or-equal cycle and the terminator goes
+    # into the last (or a fresh) instruction, only the last-cycle case
+    # needs a check.
+    if not liws:
+        liws.append(LiwInstruction())
+    last = liws[-1]
+    cond_ids = {u.id for u in terminator.uses() if isinstance(u, tac.Value)}
+    produced_last = last.scalar_dests() & cond_ids
+    extra = len(cond_ids - last.scalar_operands())
+    if produced_last or last.mem_accesses + extra > ports:
+        liws.append(LiwInstruction(branch=terminator))
+    else:
+        last.branch = terminator
+
+    return BlockSchedule(block.index, block.label, liws)
+
+
+def reference_schedule_program(
+    renamed: RenamedProgram, machine: MachineConfig | None = None
+) -> Schedule:
+    """``schedule_program`` over :func:`reference_schedule_block`."""
+    machine = machine or MachineConfig()
+    blocks = [reference_schedule_block(b, machine) for b in renamed.cfg.blocks]
+    return Schedule(renamed.cfg, machine, blocks)

@@ -212,6 +212,13 @@ def test_bad_source_is_a_job_error_not_a_batch_error():
     assert not bad.ok and bad.error is not None
 
 
+def test_non_ascii_digit_is_a_lex_error_job():
+    jobs = [BatchJob("BAD", "program p; var x: int; begin x := ²; write(x) end.")]
+    [bad] = BatchCompiler(workers=1, cache=AllocationCache()).run(jobs).results
+    assert not bad.ok
+    assert bad.error == "LexError(\"unexpected character '²' at 1:35\")"
+
+
 def test_workers_one_never_spawns_pool(monkeypatch):
     def boom(*args, **kwargs):  # pragma: no cover - must not be called
         raise AssertionError("pool should not start with workers=1")

@@ -183,6 +183,8 @@ def test_bad_names_and_paths_exit_2_with_one_error_line(
          "program p; var i: int; a: array[4] of int;"
          " begin i := 9; a[i] := 1; write(a[i]) end.",
          "repro run: error: array 'a' index 9 out of range [0, 4)"),
+        ("compile", "program p; var x: int; begin x := ²; write(x) end.",
+         "repro compile: error: unexpected character '²' at 1:35"),
     ],
 )
 def test_bad_programs_exit_1_with_one_error_line(
