@@ -263,25 +263,24 @@ def block_index_exprs(
 
 
 def _cyclic_blocks(cfg: Cfg) -> set[int]:
-    """Indices of blocks that lie on some CFG cycle (loop bodies)."""
-    n = len(cfg.blocks)
-    cyclic: set[int] = set()
-    for start in range(n):
-        # BFS from the successors of `start`; reaching `start` again
-        # means it sits on a cycle.  CFGs here are tiny (tens of
-        # blocks), so the quadratic sweep is immaterial.
-        seen: set[int] = set()
-        frontier = list(cfg.blocks[start].succs)
-        while frontier:
-            b = frontier.pop()
-            if b == start:
-                cyclic.add(start)
-                break
-            if b in seen:
-                continue
-            seen.add(b)
-            frontier.extend(cfg.blocks[b].succs)
-    return cyclic
+    """Indices of blocks that lie on some CFG cycle (loop bodies): the
+    blocks reachable from one of their own successors."""
+    succs = [block.succs for block in cfg.blocks]
+    # reach[b]: mask of the blocks reachable from b over one or more
+    # edges, grown to a fixpoint; sweeping against program order makes
+    # it settle in about as many sweeps as loops nest.
+    reach = [0] * len(succs)
+    changed = True
+    while changed:
+        changed = False
+        for b in range(len(succs) - 1, -1, -1):
+            mask = 0
+            for s in succs[b]:
+                mask |= (1 << s) | reach[s]
+            if mask != reach[b]:
+                reach[b] = mask
+                changed = True
+    return {b for b, mask in enumerate(reach) if mask >> b & 1}
 
 
 # --------------------------------------------------------------------------
@@ -303,8 +302,11 @@ def analyze_accesses(schedule) -> AccessProfile:
 
     for bs in schedule.blocks:
         block = cfg.blocks[bs.block_index]
-        exprs = block_index_exprs(block)
-        pos_of = _op_positions(block)
+        exprs: dict[int, AffineExpr | None] = {}
+        pos_of: dict[int, int] = {}
+        if any(instr.ARRAY_ACCESS for instr in block.body):
+            exprs = block_index_exprs(block)
+            pos_of = _op_positions(block)
         bp = BlockProfile(
             bs.block_index,
             bs.label,

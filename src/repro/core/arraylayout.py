@@ -32,6 +32,8 @@ default allocations, fingerprints, and cache keys are untouched.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add, mul, sub
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ..liw.reorder import (
@@ -78,6 +80,8 @@ _MAX_COMBOS = 512
 _SWEEPS = 2
 #: Sweeps of the move stage.
 _MOVE_SWEEPS = 2
+#: The spec of an array a spec table leaves out.
+_UNSPECIFIED = LayoutSpec("interleaved", 0)
 
 
 # --------------------------------------------------------------------------
@@ -176,7 +180,7 @@ def _placements(
     groups: dict[object, list[int]] = {}
     singleton = 0
     for ref in accesses:
-        spec = specs.get(ref.array, LayoutSpec("interleaved", 0))
+        spec = specs.get(ref.array, _UNSPECIFIED)
         if spec.kind == "module":
             exact.append(spec.base)
             continue
@@ -197,6 +201,55 @@ def _placements(
         key = ("lin", ref.array, expr.terms)
         groups.setdefault(key, []).append((spec.base + expr.const) % k)
     return exact, list(groups.values())
+
+
+def _shift_rows(group: Sequence[int], k: int) -> list[tuple[int, ...]]:
+    """The module loads ``group`` adds under each uniform shift 0..k-1."""
+    row = [0] * k
+    for residue in group:
+        row[residue % k] += 1
+    loads = tuple(row)
+    return [loads[k - s:] + loads[:k - s] for s in range(k)]
+
+
+def _enumerate_total(
+    base: tuple[int, ...], rows: Sequence[Sequence[tuple[int, ...]]]
+) -> int:
+    """Sum, over every combination of group shifts, of the max module
+    load: ``base`` plus one shifted row per group (``rows`` is not
+    empty).
+
+    Put a singleton group last: one residue shifted over all k modules
+    adds k·max(loads) plus the number of modules at that max to the
+    sum, with no enumeration.
+    """
+    loads = [base]
+    for group_rows in rows[:-1]:
+        loads = [tuple(map(add, ls, r)) for ls in loads for r in group_rows]
+    last = rows[-1]
+    if sum(last[0]) == 1:
+        k = len(last)
+        total = 0
+        for ls in loads:
+            top = max(ls)
+            total += k * top + ls.count(top)
+        return total
+    return sum(max(map(add, ls, r)) for ls in loads for r in last)
+
+
+def _canonical(group: Sequence[int], k: int) -> tuple[int, ...]:
+    """``group``'s residues up to rotation: the least sorted form among
+    the rotations that bring one of its residues to 0.
+
+    A group's shift is uniform over k, so rotating its residues by c
+    maps the shift combinations one to one onto themselves (the shift s
+    becomes s + c mod k) and leaves the exact total unchanged.
+    """
+    if len(group) == 1:
+        return (0,)
+    return min(
+        tuple(sorted((r - r0) % k for r in group)) for r0 in set(group)
+    )
 
 
 def _liw_cost(
@@ -220,17 +273,11 @@ def _liw_cost(
 
     combos = k ** len(groups)
     if combos <= _MAX_COMBOS:
-        total = 0
-        for combo in range(combos):
-            loads = list(base)
-            c = combo
-            for group in groups:
-                shift = c % k
-                c //= k
-                for residue in group:
-                    loads[(residue + shift) % k] += 1
-            total += max(loads)
-        return total / combos
+        rows = [
+            _shift_rows(group, k)
+            for group in sorted(groups, key=len, reverse=True)
+        ]
+        return _enumerate_total(tuple(base), rows) / combos
 
     rand = _lcg(seed)
     total = 0
@@ -244,9 +291,34 @@ def _liw_cost(
     return total / _MAX_COMBOS
 
 
+#: Placement of one part: its exact module hits (sorted) and its
+#: residue groups up to rotation (sorted).
+_Placement = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
+
+
 class _CostModel:
-    """Weighted predicted transfer cost of a profile under candidate
-    specs, with per-word incremental re-evaluation."""
+    """Weighted predicted transfer cost of a profile under per-array
+    specs, pricing each word at most once per layout of its arrays.
+
+    A word's cost depends only on the specs of the arrays it touches.
+    Its accesses to one array (a *part*) place the same way wherever
+    they occur, and groups never merge across arrays, since every
+    group key carries its array; so a word's placement is the
+    concatenation of its parts'.  Kept per call, on this model:
+
+    - per word, at build: its weight, scalar load vector and parts;
+    - per (part, spec): the part's placement, interned as an integer,
+      so specs that place a part alike share one id;
+    - per (word, placement ids of its parts): the word's cost; the
+      search's trials and :meth:`commit_array` are lookups in this
+      table;
+    - across words: the exact expected cost per (base loads, groups up
+      to rotation).
+
+    A word with enough groups to reach the seeded sampling path (see
+    :func:`_liw_cost`) keys its costs by spec ids instead: its sampled
+    cost depends on the groups' raw residues and their order.
+    """
 
     def __init__(
         self,
@@ -262,77 +334,290 @@ class _CostModel:
         self.seed = seed
         self.eager_copies = eager_copies
         self.scalar_vec = ScalarLoadMemo(alloc, k, eager_copies)
-        #: canonical (vec, exact, groups) -> exact expected cost; see
-        #: word_cost
-        self._exact_cost: dict[
-            tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]],
-            float,
+        #: spec id -> spec; a candidate's id is its index in ``candidates``
+        self.candidates = _candidate_specs(k)
+        self._specs = list(self.candidates)
+        self._spec_ids = {spec: i for i, spec in enumerate(self._specs)}
+        #: part id -> its accesses; (array, index exprs) -> part id
+        self._part_refs: list[tuple[ArrayRef, ...]] = []
+        self._part_ids: dict[
+            tuple[str, tuple[AffineExpr | None, ...]], int
         ] = {}
-        #: (block_pos, cycle) -> last computed cost of that word
-        self._word_cost: dict[tuple[int, int], float] = {}
-        #: array -> word keys touching it
-        self.words_of: dict[str, set[tuple[int, int]]] = {}
+        #: part id -> placement id under each candidate
+        self._candidate_rows: dict[int, list[int]] = {}
+        self._placements: list[_Placement] = []
+        self._placement_ids: dict[_Placement, int] = {}
+        #: (base loads, sorted groups) -> exact expected cost
+        self._exact_cost: dict[
+            tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], float
+        ] = {}
+
+        # Per word, in block/word order.
+        self._weight: list[int] = []
+        self._vec: list[tuple[int, ...]] = []
+        self._arrays: list[tuple[str, ...]] = []
+        self._parts: list[tuple[int, ...]] = []
+        #: word -> (accesses, sampling seed), for the words whose costs
+        #: are keyed by spec ids
+        self._sampled: dict[int, tuple[tuple[ArrayRef, ...], int]] = {}
+        #: (word, table key) -> cost
+        self._table: dict[tuple[int, tuple[int, ...]], float] = {}
+        #: table key and cost under the committed specs
+        self._keys: list[list[int]] = []
+        self._cost: list[float] = []
+        #: array -> committed spec id
+        self._current: dict[str, int] = {}
+
+        keys_of: dict[str, set[tuple[int, int]]] = {}
+        word_of: dict[tuple[int, int], int] = {}
         for b, bp in enumerate(profile.blocks):
             for lp in bp.liws:
-                for ref in lp.accesses:
-                    self.words_of.setdefault(ref.array, set()).add(
-                        (b, lp.cycle)
+                w = word_of[(b, lp.cycle)] = len(self._weight)
+                arrays, parts = self._parts_of(lp.accesses)
+                # skewing splits a part into the most groups
+                most_groups = sum(
+                    len(self._base_placement(part, "skewed")[1])
+                    for part in parts
+                )
+                self._weight.append(bp.weight)
+                self._vec.append(
+                    self.scalar_vec(lp.scalar_sources, lp.scalar_dests)
+                )
+                self._arrays.append(arrays)
+                self._parts.append(parts)
+                if k ** most_groups > _MAX_COMBOS:
+                    self._sampled[w] = (
+                        lp.accesses, seed ^ (b * 7919 + lp.cycle)
                     )
+                self._keys.append([])
+                self._cost.append(0.0)
+                for ref in lp.accesses:
+                    keys_of.setdefault(ref.array, set()).add((b, lp.cycle))
+        #: array -> the words touching it, in the order their cost
+        #: changes are summed
+        self.words_of: dict[str, list[int]] = {
+            array: [word_of[key] for key in keys]
+            for array, keys in keys_of.items()
+        }
+
+    # -- interning ---------------------------------------------------------
+
+    def _spec_id(self, spec: LayoutSpec) -> int:
+        sid = self._spec_ids.get(spec)
+        if sid is None:
+            sid = self._spec_ids[spec] = len(self._specs)
+            self._specs.append(spec)
+        return sid
+
+    def _parts_of(
+        self, accesses: Sequence[ArrayRef]
+    ) -> tuple[tuple[str, ...], tuple[int, ...]]:
+        by_array: dict[str, list[ArrayRef]] = {}
+        for ref in accesses:
+            by_array.setdefault(ref.array, []).append(ref)
+        parts = []
+        for array, refs in by_array.items():
+            key = (array, tuple(ref.expr for ref in refs))
+            part = self._part_ids.get(key)
+            if part is None:
+                part = self._part_ids[key] = len(self._part_refs)
+                self._part_refs.append(tuple(refs))
+            parts.append(part)
+        return tuple(by_array), tuple(parts)
+
+    def _placement(self, part: int, sid: int) -> int:
+        """The placement id of ``part`` under spec ``sid``."""
+        if sid < len(self.candidates):
+            return self._candidate_row(part)[sid]
+        spec = self._specs[sid]
+        exact, groups = self._base_placement(part, spec.kind)
+        return self._intern(
+            tuple(sorted([(m + spec.base) % self.k for m in exact])), groups
+        )
+
+    def _candidate_row(self, part: int) -> list[int]:
+        """The placement id of ``part`` under each candidate spec."""
+        row = self._candidate_rows.get(part)
+        if row is None:
+            k = self.k
+            row = self._candidate_rows[part] = []
+            kind: str | None = None
+            for spec in self.candidates:
+                if spec.kind != kind:
+                    kind = spec.kind
+                    exact, groups = self._base_placement(part, kind)
+                    # without exact hits, every base places alike
+                    alike = None if exact else self._intern((), groups)
+                row.append(alike if alike is not None else self._intern(
+                    tuple(sorted([(m + spec.base) % k for m in exact])),
+                    groups,
+                ))
+        return row
+
+    def _intern(
+        self, exact: tuple[int, ...], groups: tuple[tuple[int, ...], ...]
+    ) -> int:
+        placement = (exact, groups)
+        pid = self._placement_ids.get(placement)
+        if pid is None:
+            pid = self._placement_ids[placement] = len(self._placements)
+            self._placements.append(placement)
+        return pid
+
+    def _base_placement(self, part: int, kind: str) -> _Placement:
+        """The part's placement under ``kind`` at base 0.
+
+        A spec's base adds to every module it maps an index to
+        (:meth:`LayoutSpec.module_of`), so it rotates the part's exact
+        hits and each group's residues: one placement per kind gives
+        every base's exact hits, and the same groups up to rotation.
+        """
+        refs = self._part_refs[part]
+        exact, groups = _placements(
+            refs, {refs[0].array: LayoutSpec(kind, 0)}, self.k
+        )
+        return (
+            tuple(exact),
+            tuple(sorted(_canonical(group, self.k) for group in groups)),
+        )
+
+    # -- pricing -----------------------------------------------------------
+
+    def _exact(self, base: list[int], groups: list[tuple[int, ...]]) -> float:
+        if not groups:
+            return float(max(base)) if base else 0.0
+        key = (tuple(base), tuple(sorted(groups)))
+        cost = self._exact_cost.get(key)
+        if cost is None:
+            # singletons sort first; the enumeration wants one last
+            rows = [_shift_rows(group, self.k) for group in reversed(key[1])]
+            cost = self._exact_cost[key] = (
+                _enumerate_total(key[0], rows) / self.k ** len(groups)
+            )
+        return cost
+
+    def _price_specs(
+        self,
+        vec: tuple[int, ...],
+        accesses: Sequence[ArrayRef],
+        specs: dict[str, LayoutSpec],
+        seed: int,
+    ) -> float:
+        exact, groups = _placements(accesses, specs, self.k)
+        if self.k ** len(groups) > _MAX_COMBOS:
+            # seeded sampling: the word's own seed matters, no memo
+            return _liw_cost(vec, exact, groups, self.k, seed)
+        base = list(vec)
+        for m in exact:
+            base[m] += 1
+        return self._exact(base, [_canonical(g, self.k) for g in groups])
+
+    def _lookup(self, w: int, key: tuple[int, ...]) -> float:
+        """Word ``w``'s cost under ``key``: its parts' spec ids or
+        placement ids, as ``_sampled`` says."""
+        cost = self._table.get((w, key))
+        if cost is None:
+            sampled = self._sampled.get(w)
+            if sampled is not None:
+                accesses, seed = sampled
+                specs = {
+                    array: self._specs[sid]
+                    for array, sid in zip(self._arrays[w], key)
+                }
+                cost = self._price_specs(self._vec[w], accesses, specs, seed)
+            else:
+                base = list(self._vec[w])
+                groups: list[tuple[int, ...]] = []
+                for pid in key:
+                    exact, canonical = self._placements[pid]
+                    for m in exact:
+                        base[m] += 1
+                    groups += canonical
+                cost = self._exact(base, groups)
+            self._table[(w, key)] = cost
+        return cost
+
+    def _key(self, w: int, slot: int, sid: int) -> int:
+        """The entry of word ``w``'s table key for its ``slot``-th
+        array at spec ``sid``."""
+        if w in self._sampled:
+            return sid
+        return self._placement(self._parts[w][slot], sid)
+
+    def _row(self, w: int, slot: int) -> list[float]:
+        """Word ``w``'s cost with its ``slot``-th array at each
+        candidate spec and its other arrays at their committed specs."""
+        key = list(self._keys[w])
+        ids: Sequence[int]
+        if w in self._sampled:
+            ids = range(len(self.candidates))
+        else:
+            ids = self._candidate_row(self._parts[w][slot])
+        costs: dict[int, float] = {}
+        for i in ids:
+            if i not in costs:
+                key[slot] = i
+                costs[i] = self._lookup(w, tuple(key))
+        return [costs[i] for i in ids]
+
+    # -- the search's interface ---------------------------------------------
 
     def word_cost(self, block_pos: int, lp: LiwProfile,
                   specs: dict[str, LayoutSpec]) -> float:
-        exact, groups = _placements(lp.accesses, specs, self.k)
-        vec = self.scalar_vec(lp.scalar_sources, lp.scalar_dests)
-        if self.k ** len(groups) > _MAX_COMBOS:
-            # seeded sampling: the word's own seed matters, no memo
-            return _liw_cost(
-                vec, exact, groups, self.k,
-                self.seed ^ (block_pos * 7919 + lp.cycle),
-            )
-        # The exact path sums integer maxima over every shift combination,
-        # so neither the order of the groups nor that of the residues
-        # within one can change it.
-        key = (
-            vec,
-            tuple(sorted(exact)),
-            tuple(sorted(tuple(sorted(group)) for group in groups)),
+        """Cost of one word, which need not be in the profile (the move
+        stage prices trial words)."""
+        return self._price_specs(
+            self.scalar_vec(lp.scalar_sources, lp.scalar_dests),
+            lp.accesses,
+            specs,
+            self.seed ^ (block_pos * 7919 + lp.cycle),
         )
-        cost = self._exact_cost.get(key)
-        if cost is None:
-            cost = self._exact_cost[key] = _liw_cost(vec, exact, groups, self.k, 0)
-        return cost
 
     def total(self, specs: dict[str, LayoutSpec]) -> float:
+        """Commit ``specs`` (default: interleaved, base 0) and return
+        the weighted cost, summed in block/word order."""
+        self._current = {
+            array: self._spec_id(specs.get(array, _UNSPECIFIED))
+            for array in self.words_of
+        }
         cost = 0.0
-        for b, bp in enumerate(self.profile.blocks):
-            for lp in bp.liws:
-                word = self.word_cost(b, lp, specs)
-                self._word_cost[(b, lp.cycle)] = word
-                cost += bp.weight * word
+        for w, weight in enumerate(self._weight):
+            key = self._keys[w] = [
+                self._key(w, slot, self._current[array])
+                for slot, array in enumerate(self._arrays[w])
+            ]
+            word = self._cost[w] = self._lookup(w, tuple(key))
+            cost += weight * word
         return cost
 
-    def delta_for_array(
-        self,
-        array: str,
-        specs: dict[str, LayoutSpec],
-        current_total: float,
-    ) -> float:
-        """Total cost if only ``array``'s spec differs from the last
-        fully evaluated state (re-scores only the words touching it)."""
-        cost = current_total
-        for b, cycle in self.words_of.get(array, ()):
-            bp = self.profile.blocks[b]
-            lp = bp.liws[cycle]
-            new = self.word_cost(b, lp, specs)
-            cost += bp.weight * (new - self._word_cost[(b, cycle)])
-        return cost
+    def trial_totals(self, array: str, current_total: float) -> list[float]:
+        """Total cost with ``array`` at each candidate spec (by index)
+        and every other array at its committed spec.
 
-    def commit_array(self, array: str, specs: dict[str, LayoutSpec]) -> None:
-        for b, cycle in self.words_of.get(array, ()):
-            bp = self.profile.blocks[b]
-            self._word_cost[(b, cycle)] = self.word_cost(
-                b, bp.liws[cycle], specs
+        Each total adds the changed words' weighted cost differences to
+        ``current_total`` one at a time, in ``words_of`` order.
+        """
+        words = self.words_of[array]
+        weights = [self._weight[w] for w in words]
+        olds = [self._cost[w] for w in words]
+        rows = [
+            self._row(w, self._arrays[w].index(array)) for w in words
+        ]
+        return [
+            reduce(
+                add, map(mul, weights, map(sub, column, olds)), current_total
             )
+            for column in zip(*rows)
+        ]
+
+    def commit_array(self, array: str, sid: int) -> None:
+        """Make candidate ``sid`` ``array``'s committed spec."""
+        self._current[array] = sid
+        for w in self.words_of[array]:
+            key = self._keys[w]
+            slot = self._arrays[w].index(array)
+            key[slot] = self._key(w, slot, sid)
+            self._cost[w] = self._lookup(w, tuple(key))
 
 
 def predicted_cost(
@@ -381,7 +666,7 @@ def _search_layouts(
 
     weights = model.profile.arrays_touched()
     order = sorted(arrays, key=lambda a: (-weights.get(a, 0), a))
-    candidates = _candidate_specs(k)
+    candidates = model.candidates
 
     best_total = before
     for _ in range(_SWEEPS):
@@ -389,18 +674,14 @@ def _search_layouts(
         for array in order:
             if array not in model.words_of:
                 continue
-            current = specs[array]
-            best_spec, best_cost = current, best_total
-            for cand in candidates:
-                if cand == current:
-                    continue
-                specs[array] = cand
-                cost = model.delta_for_array(array, specs, best_total)
-                if cost < best_cost - 1e-9:
-                    best_spec, best_cost = cand, cost
-            specs[array] = best_spec
-            if best_spec != current:
-                model.commit_array(array, specs)
+            current = candidates.index(specs[array])
+            best, best_cost = current, best_total
+            for cand, cost in enumerate(model.trial_totals(array, best_total)):
+                if cand != current and cost < best_cost - 1e-9:
+                    best, best_cost = cand, cost
+            if best != current:
+                specs[array] = candidates[best]
+                model.commit_array(array, best)
                 best_total = best_cost
                 improved = True
         if not improved:
@@ -449,7 +730,15 @@ def _optimize_moves(
             lp = word_profile(bs.liws[cycle], cycle, pos_of, exprs)
             return model.word_cost(bs.block_index, lp, specs)
 
-        word_costs = [cost_of(c) for c in range(len(bs.liws))]
+        # cost of each word as it stands, priced when a trial first
+        # touches it
+        word_costs: dict[int, float] = {}
+
+        def cost_now(cycle: int) -> float:
+            cost = word_costs.get(cycle)
+            if cost is None:
+                cost = word_costs[cycle] = cost_of(cycle)
+            return cost
 
         for _ in range(_MOVE_SWEEPS):
             changed = False
@@ -468,15 +757,11 @@ def _optimize_moves(
                     moved = resolve_op(bs.liws[from_cycle], pos_of, pos)
                     if moved is None:
                         continue
+                    now = cost_now(from_cycle) + cost_now(to_cycle)
                     op_index = bs.liws[from_cycle].ops.index(moved)
                     bs.liws[from_cycle].ops.pop(op_index)
                     bs.liws[to_cycle].ops.append(moved)
-                    new_from = cost_of(from_cycle)
-                    new_to = cost_of(to_cycle)
-                    gain = (
-                        word_costs[from_cycle] + word_costs[to_cycle]
-                        - new_from - new_to
-                    )
+                    gain = now - cost_of(from_cycle) - cost_of(to_cycle)
                     # roll back the trial
                     bs.liws[to_cycle].ops.pop()
                     bs.liws[from_cycle].ops.insert(op_index, moved)

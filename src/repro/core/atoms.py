@@ -192,28 +192,56 @@ def _decompose_component(
     suffix-of-elimination mask, clique-ness is one adjacency-row
     comparison per member, and the component search floods adjacency
     masks instead of walking ``set`` neighbourhoods.
+
+    A piece is scanned only over its own elimination positions (a mask
+    indexed by position), and a piece split off at position pos(y)
+    resumes its scan at pos(y) + 1.  Lemma: let piece P split at y
+    into A = C ∪ S and B = P ∖ C, with S = madj(y) and C the
+    component of y in P ∖ S.  Take x in a child with pos(x) < pos(y).
+    Every member of S comes after y, so x is not in S, and
+    madj(x) ∩ P lies inside x's child.  A fill edge from x is a
+    G-path through vertices eliminated before both of its ends; it
+    can be shortcut through earlier separator cliques to stay inside
+    P, where reaching the other child would cross S, whose members
+    come after y.  And since S is a clique, G[child ∖ madj(x)] stays
+    connected wherever G[P ∖ madj(x)] was.  So x fails in its child
+    for the reason it failed in P; y itself fails in A and is not in
+    B.  The first split of each child therefore lies past pos(y).
     """
     h_rows, numbering = _mcs_m_masks(kern, component)
     n = len(numbering)
 
     elim = list(reversed(numbering))  # bits in elimination order
+    # kernel bit -> elimination position, filled at the first split
+    position: dict[int, int] = {}
     # suffix[i]: bits eliminated strictly after position i
     suffix = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         suffix[i] = suffix[i + 1] | (1 << elim[i])
 
-    work: list[int] = [component]
+    def positions(mask: int) -> int:
+        if not position:
+            position.update((bit, i) for i, bit in enumerate(elim))
+        out = 0
+        for bit in iter_bits(mask):
+            out |= 1 << position[bit]
+        return out
+
+    # (piece mask, its positions, first position still to scan)
+    work: list[tuple[int, int, int]] = [(component, (1 << n) - 1, 0)]
     while work:
-        piece_mask = work.pop()
+        piece_mask, piece_positions, start = work.pop()
         piece_size = piece_mask.bit_count()
         if piece_size <= 2:
             out_atoms.append(piece_mask)
             continue
         split = None
-        for i in range(n):
+        rest = piece_positions >> start << start
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            i = low.bit_length() - 1
             v_bit = elim[i]
-            if not (piece_mask >> v_bit) & 1:
-                continue
             madj_mask = h_rows[v_bit] & suffix[i + 1] & piece_mask
             madj_size = madj_mask.bit_count()
             if not madj_mask or madj_size >= piece_size - 1:
@@ -222,15 +250,22 @@ def _decompose_component(
                 continue
             comp_mask = kern.component_mask(v_bit, piece_mask, madj_mask)
             if comp_mask.bit_count() + madj_size < piece_size:
-                split = (madj_mask, comp_mask)
+                split = (i, madj_mask, comp_mask)
                 break
         if split is None:
             out_atoms.append(piece_mask)
             continue
-        madj_mask, comp_mask = split
+        i, madj_mask, comp_mask = split
         out_separators.append(madj_mask)
-        work.append(comp_mask | madj_mask)
-        work.append(piece_mask & ~comp_mask)
+        comp_positions = positions(comp_mask)
+        work.append((
+            comp_mask | madj_mask,
+            comp_positions | positions(madj_mask),
+            i + 1,
+        ))
+        work.append((
+            piece_mask & ~comp_mask, piece_positions & ~comp_positions, i + 1
+        ))
 
 
 def decompose_atoms(

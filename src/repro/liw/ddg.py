@@ -16,13 +16,14 @@ order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..ir import tac
 from ..ir.cfg import BasicBlock
+from ..ir.tac import Value
 
 
-@dataclass(frozen=True, slots=True)
-class DepEdge:
+class DepEdge(NamedTuple):
     src: int
     dst: int
     kind: str  # 'flow' | 'anti' | 'output' | 'mem' | 'io'
@@ -59,10 +60,6 @@ class DependenceGraph:
         return height
 
 
-def _value_id(op: tac.Operand) -> int | None:
-    return op.id if isinstance(op, tac.Value) else None
-
-
 def build_ddg(block: BasicBlock) -> DependenceGraph:
     """Build the dependence DAG for ``block.body`` (renamed TAC)."""
     body = block.body
@@ -78,16 +75,16 @@ def build_ddg(block: BasicBlock) -> DependenceGraph:
     for i, instr in enumerate(body):
         # scalar flow/anti/output dependences
         for u in instr.uses():
-            vid = _value_id(u)
-            if vid is None:
+            if not isinstance(u, Value):
                 continue
+            vid = u.id
             if vid in last_def:
                 ddg.add_edge(last_def[vid], i, "flow", 1)
             uses_since_def.setdefault(vid, []).append(i)
         for d in instr.defs():
-            vid = _value_id(d)
-            if vid is None:
+            if not isinstance(d, Value):
                 continue
+            vid = d.id
             for reader in uses_since_def.get(vid, ()):  # anti
                 ddg.add_edge(reader, i, "anti", 0)
             if vid in last_def:  # output

@@ -40,10 +40,11 @@ class ArrayLayout(Protocol):
 
 
 def digit_skew(n: int, k: int) -> int:
-    """Sum of the base-k digits of ``n`` (0 when k < 2)."""
+    """Sum of the base-k digits of ``|n|`` (0 when k < 2)."""
     if k < 2:
         return 0
     s = 0
+    n = abs(n)
     while n:
         s += n % k
         n //= k

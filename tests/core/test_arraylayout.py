@@ -119,3 +119,18 @@ def test_empty_plan_is_identity():
     assert plan.apply_to(program.schedule) is program.schedule
     assert plan.num_moves == 0
     assert plan.as_dict()["specs"] == {}
+
+
+def test_negative_constant_index_plans():
+    """A constant negative index (which the run rejects) is still
+    priced under the skewed candidates rather than hanging the
+    search."""
+    machine = MachineConfig(num_fus=4, num_modules=8)
+    program = compile_for_paper(
+        "program p; var a: array[4] of int; "
+        "begin a[0 - 1] := 1; write(a[0]) end.",
+        machine, unroll=1,
+    )
+    storage = stor1(program.schedule, program.renamed, 8)
+    plan = optimize_arrays(program.schedule, storage)
+    assert set(plan.specs) == {"a"}

@@ -5,6 +5,7 @@ import itertools
 from hypothesis import given, settings, strategies as st
 
 from repro.core import ConflictGraph, decompose_atoms, has_clique_separator, mcs_m
+from tests.reference import ReferenceConflictGraph, reference_decompose_atoms
 
 
 def graph_from_edges(edges):
@@ -213,3 +214,25 @@ def test_atom_order_has_running_intersection():
         overlap = atom.nodes & seen
         assert g.is_clique(overlap), overlap
         seen |= atom.nodes
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.sets(st.integers(0, 17), min_size=1, max_size=4),
+        min_size=1,
+        max_size=24,
+    )
+)
+def test_decomposition_equals_reference(operand_sets):
+    """Resuming each child's scan past its parent's split leaves every
+    atom, separator and their order as the full rescan has them."""
+    live = decompose_atoms(ConflictGraph.from_operand_sets(operand_sets))
+    ref_atoms, ref_separators = reference_decompose_atoms(
+        ReferenceConflictGraph.from_operand_sets(operand_sets)
+    )
+    ids_of = live.graph.kernel().index.ids_of
+    assert [ids_of(m) for m in live.masks] == [
+        sorted(a.nodes) for a in ref_atoms
+    ]
+    assert live.separators == ref_separators

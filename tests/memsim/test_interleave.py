@@ -88,6 +88,9 @@ def test_digit_skew_is_base_k_digit_sum():
     # degenerate bases must not loop or divide by zero
     assert digit_skew(17, 1) == 0
     assert digit_skew(17, 0) == 0
+    # a negative index (a compile-time constant the run would reject)
+    # still has a skew, so the layout search terminates on it
+    assert digit_skew(-0o1234, 8) == 1 + 2 + 3 + 4
 
 
 @pytest.mark.parametrize("k", [2, 4, 8])

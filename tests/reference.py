@@ -14,9 +14,12 @@ for naming, so that
   real programs.
 
 The same holds for the front end: the whole-program reaching-definitions
-renamer and the sweep-rebuilding list scheduler (the last section) are
-the oracles of :func:`repro.ir.rename.rename` and
-:func:`repro.liw.scheduler.schedule_block`.
+renamer and the sweep-rebuilding list scheduler are the oracles of
+:func:`repro.ir.rename.rename` and
+:func:`repro.liw.scheduler.schedule_block`; and for the array-layout
+search (the last section), whose per-call cost model re-prices every
+word on every trial and is the oracle of
+:func:`repro.core.arraylayout.optimize_arrays`.
 
 Everything here shares the result dataclasses of the live modules
 (:class:`~repro.core.coloring.ColoringResult`,
@@ -36,6 +39,20 @@ from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 from repro.core.allocation import Allocation
+from repro.core.arrayaccess import (
+    AccessProfile,
+    ArrayRef,
+    LiwProfile,
+    analyze_accesses,
+)
+from repro.core.arraylayout import (
+    _MAX_COMBOS,
+    _SWEEPS,
+    ArrayLayoutPlan,
+    _candidate_specs,
+    _default_specs,
+    _optimize_moves,
+)
 from repro.core.assign import AssignmentResult, AssignmentStats
 from repro.core.backtrack import BacktrackStats
 from repro.core.coloring import ColoringResult, ColoringStep
@@ -46,7 +63,10 @@ from repro.ir.cfg import BasicBlock, Cfg
 from repro.ir.rename import RENAME_MODES, DataValue, RenamedProgram
 from repro.liw.ddg import build_ddg
 from repro.liw.machine import MachineConfig
+from repro.liw.reorder import verify_schedule
 from repro.liw.schedule import BlockSchedule, LiwInstruction, Schedule
+from repro.memsim.interleave import LayoutSpec
+from repro.memsim.simulator import ScalarLoadMemo
 
 
 def _edge(u: int, v: int) -> tuple[int, int]:
@@ -1431,3 +1451,248 @@ def reference_schedule_program(
     machine = machine or MachineConfig()
     blocks = [reference_schedule_block(b, machine) for b in renamed.cfg.blocks]
     return Schedule(renamed.cfg, machine, blocks)
+
+
+# --------------------------------------------------------------------------
+# Array-layout search (per-call pricing of every word)
+# --------------------------------------------------------------------------
+
+
+class _ReferenceRand:
+    __slots__ = ("state",)
+
+    def __init__(self, state: int):
+        self.state = state or 1
+
+    def next(self, bound: int) -> int:
+        self.state = (self.state * 1103515245 + 12345) & 0x7FFFFFFF
+        return self.state % bound
+
+
+def reference_placements(
+    accesses: Iterable[ArrayRef],
+    specs: dict[str, LayoutSpec],
+    k: int,
+) -> tuple[list[int], list[list[int]]]:
+    exact: list[int] = []
+    groups: dict[object, list[int]] = {}
+    singleton = 0
+    for ref in accesses:
+        spec = specs.get(ref.array, LayoutSpec("interleaved", 0))
+        if spec.kind == "module":
+            exact.append(spec.base)
+            continue
+        expr = ref.expr
+        if expr is not None and expr.is_constant:
+            exact.append(spec.module_of(expr.const, k))
+            continue
+        if expr is None:
+            singleton += 1
+            groups[("?", singleton)] = [0]
+            continue
+        if spec.kind == "skewed":
+            key = ("skew", ref.array, expr.terms, expr.const)
+            groups.setdefault(key, []).append(0)
+            continue
+        key = ("lin", ref.array, expr.terms)
+        groups.setdefault(key, []).append((spec.base + expr.const) % k)
+    return exact, list(groups.values())
+
+
+def reference_liw_cost(
+    vec: Sequence[int],
+    exact: Sequence[int],
+    groups: Sequence[Sequence[int]],
+    k: int,
+    seed: int,
+) -> float:
+    base = list(vec)
+    for m in exact:
+        base[m] += 1
+    if not groups:
+        return float(max(base)) if base else 0.0
+
+    combos = k ** len(groups)
+    if combos <= _MAX_COMBOS:
+        total = 0
+        for combo in range(combos):
+            loads = list(base)
+            c = combo
+            for group in groups:
+                shift = c % k
+                c //= k
+                for residue in group:
+                    loads[(residue + shift) % k] += 1
+            total += max(loads)
+        return total / combos
+
+    rand = _ReferenceRand(seed & 0xFFFFFFFF)
+    total = 0
+    for _ in range(_MAX_COMBOS):
+        loads = list(base)
+        for group in groups:
+            shift = rand.next(k)
+            for residue in group:
+                loads[(residue + shift) % k] += 1
+        total += max(loads)
+    return total / _MAX_COMBOS
+
+
+class ReferenceCostModel:
+    def __init__(
+        self,
+        profile: AccessProfile,
+        alloc: Allocation,
+        k: int,
+        seed: int,
+        eager_copies: bool = True,
+    ):
+        self.profile = profile
+        self.alloc = alloc
+        self.k = k
+        self.seed = seed
+        self.eager_copies = eager_copies
+        self.scalar_vec = ScalarLoadMemo(alloc, k, eager_copies)
+        self._exact_cost: dict[
+            tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]],
+            float,
+        ] = {}
+        self._word_cost: dict[tuple[int, int], float] = {}
+        self.words_of: dict[str, set[tuple[int, int]]] = {}
+        for b, bp in enumerate(profile.blocks):
+            for lp in bp.liws:
+                for ref in lp.accesses:
+                    self.words_of.setdefault(ref.array, set()).add(
+                        (b, lp.cycle)
+                    )
+
+    def word_cost(self, block_pos: int, lp: LiwProfile,
+                  specs: dict[str, LayoutSpec]) -> float:
+        exact, groups = reference_placements(lp.accesses, specs, self.k)
+        vec = self.scalar_vec(lp.scalar_sources, lp.scalar_dests)
+        if self.k ** len(groups) > _MAX_COMBOS:
+            return reference_liw_cost(
+                vec, exact, groups, self.k,
+                self.seed ^ (block_pos * 7919 + lp.cycle),
+            )
+        key = (
+            vec,
+            tuple(sorted(exact)),
+            tuple(sorted(tuple(sorted(group)) for group in groups)),
+        )
+        cost = self._exact_cost.get(key)
+        if cost is None:
+            cost = self._exact_cost[key] = reference_liw_cost(
+                vec, exact, groups, self.k, 0
+            )
+        return cost
+
+    def total(self, specs: dict[str, LayoutSpec]) -> float:
+        cost = 0.0
+        for b, bp in enumerate(self.profile.blocks):
+            for lp in bp.liws:
+                word = self.word_cost(b, lp, specs)
+                self._word_cost[(b, lp.cycle)] = word
+                cost += bp.weight * word
+        return cost
+
+    def delta_for_array(
+        self,
+        array: str,
+        specs: dict[str, LayoutSpec],
+        current_total: float,
+    ) -> float:
+        cost = current_total
+        for b, cycle in self.words_of.get(array, ()):
+            bp = self.profile.blocks[b]
+            lp = bp.liws[cycle]
+            new = self.word_cost(b, lp, specs)
+            cost += bp.weight * (new - self._word_cost[(b, cycle)])
+        return cost
+
+    def commit_array(self, array: str, specs: dict[str, LayoutSpec]) -> None:
+        for b, cycle in self.words_of.get(array, ()):
+            bp = self.profile.blocks[b]
+            self._word_cost[(b, cycle)] = self.word_cost(
+                b, bp.liws[cycle], specs
+            )
+
+
+def reference_search_layouts(
+    model: ReferenceCostModel,
+    arrays: Sequence[str],
+    k: int,
+) -> tuple[dict[str, LayoutSpec], float, float]:
+    specs = _default_specs(arrays, k)
+    before = model.total(specs)
+    if not model.words_of:
+        return specs, before, before
+
+    weights = model.profile.arrays_touched()
+    order = sorted(arrays, key=lambda a: (-weights.get(a, 0), a))
+    candidates = _candidate_specs(k)
+
+    best_total = before
+    for _ in range(_SWEEPS):
+        improved = False
+        for array in order:
+            if array not in model.words_of:
+                continue
+            current = specs[array]
+            best_spec, best_cost = current, best_total
+            for cand in candidates:
+                if cand == current:
+                    continue
+                specs[array] = cand
+                cost = model.delta_for_array(array, specs, best_total)
+                if cost < best_cost - 1e-9:
+                    best_spec, best_cost = cand, cost
+            specs[array] = best_spec
+            if best_spec != current:
+                model.commit_array(array, specs)
+                best_total = best_cost
+                improved = True
+        if not improved:
+            break
+    return specs, before, best_total
+
+
+def reference_optimize_arrays(
+    schedule: Schedule,
+    storage,
+    seed: int = 0,
+    eager_copies: bool = True,
+    enable_moves: bool = True,
+) -> ArrayLayoutPlan:
+    """``optimize_arrays`` over :class:`ReferenceCostModel` and
+    :func:`reference_search_layouts`; the move stage is the live one."""
+    arrays = sorted(schedule.cfg.arrays)
+    k = schedule.machine.k
+    profile = analyze_accesses(schedule)
+    model = ReferenceCostModel(
+        profile, storage.allocation, k, seed, eager_copies
+    )
+
+    specs, before, after_layout = reference_search_layouts(model, arrays, k)
+
+    moves: tuple = ()
+    after = after_layout
+    if enable_moves and model.words_of:
+        weights = {bp.block_index: bp.weight for bp in profile.blocks}
+        reordered, moves, delta = _optimize_moves(
+            schedule, model, specs, weights  # type: ignore[arg-type]
+        )
+        if moves:
+            if verify_schedule(reordered):
+                moves = ()
+            else:
+                after = after_layout + delta
+
+    return ArrayLayoutPlan(
+        k=k,
+        specs=specs,
+        moves=moves,
+        predicted_before=before,
+        predicted_after=after,
+        affine_fraction=profile.affine_fraction(),
+    )
