@@ -252,33 +252,35 @@ def _canonical(group: Sequence[int], k: int) -> tuple[int, ...]:
     )
 
 
-def _liw_cost(
-    vec: Sequence[int],
-    exact: Sequence[int],
+def _exact_cost(
+    base: Sequence[int], groups: Sequence[Sequence[int]], k: int
+) -> float:
+    """Expected max module load of one word, exactly: ``base`` (scalar
+    loads plus exact array hits) is deterministic and each group shifts
+    uniformly over k, independently of the others.
+
+    The total is an integer sum over the shift combinations, so the
+    groups' order does not change it; they are enumerated largest first
+    so that a singleton, if any, closes the enumeration.
+    """
+    if not groups:
+        return float(max(base)) if base else 0.0
+    rows = [
+        _shift_rows(group, k)
+        for group in sorted(groups, key=len, reverse=True)
+    ]
+    return _enumerate_total(tuple(base), rows) / k ** len(groups)
+
+
+def _sampled_cost(
+    base: Sequence[int],
     groups: Sequence[Sequence[int]],
     k: int,
     seed: int,
 ) -> float:
-    """Expected max module load of one word: scalar loads + exact array
-    hits are deterministic; each group shifts uniformly over k.
-
-    Exact expectation when the shift space is small; deterministic LCG
-    sampling beyond :data:`_MAX_COMBOS`.
-    """
-    base = list(vec)
-    for m in exact:
-        base[m] += 1
-    if not groups:
-        return float(max(base)) if base else 0.0
-
-    combos = k ** len(groups)
-    if combos <= _MAX_COMBOS:
-        rows = [
-            _shift_rows(group, k)
-            for group in sorted(groups, key=len, reverse=True)
-        ]
-        return _enumerate_total(tuple(base), rows) / combos
-
+    """:func:`_exact_cost` estimated from :data:`_MAX_COMBOS` shift
+    combinations drawn by a deterministic LCG, for words whose shift
+    space is larger than that."""
     rand = _lcg(seed)
     total = 0
     for _ in range(_MAX_COMBOS):
@@ -316,8 +318,11 @@ class _CostModel:
       to rotation).
 
     A word with enough groups to reach the seeded sampling path (see
-    :func:`_liw_cost`) keys its costs by spec ids instead: its sampled
-    cost depends on the groups' raw residues and their order.
+    :func:`_sampled_cost`) keys its costs by spec ids instead: its
+    sampled cost depends on the groups' raw residues and their order.
+
+    Spec ids are indices into ``candidates``, which hold every spec
+    valid for k.
     """
 
     def __init__(
@@ -334,10 +339,11 @@ class _CostModel:
         self.seed = seed
         self.eager_copies = eager_copies
         self.scalar_vec = ScalarLoadMemo(alloc, k, eager_copies)
-        #: spec id -> spec; a candidate's id is its index in ``candidates``
+        #: spec id -> spec
         self.candidates = _candidate_specs(k)
-        self._specs = list(self.candidates)
-        self._spec_ids = {spec: i for i, spec in enumerate(self._specs)}
+        self._spec_ids = {
+            spec: i for i, spec in enumerate(self.candidates)
+        }
         #: part id -> its accesses; (array, index exprs) -> part id
         self._part_refs: list[tuple[ArrayRef, ...]] = []
         self._part_ids: dict[
@@ -365,8 +371,6 @@ class _CostModel:
         #: table key and cost under the committed specs
         self._keys: list[list[int]] = []
         self._cost: list[float] = []
-        #: array -> committed spec id
-        self._current: dict[str, int] = {}
 
         keys_of: dict[str, set[tuple[int, int]]] = {}
         word_of: dict[tuple[int, int], int] = {}
@@ -402,13 +406,6 @@ class _CostModel:
 
     # -- interning ---------------------------------------------------------
 
-    def _spec_id(self, spec: LayoutSpec) -> int:
-        sid = self._spec_ids.get(spec)
-        if sid is None:
-            sid = self._spec_ids[spec] = len(self._specs)
-            self._specs.append(spec)
-        return sid
-
     def _parts_of(
         self, accesses: Sequence[ArrayRef]
     ) -> tuple[tuple[str, ...], tuple[int, ...]]:
@@ -424,16 +421,6 @@ class _CostModel:
                 self._part_refs.append(tuple(refs))
             parts.append(part)
         return tuple(by_array), tuple(parts)
-
-    def _placement(self, part: int, sid: int) -> int:
-        """The placement id of ``part`` under spec ``sid``."""
-        if sid < len(self.candidates):
-            return self._candidate_row(part)[sid]
-        spec = self._specs[sid]
-        exact, groups = self._base_placement(part, spec.kind)
-        return self._intern(
-            tuple(sorted([(m + spec.base) % self.k for m in exact])), groups
-        )
 
     def _candidate_row(self, part: int) -> list[int]:
         """The placement id of ``part`` under each candidate spec."""
@@ -484,16 +471,14 @@ class _CostModel:
     # -- pricing -----------------------------------------------------------
 
     def _exact(self, base: list[int], groups: list[tuple[int, ...]]) -> float:
+        """:func:`_exact_cost` of ``base`` and ``groups`` (each up to
+        rotation, as :func:`_canonical` gives it), memoized."""
         if not groups:
             return float(max(base)) if base else 0.0
         key = (tuple(base), tuple(sorted(groups)))
         cost = self._exact_cost.get(key)
         if cost is None:
-            # singletons sort first; the enumeration wants one last
-            rows = [_shift_rows(group, self.k) for group in reversed(key[1])]
-            cost = self._exact_cost[key] = (
-                _enumerate_total(key[0], rows) / self.k ** len(groups)
-            )
+            cost = self._exact_cost[key] = _exact_cost(key[0], key[1], self.k)
         return cost
 
     def _price_specs(
@@ -504,12 +489,12 @@ class _CostModel:
         seed: int,
     ) -> float:
         exact, groups = _placements(accesses, specs, self.k)
-        if self.k ** len(groups) > _MAX_COMBOS:
-            # seeded sampling: the word's own seed matters, no memo
-            return _liw_cost(vec, exact, groups, self.k, seed)
         base = list(vec)
         for m in exact:
             base[m] += 1
+        if self.k ** len(groups) > _MAX_COMBOS:
+            # seeded sampling: the word's own seed matters, no memo
+            return _sampled_cost(base, groups, self.k, seed)
         return self._exact(base, [_canonical(g, self.k) for g in groups])
 
     def _lookup(self, w: int, key: tuple[int, ...]) -> float:
@@ -521,7 +506,7 @@ class _CostModel:
             if sampled is not None:
                 accesses, seed = sampled
                 specs = {
-                    array: self._specs[sid]
+                    array: self.candidates[sid]
                     for array, sid in zip(self._arrays[w], key)
                 }
                 cost = self._price_specs(self._vec[w], accesses, specs, seed)
@@ -542,7 +527,7 @@ class _CostModel:
         array at spec ``sid``."""
         if w in self._sampled:
             return sid
-        return self._placement(self._parts[w][slot], sid)
+        return self._candidate_row(self._parts[w][slot])[sid]
 
     def _row(self, w: int, slot: int) -> list[float]:
         """Word ``w``'s cost with its ``slot``-th array at each
@@ -574,16 +559,17 @@ class _CostModel:
         )
 
     def total(self, specs: dict[str, LayoutSpec]) -> float:
-        """Commit ``specs`` (default: interleaved, base 0) and return
-        the weighted cost, summed in block/word order."""
-        self._current = {
-            array: self._spec_id(specs.get(array, _UNSPECIFIED))
+        """Commit ``specs`` (default: interleaved, base 0; each valid
+        for k) and return the weighted cost, summed in block/word
+        order."""
+        current = {
+            array: self._spec_ids[specs.get(array, _UNSPECIFIED)]
             for array in self.words_of
         }
         cost = 0.0
         for w, weight in enumerate(self._weight):
             key = self._keys[w] = [
-                self._key(w, slot, self._current[array])
+                self._key(w, slot, current[array])
                 for slot, array in enumerate(self._arrays[w])
             ]
             word = self._cost[w] = self._lookup(w, tuple(key))
@@ -612,7 +598,6 @@ class _CostModel:
 
     def commit_array(self, array: str, sid: int) -> None:
         """Make candidate ``sid`` ``array``'s committed spec."""
-        self._current[array] = sid
         for w in self.words_of[array]:
             key = self._keys[w]
             slot = self._arrays[w].index(array)

@@ -81,12 +81,6 @@ def scalar_load_vector(
     pure_sources = sorted(sources - dests)
     if not pure_sources:
         return tuple(loads)
-    masks = [alloc.modules_mask(v) for v in pure_sources]
-    if all(mask and not mask & (mask - 1) for mask in masks):
-        # One copy each: every rule below serves each from its module.
-        for mask in masks:
-            loads[mask.bit_length() - 1] += 1
-        return tuple(loads)
     sets = [alloc.modules(v) for v in pure_sources]
     if any(not s for s in sets):
         missing = [v for v, s in zip(pure_sources, sets) if not s]

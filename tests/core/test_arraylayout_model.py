@@ -23,7 +23,9 @@ from repro.core.arraylayout import (
     _MAX_COMBOS,
     _CostModel,
     _candidate_specs,
-    _liw_cost,
+    _canonical,
+    _exact_cost,
+    _sampled_cost,
     _search_layouts,
 )
 from tests.reference import (
@@ -58,18 +60,37 @@ def word_shapes(draw, sampled: bool):
     return k, vec, exact, groups
 
 
+def _base(vec: list[int], exact: list[int]) -> list[int]:
+    base = list(vec)
+    for m in exact:
+        base[m] += 1
+    return base
+
+
+def _memoized_exact(base: list[int], groups, k: int) -> float:
+    """The model's exact cost, memoized by groups up to rotation, as
+    a fresh model computes it."""
+    model = _CostModel(AccessProfile(), Allocation(k), k, 0)
+    return model._exact(base, [_canonical(group, k) for group in groups])
+
+
 @settings(max_examples=300, deadline=None)
 @given(word_shapes(sampled=False), st.data())
 def test_exact_cost_equals_reference_and_ignores_rotation(shape, data):
     k, vec, exact, groups = shape
-    cost = _liw_cost(vec, exact, groups, k, 0)
-    assert cost == reference_liw_cost(vec, exact, groups, k, 0)
+    expected = reference_liw_cost(vec, exact, groups, k, 0)
+    base = _base(vec, exact)
+    assert _exact_cost(base, groups, k) == expected
+    assert _memoized_exact(base, groups, k) == expected
     if groups:
         i = data.draw(st.integers(0, len(groups) - 1))
         c = data.draw(st.integers(1, k))
         rotated = list(groups)
         rotated[i] = [(r + c) % k for r in groups[i]]
-        assert _liw_cost(vec, exact, rotated, k, 0) == cost
+        # a rotation has the same memo key and the same cost
+        assert _canonical(rotated[i], k) == _canonical(groups[i], k)
+        assert _exact_cost(base, rotated, k) == expected
+        assert _memoized_exact(base, rotated, k) == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -77,9 +98,9 @@ def test_exact_cost_equals_reference_and_ignores_rotation(shape, data):
 def test_sampled_cost_equals_reference_for_the_same_seed(shape, seed):
     k, vec, exact, groups = shape
     assert k ** len(groups) > _MAX_COMBOS
-    assert _liw_cost(vec, exact, groups, k, seed) == reference_liw_cost(
-        vec, exact, groups, k, seed
-    )
+    assert _sampled_cost(
+        _base(vec, exact), groups, k, seed
+    ) == reference_liw_cost(vec, exact, groups, k, seed)
 
 
 # --------------------------------------------------------------------------
