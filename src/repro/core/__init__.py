@@ -3,7 +3,7 @@ placement, and the storage-assignment strategies."""
 
 from .allocation import Allocation
 from .assign import AssignmentResult, AssignmentStats, assign_modules
-from .atoms import AtomDecomposition, decompose_atoms, has_clique_separator, mcs_m
+from .atoms import AtomDecomposition, decompose_atoms
 from .backtrack import BacktrackStats, backtrack_duplication
 from .coloring import ColoringResult, ColoringStep, color_atom, color_graph
 from .conflict_graph import ConflictGraph
@@ -48,8 +48,6 @@ __all__ = [
     "assign_modules",
     "AtomDecomposition",
     "decompose_atoms",
-    "has_clique_separator",
-    "mcs_m",
     "BacktrackStats",
     "backtrack_duplication",
     "ColoringResult",

@@ -41,7 +41,6 @@ from ..liw.reorder import (
     block_cycle_map,
     copy_schedule,
     move_is_legal,
-    resolve_op,
     verify_schedule,
 )
 from ..memsim.interleave import LayoutSpec, PlannedLayout
@@ -52,6 +51,7 @@ from .arrayaccess import (
     ArrayRef,
     LiwProfile,
     analyze_accesses,
+    block_index_exprs,
     word_profile,
 )
 
@@ -708,7 +708,7 @@ def _optimize_moves(
         if cycles is None or len(cycles) != len(body):
             continue
         ddg: "DependenceGraph" = build_ddg(block)
-        exprs = model_block_exprs(model, bs.block_index)
+        exprs = block_index_exprs(block)
         weight = weights.get(bs.block_index, 1)
 
         def cost_of(cycle: int) -> float:
@@ -739,27 +739,22 @@ def _optimize_moves(
                         machine.num_fus, machine.ports,
                     ):
                         continue
-                    moved = resolve_op(bs.liws[from_cycle], pos_of, pos)
-                    if moved is None:
-                        continue
                     now = cost_now(from_cycle) + cost_now(to_cycle)
-                    op_index = bs.liws[from_cycle].ops.index(moved)
+                    op_index = bs.liws[from_cycle].ops.index(op)
                     bs.liws[from_cycle].ops.pop(op_index)
-                    bs.liws[to_cycle].ops.append(moved)
+                    bs.liws[to_cycle].ops.append(op)
                     gain = now - cost_of(from_cycle) - cost_of(to_cycle)
                     # roll back the trial
                     bs.liws[to_cycle].ops.pop()
-                    bs.liws[from_cycle].ops.insert(op_index, moved)
+                    bs.liws[from_cycle].ops.insert(op_index, op)
                     if gain > 1e-9 and (best is None or gain > best[0]):
                         best = (gain, to_cycle)
                 if best is None:
                     continue
                 gain, to_cycle = best
-                moved = resolve_op(bs.liws[from_cycle], pos_of, pos)
-                assert moved is not None
-                op_index = bs.liws[from_cycle].ops.index(moved)
+                op_index = bs.liws[from_cycle].ops.index(op)
                 bs.liws[from_cycle].ops.pop(op_index)
-                bs.liws[to_cycle].ops.append(moved)
+                bs.liws[to_cycle].ops.append(op)
                 moves.append(
                     Move(bs.block_index, from_cycle, op_index, to_cycle)
                 )
@@ -772,21 +767,6 @@ def _optimize_moves(
                 break
 
     return working, tuple(moves), total_delta
-
-
-def model_block_exprs(
-    model: _CostModel, block_index: int
-) -> dict[int, AffineExpr | None]:
-    """body position -> affine expr, re-derived from the profile."""
-    out: dict[int, AffineExpr | None] = {}
-    for bp in model.profile.blocks:
-        if bp.block_index != block_index:
-            continue
-        for lp in bp.liws:
-            for ref in lp.accesses:
-                if ref.body_pos >= 0:
-                    out[ref.body_pos] = ref.expr
-    return out
 
 
 # --------------------------------------------------------------------------

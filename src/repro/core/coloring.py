@@ -298,7 +298,7 @@ def color_graph(
     assigned.update(
         {v: m for v, m in preassigned.items() if v in graph.nodes}
     )
-    # Colour atoms in decomposition (depth-first) order: its
+    # Colour atoms in decomposition order: its
     # running-intersection property guarantees that the vertices an atom
     # shares with earlier atoms form one clique, so the pre-assigned
     # constraints are always mutually consistent and extendable.

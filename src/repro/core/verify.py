@@ -23,6 +23,26 @@ from .allocation import Allocation
 from .bitset import COUNTERS, sdr_exists_masks
 
 
+def _augment(
+    sets: list[list[int]],
+    match_of_module: dict[int, int],
+    i: int,
+    visited: set[int],
+) -> bool:
+    """Kuhn's augmenting-path step: match set ``i`` to a module, moving
+    earlier matches along an alternating path if needed."""
+    for m in sets[i]:
+        if m in visited:
+            continue
+        visited.add(m)
+        if m not in match_of_module or _augment(
+            sets, match_of_module, match_of_module[m], visited
+        ):
+            match_of_module[m] = i
+            return True
+    return False
+
+
 def find_sdr(module_sets: Sequence[Iterable[int]]) -> list[int] | None:
     """Distinct representatives for the given sets, or None.
 
@@ -31,23 +51,8 @@ def find_sdr(module_sets: Sequence[Iterable[int]]) -> list[int] | None:
     """
     sets = [sorted(set(s)) for s in module_sets]
     match_of_module: dict[int, int] = {}  # module -> operand index
-
-    def try_assign(i: int, visited: set[int]) -> bool:
-        for m in sets[i]:
-            if m in visited:
-                continue
-            visited.add(m)
-            if m not in match_of_module or try_assign(
-                match_of_module[m], visited
-            ):
-                match_of_module[m] = i
-                return True
-        return False
-
     for i in range(len(sets)):
-        if not sets[i]:
-            return None
-        if not try_assign(i, set()):
+        if not sets[i] or not _augment(sets, match_of_module, i, set()):
             return None
 
     result = [-1] * len(sets)

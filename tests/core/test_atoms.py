@@ -2,14 +2,43 @@
 
 import itertools
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import ConflictGraph, decompose_atoms, has_clique_separator, mcs_m
+import repro.core.workunits as workunits
+from repro.core import ConflictGraph, decompose_atoms
+from repro.core.atoms import _mcs_m_masks
+from repro.core.bitset import iter_bits
+from repro.lang.generator import random_source
+from repro.liw.machine import MachineConfig
+from repro.passes.artifacts import PipelineOptions
+from repro.pipeline import run_pipeline
+from repro.programs import all_programs
 from tests.reference import ReferenceConflictGraph, reference_decompose_atoms
 
 
 def graph_from_edges(edges):
     return ConflictGraph.from_operand_sets([{u, v} for u, v in edges])
+
+
+def mcs_m(graph: ConflictGraph) -> tuple[dict[int, set[int]], list[int]]:
+    """MCS-M over the whole graph in node ids: ``(fill_adjacency,
+    order)``, the adjacency of the triangulation H (a superset of G's)
+    and the elimination order (``order[0]`` eliminated first)."""
+    kern = graph.kernel()
+    h_rows, numbering = _mcs_m_masks(kern, kern.index.universe_mask)
+    ids = kern.index.ids
+    h_adj = {
+        ids[i]: {ids[j] for j in iter_bits(h_rows[i])}
+        for i in range(len(ids))
+    }
+    return h_adj, [ids[b] for b in reversed(numbering)]
+
+
+def has_clique_separator(graph: ConflictGraph) -> bool:
+    """Whether a connected graph has a clique separator: whether the
+    unbounded decomposition splits it."""
+    return len(decompose_atoms(graph, 10**6).masks) > 1
 
 
 def is_chordal(adj):
@@ -202,18 +231,32 @@ def test_has_clique_separator_matches_brute_force(edges):
     assert has_clique_separator(g) == brute_force_has_clique_separator(g)
 
 
-def test_atom_order_has_running_intersection():
+def assert_running_intersection(g: ConflictGraph) -> None:
     # For every atom, its overlap with the union of earlier atoms must be
     # a clique (what the sequential colouring composition relies on).
-    g = graph_from_edges(
-        [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4), (4, 5), (5, 6), (4, 6), (1, 7)]
-    )
-    dec = decompose_atoms(g)
     seen: set[int] = set()
-    for atom in dec.atoms:
+    for atom in decompose_atoms(g).atoms:
         overlap = atom.nodes & seen
         assert g.is_clique(overlap), overlap
         seen |= atom.nodes
+
+
+def test_atom_order_has_running_intersection():
+    assert_running_intersection(graph_from_edges(
+        [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4), (4, 5), (5, 6), (4, 6), (1, 7)]
+    ))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.sets(st.integers(0, 17), min_size=1, max_size=4),
+        min_size=1,
+        max_size=24,
+    )
+)
+def test_atom_order_has_running_intersection_on_random_graphs(operand_sets):
+    assert_running_intersection(ConflictGraph.from_operand_sets(operand_sets))
 
 
 @settings(max_examples=150, deadline=None)
@@ -225,8 +268,9 @@ def test_atom_order_has_running_intersection():
     )
 )
 def test_decomposition_equals_reference(operand_sets):
-    """Resuming each child's scan past its parent's split leaves every
-    atom, separator and their order as the full rescan has them."""
+    """One scan that never revisits a cut-off atom gives every atom,
+    separator and their order as the reference, which scans every piece
+    again from the start of the elimination order."""
     live = decompose_atoms(ConflictGraph.from_operand_sets(operand_sets))
     ref_atoms, ref_separators = reference_decompose_atoms(
         ReferenceConflictGraph.from_operand_sets(operand_sets)
@@ -236,3 +280,55 @@ def test_decomposition_equals_reference(operand_sets):
         sorted(a.nodes) for a in ref_atoms
     ]
     assert live.separators == ref_separators
+
+
+def assert_equals_reference(graph: ConflictGraph, ctx) -> None:
+    live = decompose_atoms(graph)
+    ref_atoms, ref_separators = reference_decompose_atoms(
+        ReferenceConflictGraph.from_operand_sets(
+            [{v} for v in graph.nodes] + [set(e) for e in graph.edges()]
+        )
+    )
+    ids_of = graph.kernel().index.ids_of
+    assert [ids_of(m) for m in live.masks] == [
+        sorted(a.nodes) for a in ref_atoms
+    ], ctx
+    assert live.separators == ref_separators, ctx
+
+
+MACHINE = MachineConfig(num_fus=4, num_modules=8)
+
+
+@pytest.fixture
+def allocation_graphs(monkeypatch):
+    """The graphs the allocator decomposes, collected as they pass."""
+    graphs: list[ConflictGraph] = []
+    decomposed = workunits.decomposed_atoms
+
+    def collect(graph, max_nodes):
+        graphs.append(graph)
+        return decomposed(graph, max_nodes)
+
+    monkeypatch.setattr(workunits, "decomposed_atoms", collect)
+    return graphs
+
+
+def test_decomposition_equals_reference_on_allocation_graphs(
+    allocation_graphs,
+):
+    """The registry programs in the paper's configuration (unroll 4,
+    constants in memory) and generated programs at unroll 2, at the
+    default size bound."""
+    paper = PipelineOptions(
+        machine=MACHINE, unroll=4, constants_in_memory=True, k=MACHINE.k
+    )
+    for spec in all_programs():
+        run_pipeline(spec.source, paper, inputs=spec.inputs)
+    generated = PipelineOptions(
+        machine=MACHINE, unroll=2, constants_in_memory=True, k=MACHINE.k
+    )
+    for seed in range(10):
+        run_pipeline(random_source(seed, max_statements=40), generated)
+    assert len(allocation_graphs) == 16
+    for i, graph in enumerate(allocation_graphs):
+        assert_equals_reference(graph, i)
