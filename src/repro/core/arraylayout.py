@@ -40,7 +40,8 @@ from ..liw.reorder import (
     Move,
     block_cycle_map,
     copy_schedule,
-    move_is_legal,
+    move_fits,
+    move_keeps_dependences,
     verify_schedule,
 )
 from ..memsim.interleave import LayoutSpec, PlannedLayout
@@ -707,7 +708,9 @@ def _optimize_moves(
         cycles = block_cycle_map(body, bs.liws)
         if cycles is None or len(cycles) != len(body):
             continue
-        ddg: "DependenceGraph" = build_ddg(block)
+        # built on the first trial that passes the checks that need
+        # none; a block where no trial does never builds one
+        ddg: "DependenceGraph | None" = None
         exprs = block_index_exprs(block)
         weight = weights.get(bs.block_index, 1)
 
@@ -734,10 +737,14 @@ def _optimize_moves(
                 from_cycle = cycles[pos]
                 best: tuple[float, int] | None = None
                 for to_cycle in (from_cycle - 1, from_cycle + 1):
-                    if not move_is_legal(
-                        ddg, cycles, bs.liws, pos_of, pos, to_cycle,
+                    if not move_fits(
+                        cycles, bs.liws, pos_of, pos, to_cycle,
                         machine.num_fus, machine.ports,
                     ):
+                        continue
+                    if ddg is None:
+                        ddg = build_ddg(block)
+                    if not move_keeps_dependences(ddg, cycles, pos, to_cycle):
                         continue
                     now = cost_now(from_cycle) + cost_now(to_cycle)
                     op_index = bs.liws[from_cycle].ops.index(op)

@@ -32,6 +32,35 @@ def _is_trivial_jump(block: BasicBlock) -> bool:
     return len(block.instrs) == 1 and isinstance(block.instrs[0], tac.Jump)
 
 
+def _resolve(
+    label: str,
+    seen: frozenset[str],
+    by_label: dict[str, BasicBlock],
+    retargeted: dict[str, list[tac.TacInstr]],
+    final_target: dict[str, str],
+) -> str:
+    """``label``'s ultimate non-trivial target, memoized in
+    ``final_target``.  A jump already retargeted is followed to its new
+    target.  (Module level, not a closure over ``by_label``: a closure
+    that calls itself is a reference cycle that would keep the input
+    CFG alive until the next full collection.)"""
+    if label in final_target:
+        return final_target[label]
+    if label in seen:  # jump cycle (infinite loop): leave as is
+        return label
+    block = by_label[label]
+    if _is_trivial_jump(block):
+        jump = retargeted.get(label, block.instrs)[0]
+        target = _resolve(
+            jump.target,  # type: ignore[attr-defined]
+            seen | {label}, by_label, retargeted, final_target,
+        )
+    else:
+        target = label
+    final_target[label] = target
+    return target
+
+
 def thread_jumps(cfg: Cfg) -> Cfg:
     """Redirect branches through jump-only blocks to their final target."""
     # Resolve each block to its ultimate non-trivial target.  A jump
@@ -39,22 +68,6 @@ def thread_jumps(cfg: Cfg) -> Cfg:
     final_target: dict[str, str] = {}
     retargeted: dict[str, list[tac.TacInstr]] = {}
     by_label = {block.label: block for block in cfg.blocks}
-
-    def resolve(label: str, seen: frozenset[str]) -> str:
-        if label in final_target:
-            return final_target[label]
-        if label in seen:  # jump cycle (infinite loop): leave as is
-            return label
-        block = by_label[label]
-        if _is_trivial_jump(block):
-            jump = retargeted.get(label, block.instrs)[0]
-            target = resolve(
-                jump.target, seen | {label}  # type: ignore[attr-defined]
-            )
-        else:
-            target = label
-        final_target[label] = target
-        return target
 
     for block in cfg.blocks:
         last = block.instrs[-1]
@@ -66,7 +79,9 @@ def thread_jumps(cfg: Cfg) -> Cfg:
         seen = frozenset({block.label})
         moved: dict[str, str] = {}
         for slot in last.TARGETS:
-            target = resolve(getattr(last, slot), seen)
+            target = _resolve(
+                getattr(last, slot), seen, by_label, retargeted, final_target
+            )
             if target != getattr(last, slot):
                 moved[slot] = target
         if moved:  # a terminator whose targets stay is kept, not copied

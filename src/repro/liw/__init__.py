@@ -6,7 +6,8 @@ from .executor import (
     ArrayTouch,
     ExecResult,
     LiwExecutor,
-    TraceRecorder,
+    TraceChunk,
+    TraceSink,
     run_schedule,
 )
 from .machine import PAPER_MACHINE, PAPER_MACHINE_K4, MachineConfig
@@ -22,7 +23,8 @@ __all__ = [
     "ArrayTouch",
     "ExecResult",
     "LiwExecutor",
-    "TraceRecorder",
+    "TraceChunk",
+    "TraceSink",
     "run_schedule",
     "MachineConfig",
     "PAPER_MACHINE",

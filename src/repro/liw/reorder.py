@@ -38,7 +38,9 @@ __all__ = [
     "Move",
     "copy_schedule",
     "apply_moves",
+    "move_fits",
     "move_is_legal",
+    "move_keeps_dependences",
     "resolve_op",
     "verify_schedule",
     "block_cycle_map",
@@ -116,8 +118,7 @@ def _cond_value_ids(liws: list[LiwInstruction]) -> frozenset[int]:
     return frozenset()
 
 
-def move_is_legal(
-    ddg: DependenceGraph,
+def move_fits(
     cycles: dict[int, int],
     liws: list[LiwInstruction],
     pos_of: dict[int, int],
@@ -126,24 +127,14 @@ def move_is_legal(
     num_fus: int,
     ports: int,
 ) -> bool:
-    """Whether moving body op ``pos`` to ``to_cycle`` keeps the block
-    schedule valid (dependences, resources, branch condition).
-
-    ``pos_of`` maps ``id(op) -> body position`` (see
-    :func:`block_cycle_map`'s construction); ``cycles`` maps body
-    position -> current cycle.
-    """
+    """The checks of :func:`move_is_legal` that need no dependence
+    graph: the target word exists and differs, has a free FU slot and
+    port budget, and the branch rule holds."""
     if not 0 <= to_cycle < len(liws):
         return False
     from_cycle = cycles[pos]
     if to_cycle == from_cycle:
         return False
-    for edge in ddg.preds[pos]:
-        if cycles[edge.src] + edge.latency > to_cycle:
-            return False
-    for edge in ddg.succs[pos]:
-        if to_cycle + edge.latency > cycles[edge.dst]:
-            return False
 
     moved = resolve_op(liws[from_cycle], pos_of, pos)
     if moved is None:
@@ -165,6 +156,44 @@ def move_is_legal(
         if defines_cond and to_cycle >= branch_cycle:
             return False
     return True
+
+
+def move_keeps_dependences(
+    ddg: DependenceGraph, cycles: dict[int, int], pos: int, to_cycle: int
+) -> bool:
+    """Whether every dependence edge of body op ``pos`` still holds
+    with the op in ``to_cycle``."""
+    for edge in ddg.preds[pos]:
+        if cycles[edge.src] + edge.latency > to_cycle:
+            return False
+    for edge in ddg.succs[pos]:
+        if to_cycle + edge.latency > cycles[edge.dst]:
+            return False
+    return True
+
+
+def move_is_legal(
+    ddg: DependenceGraph,
+    cycles: dict[int, int],
+    liws: list[LiwInstruction],
+    pos_of: dict[int, int],
+    pos: int,
+    to_cycle: int,
+    num_fus: int,
+    ports: int,
+) -> bool:
+    """Whether moving body op ``pos`` to ``to_cycle`` keeps the block
+    schedule valid (resources, branch condition, dependences).
+
+    ``pos_of`` maps ``id(op) -> body position`` (see
+    :func:`block_cycle_map`'s construction); ``cycles`` maps body
+    position -> current cycle.  The checks are conjunctive and pure, so
+    a caller that builds its DDG only when needed runs
+    :func:`move_fits` first, then :func:`move_keeps_dependences`.
+    """
+    return move_fits(
+        cycles, liws, pos_of, pos, to_cycle, num_fus, ports
+    ) and move_keeps_dependences(ddg, cycles, pos, to_cycle)
 
 
 def resolve_op(

@@ -71,7 +71,7 @@ def simulate_program(
         schedule,
         inputs,
         max_cycles,
-        observers=[sim],
+        sink=sim,
         initial_values=renamed.initial_values(),
     )
     result = executor.run()

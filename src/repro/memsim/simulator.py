@@ -22,30 +22,54 @@ Four aggregate times are reported:
 - **t_ave** — arrays uniformly random: exact ``Σ i·Δ·p(i)`` via
   :mod:`repro.memsim.distribution`.
 
-The simulator is an executor observer: attach it to
-:class:`repro.liw.LiwExecutor` and read :meth:`report` afterwards.
+The simulator is the executor's trace sink: pass it to
+:class:`repro.liw.LiwExecutor` and read :meth:`MemorySimulator.report`
+after the run.  It prices the block trace one chunk at a time, after
+the words ran, never per executed word.
 
-**Static terms, computed once per word.**  Everything but t_actual
-depends only on a word's static operands and the allocation: its scalar
-load vector (transfers folded in), its scalar access count, whether the
-scalars alone conflict, and its t_min, t_ave and k t_max terms.  The
-simulator memoizes that whole contribution, keyed on the static part of
-the event (source and destination sets, transfers, number of array
-touches); the load vector itself comes from :class:`ScalarLoadMemo`,
-which the array-layout optimizer shares.  Per execution only the array
-touches are mapped to modules (``layout.module``) for t_actual, and the
-memoized terms are added in execution order, so every float sum is
-bitwise the one the per-event formulation gives.
+**Static terms, computed once per decoded word.**  Everything but
+t_actual depends only on a word's static operands and the allocation:
+its scalar load vector (transfers folded in), its scalar access count,
+whether the scalars alone conflict, and its t_min, t_ave and per-module
+t_max loads.  Those are memoized on the word's static key (source and
+destination sets, transfers, number of array touches); the load vector
+itself comes from :class:`ScalarLoadMemo`, which the array-layout
+optimizer shares.  The first time a decoded block shows up in the trace
+its words' terms are summed into one integer vector per block entry
+(instructions, accesses, conflicts, and the t_min, t_max and static
+t_actual loads), so integer totals are block-entry counts times those
+vectors.  Only words that touch arrays are walked per execution: their
+logged indices are mapped to modules through one memo per array, built
+from ``layout.module`` once per run, and their maximum loads are
+collected in execution order.
+
+**Bitwise the per-word float sums.**  The reference adds ``Δ·load`` to
+each total word by word, in execution order.  When Δ is integral, every
+such term and every running total is an integer-valued float, and a
+float sum of integers is exact while the totals stay below 2**53; so
+t_min, t_max and t_actual are kept as integer load sums and reported as
+``float(Δ·sum)``, which is the same float.  The bound is checked before
+each chunk is committed (totals only grow); past it, and from the start
+when Δ is not integral, those sums are folded term by term in execution
+order instead.  t_ave's terms are not integers, so it is always folded.
+Folding is ``functools.reduce(operator.add, terms, total)`` over the
+chunk's terms in execution order, at C level.  Never ``sum()``: from
+Python 3.12 it adds floats with compensated summation, which changes
+the bits.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from operator import add
+from functools import reduce
+from itertools import chain, repeat
+from operator import add, attrgetter, itemgetter, mul
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from ..core.allocation import Allocation
 from ..core.verify import find_sdr
-from ..liw.executor import AccessEvent
+from ..liw.executor import AccessEvent, DecodedBlock, DecodedWord, TraceChunk
 from .distribution import expected_max_load, min_possible_max_load
 from .interleave import ArrayLayout
 
@@ -171,17 +195,96 @@ class ScalarLoadMemo:
         return vec
 
 
-#: Static part of an event: (sources, dests, transfers, array touches).
+#: Static part of a word: (sources, dests, transfers, array touches).
 _StaticKey = tuple[
     frozenset[int], frozenset[int], tuple[tuple[int, int, int], ...], int
 ]
-#: A word's Δ-model contribution: (scalar load vector, scalar accesses,
-#: max scalar load, t_min term, t_ave term, t_max term per module).
-_Terms = tuple[tuple[int, ...], int, int, float, float, tuple[float, ...]]
+
+
+class _Terms(NamedTuple):
+    """A word's Δ-model contribution (loads in accesses, Δ factored out
+    except in ``ave``)."""
+
+    vec: tuple[int, ...]  # scalar load per module, transfers folded in
+    n_scalar: int
+    scalar_max: int
+    n_arr: int
+    min_load: int  # t_min
+    max_loads: tuple[int, ...]  # t_max, with every array in module m
+    ave: float  # Δ · E[max load], the t_ave term
+
+
+class _Word(NamedTuple):
+    """The static memory activity of one word (a decoded word or an
+    event)."""
+
+    sources: frozenset[int]
+    dests: frozenset[int]
+    transfers: tuple[tuple[int, int, int], ...]
+    touches: tuple[tuple[str, bool], ...]
+
+
+# Slots of a priced block's integer vector; the t_max loads per module
+# follow _T_MAX.
+(_INSTRUCTIONS, _TRANSFER, _SCALAR_ACCESSES, _ARRAY_ACCESSES,
+ _SCALAR_CONFLICTS, _ACTUAL_CONFLICTS, _T_ACTUAL, _T_MIN, _T_MAX) = range(9)
+
+#: A static key not yet in the terms memo (whose values may be None).
+_UNPRICED = object()
+
+#: Integer-valued floats are exact below this.
+_EXACT = 2**53
+
+
+class _ModuleTable(dict):
+    """index -> module for one array under one layout, filled on demand."""
+
+    __slots__ = ("_module",)
+
+    def __init__(self, module: Callable[[int], int]):
+        super().__init__()
+        self._module = module
+
+    def __missing__(self, index: int) -> int:
+        module = self[index] = self._module(index)
+        return module
+
+
+class _PricedBlock:
+    """The static Δ-model contribution of one entry of a block."""
+
+    __slots__ = ("ints", "terms", "ave", "arrays")
+
+    def __init__(
+        self,
+        ints: tuple[int, ...],
+        terms: tuple[_Terms, ...],
+        arrays: tuple[tuple[tuple[int, ...], int, _ModuleTable,
+                            tuple[_ModuleTable, ...]], ...],
+    ):
+        #: per entry: instructions, transfer instructions, accesses,
+        #: conflicts, static t_actual, t_min and per-module t_max loads
+        self.ints = ints
+        #: terms of the words with memory accesses, in order
+        self.terms = terms
+        self.ave = tuple(t.ave for t in terms)
+        #: per array word, in order: scalar loads, their max, and the
+        #: module table of its first touch and of the others
+        self.arrays = arrays
+
+
+_has_arrays = attrgetter("arrays")
+_terms_of = attrgetter("terms")
+_ave_of = attrgetter("ave")
+_scalar_max_of = attrgetter("scalar_max")
+_n_scalar_of = attrgetter("n_scalar")
+_n_arr_of = attrgetter("n_arr")
+_min_load_of = attrgetter("min_load")
+_max_loads_of = attrgetter("max_loads")
 
 
 class MemorySimulator:
-    """Observer accumulating the Δ-model statistics of one execution."""
+    """Trace sink accumulating the Δ-model statistics of one execution."""
 
     def __init__(
         self,
@@ -197,19 +300,24 @@ class MemorySimulator:
         self._scalar_loads = ScalarLoadMemo(alloc, k, eager_copies)
         #: None for a word without memory accesses
         self._terms: dict[_StaticKey, _Terms | None] = {}
+        self._priced: dict[DecodedBlock, _PricedBlock] = {}
+        self._tables: dict[str, _ModuleTable] = {}
+        #: Δ as an integer when it is integral, else None (see the
+        #: module docstring)
+        self._delta_int: int | None = (
+            int(delta) if float(delta).is_integer() else None
+        )
+        self._ints = [0] * (_T_MAX + k)
+        self._t_ave = 0.0
+        #: t_actual, t_min and per-module t_max as folded floats, once
+        #: the integer load sums no longer stand in for them
+        self._floats: list[float] | None = (
+            None if self._delta_int is not None else [0.0] * (2 + k)
+        )
 
-        self.instructions = 0
-        self.transfer_instructions = 0
-        self.scalar_accesses = 0
-        self.array_accesses = 0
-        self.t_actual = 0.0
-        self.t_min = 0.0
-        self.t_ave = 0.0
-        self._t_max_per_module = [0.0] * k
-        self.scalar_conflicts = 0
-        self.actual_conflicts = 0
+    # -- static terms ---------------------------------------------------
 
-    def _static_terms(self, key: _StaticKey) -> _Terms | None:
+    def _word_terms(self, key: _StaticKey) -> _Terms | None:
         sources, dests, transfers, n_arr = key
         vec = self._scalar_loads(sources, dests)
         if transfers:
@@ -223,69 +331,178 @@ class MemorySimulator:
         if n_arr == 0 and n_scalar == 0:
             return None
         scalar_max = max(vec)
-        delta = self._delta
-        return (
+        return _Terms(
             vec,
             n_scalar,
             scalar_max,
-            delta * min_possible_max_load(vec, n_arr),
-            delta * expected_max_load(vec, n_arr),
-            # t_max: all arrays stacked in module m, for every candidate m
-            tuple([delta * max(scalar_max, v + n_arr) for v in vec]),
+            n_arr,
+            min_possible_max_load(vec, n_arr),
+            tuple([max(scalar_max, v + n_arr) for v in vec]),
+            self._delta * expected_max_load(vec, n_arr),
         )
 
-    # -- observer protocol ----------------------------------------------
+    def _table(self, array: str) -> _ModuleTable:
+        table = self._tables.get(array)
+        if table is None:
+            module = self._layout.module
+            table = self._tables[array] = _ModuleTable(
+                lambda index: module(array, index)
+            )
+        return table
+
+    def _price_block(
+        self, words: Iterable[_Word | DecodedWord]
+    ) -> _PricedBlock:
+        n_words = 0
+        terms: list[_Terms] = []
+        arrays = []
+        #: the scalar max load of each word without array touches
+        static: list[int] = []
+        memo = self._terms
+        for word in words:
+            n_words += 1
+            touches = word.touches
+            key = (word.sources, word.dests, word.transfers, len(touches))
+            t = memo.get(key, _UNPRICED)
+            if t is _UNPRICED:
+                t = memo[key] = self._word_terms(key)
+            if t is None:
+                continue
+            terms.append(t)
+            if touches:
+                tables = [self._table(array) for array, _ in touches]
+                arrays.append(
+                    (t.vec, t.scalar_max, tables[0], tuple(tables[1:]))
+                )
+            else:
+                static.append(t.scalar_max)
+        scalar_max = list(map(_scalar_max_of, terms))
+        ints = (
+            n_words,
+            len(terms),
+            sum(map(_n_scalar_of, terms)),
+            sum(map(_n_arr_of, terms)),
+            len(terms) - scalar_max.count(0) - scalar_max.count(1),
+            len(static) - static.count(1),
+            sum(static),
+            sum(map(_min_load_of, terms)),
+            *(map(sum, zip(*map(_max_loads_of, terms))) if terms
+              else repeat(0, self._k)),
+        )
+        return _PricedBlock(ints, tuple(terms), tuple(arrays))
+
+    # -- pricing ----------------------------------------------------------
+
+    def _price(
+        self,
+        entries: Sequence[_PricedBlock],
+        counts: Iterable[tuple[_PricedBlock, int]],
+        indices: Sequence[int],
+    ) -> None:
+        """Add the priced block entries ``entries`` (in execution order;
+        ``counts`` tallies them) whose array words resolved ``indices``."""
+        # the maximum load of each array word's execution, in order
+        tops: list[int] = []
+        push = tops.append
+        pos = 0
+        for block in filter(_has_arrays, entries):
+            for vec, scalar_max, first, rest in block.arrays:
+                if rest:
+                    loads = list(vec)
+                    loads[first[indices[pos]]] += 1
+                    pos += 1
+                    for table in rest:
+                        loads[table[indices[pos]]] += 1
+                        pos += 1
+                    push(max(loads))
+                else:
+                    top = vec[first[indices[pos]]] + 1
+                    pos += 1
+                    push(top if top > scalar_max else scalar_max)
+
+        ints = self._ints
+        old_loads = ints[_T_ACTUAL:]
+        for block, n in counts:
+            ints = list(map(add, ints, map(mul, repeat(n), block.ints)))
+        ints[_T_ACTUAL] += sum(tops)  # integers: exact
+        # an array word loads some module at least once: count the tops > 1
+        ints[_ACTUAL_CONFLICTS] += len(tops) - tops.count(1)
+        self._ints = ints
+        self._t_ave = reduce(
+            add, chain.from_iterable(map(_ave_of, entries)), self._t_ave
+        )
+
+        delta_int = self._delta_int
+        if self._floats is None:
+            if abs(delta_int) * max(ints[_T_ACTUAL:]) < _EXACT:  # type: ignore[arg-type]
+                return
+            # past exact integers: fold from here on, from the totals so far
+            self._floats = [float(delta_int * load) for load in old_loads]  # type: ignore[operator]
+        delta = self._delta
+        floats = self._floats
+        terms = list(chain.from_iterable(map(_terms_of, entries)))
+        ordered = iter(tops)
+        actual = [next(ordered) if t.n_arr else t.scalar_max for t in terms]
+        floats[0] = reduce(add, map(mul, repeat(delta), actual), floats[0])
+        floats[1] = reduce(
+            add, map(mul, repeat(delta), map(_min_load_of, terms)), floats[1]
+        )
+        max_loads = list(map(_max_loads_of, terms))
+        for m in range(self._k):
+            floats[2 + m] = reduce(
+                add, map(mul, repeat(delta), map(itemgetter(m), max_loads)),
+                floats[2 + m],
+            )
+
+    # -- trace sink -----------------------------------------------------
+
+    def consume(self, chunk: TraceChunk) -> None:
+        """Price one chunk of an executor's block trace."""
+        priced = self._priced
+        counts = Counter(chunk.blocks)
+        for block in counts:
+            if block not in priced:
+                priced[block] = self._price_block(block.words)
+        entries = list(map(priced.__getitem__, chunk.blocks))
+        tallies = [(priced[block], n) for block, n in counts.items()]
+        if chunk.stop is not None:
+            block, completed = chunk.stop
+            last = self._price_block(block.words[:completed])
+            entries.append(last)
+            tallies.append((last, 1))
+        self._price(entries, tallies, chunk.indices)
 
     def __call__(self, event: AccessEvent) -> None:
-        self.instructions += 1
+        """Price one word's access event (synthetic traffic)."""
         touches = event.array_touches
-        key = (
+        block = self._price_block([_Word(
             event.scalar_sources, event.scalar_dests, event.transfers,
-            len(touches),
-        )
-        try:
-            terms = self._terms[key]
-        except KeyError:
-            terms = self._terms[key] = self._static_terms(key)
-        if terms is None:
-            return
-        vec, n_scalar, scalar_max, t_min, t_ave, t_max = terms
-
-        self.transfer_instructions += 1
-        self.scalar_accesses += n_scalar
-        self.array_accesses += len(touches)
-        if scalar_max > 1:
-            self.scalar_conflicts += 1
-        self.t_min += t_min
-        self.t_ave += t_ave
-        self._t_max_per_module = list(map(add, self._t_max_per_module, t_max))
-
-        if touches:
-            actual = list(vec)
-            module = self._layout.module
-            for touch in touches:
-                actual[module(touch.array, touch.index)] += 1
-            actual_max = max(actual)
-        else:
-            actual_max = scalar_max
-        self.t_actual += self._delta * actual_max
-        if actual_max > 1:
-            self.actual_conflicts += 1
+            tuple((t.array, t.is_store) for t in touches),
+        )])
+        self._price([block], [(block, 1)], [t.index for t in touches])
 
     # -- results ------------------------------------------------------------
 
     def report(self) -> MemoryReport:
+        ints = self._ints
+        if self._floats is None:
+            delta_int = self._delta_int
+            t_actual, t_min, *t_max = (
+                float(delta_int * load) for load in ints[_T_ACTUAL:]  # type: ignore[operator]
+            )
+        else:
+            t_actual, t_min, *t_max = self._floats
         return MemoryReport(
             delta=self._delta,
             k=self._k,
-            instructions=self.instructions,
-            transfer_instructions=self.transfer_instructions,
-            scalar_accesses=self.scalar_accesses,
-            array_accesses=self.array_accesses,
-            t_actual=self.t_actual,
-            t_min=self.t_min,
-            t_max=max(self._t_max_per_module) if self._k else 0.0,
-            t_ave=self.t_ave,
-            scalar_conflict_instructions=self.scalar_conflicts,
-            actual_conflict_instructions=self.actual_conflicts,
+            instructions=ints[_INSTRUCTIONS],
+            transfer_instructions=ints[_TRANSFER],
+            scalar_accesses=ints[_SCALAR_ACCESSES],
+            array_accesses=ints[_ARRAY_ACCESSES],
+            t_actual=t_actual,
+            t_min=t_min,
+            t_max=max(t_max) if self._k else 0.0,
+            t_ave=self._t_ave,
+            scalar_conflict_instructions=ints[_SCALAR_CONFLICTS],
+            actual_conflict_instructions=ints[_ACTUAL_CONFLICTS],
         )

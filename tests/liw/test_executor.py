@@ -4,7 +4,8 @@ import pytest
 
 from repro.ir import build_cfg, compile_to_tac, rename, run_cfg
 from repro.ir.interp import ExecutionLimitExceeded, InputExhausted
-from repro.liw import MachineConfig, TraceRecorder, run_schedule, schedule_program
+from repro.liw import MachineConfig, run_schedule, schedule_program
+from tests.trace_recorder import TraceRecorder
 
 
 def both(body: str, decls: str = "var x, y, z, i: int; r: real; a: array[8] of int;",
@@ -86,7 +87,7 @@ def test_trace_recorder_sees_every_instruction():
     rn = rename(cfg)
     sched = schedule_program(rn, MachineConfig())
     rec = TraceRecorder()
-    result = run_schedule(sched, observers=[rec])
+    result = run_schedule(sched, sink=rec)
     assert len(rec.events) == result.cycles
     assert any(e.scalar_sources for e in rec.events)
     assert any(e.scalar_dests for e in rec.events)
@@ -105,7 +106,7 @@ def test_array_touch_events_resolved():
     rn = rename(cfg)
     sched = schedule_program(rn, MachineConfig())
     rec = TraceRecorder()
-    run_schedule(sched, observers=[rec])
+    run_schedule(sched, sink=rec)
     touched = sorted(
         t.index for e in rec.events for t in e.array_touches if t.is_store
     )

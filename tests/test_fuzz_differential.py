@@ -208,7 +208,7 @@ def test_fuzz_storage_strategies_sound(seed, strategy):
     result = run_schedule(
         schedule,
         max_cycles=2_000_000,
-        observers=[sim],
+        sink=sim,
         initial_values=renamed.initial_values(),
     )
     assert close(result.outputs, want), source

@@ -67,7 +67,7 @@ def _check(
 
     got_sim = MemorySimulator(alloc, layout(), k, delta, eager_copies)
     got = LiwExecutor(
-        runs, list(inputs), observers=[got_sim],
+        runs, list(inputs), sink=got_sim,
         initial_values=renamed.initial_values(),
     )
     got_result = got.run()
