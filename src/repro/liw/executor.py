@@ -29,8 +29,7 @@ to the first that branches or halts) into:
   the place each result goes (a scalar, an array element or the
   program output) and the ``CJump`` condition reader, if any.  A step
   reads the condition and fetches every operand before it commits any
-  result (lock step), and returns the condition.  A word of one scalar
-  operation, the most common kind, commits as it fetches;
+  result (lock step), and returns the condition;
 - its static memory activity: the scalar source and destination sets,
   the scheduled transfers, and the ``(array, is_store)`` of each array
   op in op order (read off the TAC slot tables once);
@@ -146,12 +145,6 @@ def _word_step(
     ``fetch`` (one closure each, in op order) writing to ``sinks``."""
     if not fetch:
         return cond or _nothing
-    if cond is None and len(fetch) == 1 and not isinstance(sinks[0], str):
-        # most words: one scalar op, so fetch and commit need no buffer
-        return (
-            lambda f=fetch[0], sink=sinks[0], setitem=values.__setitem__:
-                setitem(sink, f())
-        )
     fetch_all, sink_all = tuple(fetch), tuple(sinks)
     scalar_only = _ARRAY not in sinks and _OUTPUT not in sinks
     update_values = values.update

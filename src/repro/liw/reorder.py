@@ -9,15 +9,19 @@ two accesses with an unknown index distance fetched in the same cycle.
 
 A move is the atomic transformation: take ``ops[op_index]`` out of the
 word at ``from_cycle`` and append it to the word at ``to_cycle`` of the
-same block.  :func:`move_is_legal` checks the exact conditions the
-scheduler itself enforced:
+same block.  A move is legal when it passes two pure checks of the
+exact conditions the scheduler itself enforced:
 
-- every dependence-graph predecessor/successor latency still holds
-  (anti dependences keep their latency-0 same-cycle allowance);
-- the destination word respects the machine's ``num_fus`` operation
-  slots and ``ports`` access budget;
-- a value consumed by the block terminator is still produced strictly
-  before the word carrying the branch.
+- :func:`move_fits`: the destination word respects the machine's
+  ``num_fus`` operation slots and ``ports`` access budget, and a value
+  consumed by the block terminator is still produced strictly before
+  the word carrying the branch;
+- :func:`move_keeps_dependences`: every dependence-graph
+  predecessor/successor latency still holds (anti dependences keep
+  their latency-0 same-cycle allowance).
+
+The first needs no dependence graph, so a caller runs it first and
+builds the graph only for a move that fits.
 
 :func:`apply_moves` replays a recorded move list onto a *fresh copy* of
 a schedule (schedules are shared artifacts — pass-cache entries must
@@ -39,7 +43,6 @@ __all__ = [
     "copy_schedule",
     "apply_moves",
     "move_fits",
-    "move_is_legal",
     "move_keeps_dependences",
     "resolve_op",
     "verify_schedule",
@@ -127,9 +130,13 @@ def move_fits(
     num_fus: int,
     ports: int,
 ) -> bool:
-    """The checks of :func:`move_is_legal` that need no dependence
-    graph: the target word exists and differs, has a free FU slot and
-    port budget, and the branch rule holds."""
+    """Whether body op ``pos`` fits in the word at ``to_cycle``: the
+    target word exists and differs, has a free FU slot and port budget,
+    and the branch rule holds.
+
+    ``pos_of`` maps ``id(op) -> body position`` (see
+    :func:`block_cycle_map`'s construction); ``cycles`` maps body
+    position -> current cycle."""
     if not 0 <= to_cycle < len(liws):
         return False
     from_cycle = cycles[pos]
@@ -170,30 +177,6 @@ def move_keeps_dependences(
         if to_cycle + edge.latency > cycles[edge.dst]:
             return False
     return True
-
-
-def move_is_legal(
-    ddg: DependenceGraph,
-    cycles: dict[int, int],
-    liws: list[LiwInstruction],
-    pos_of: dict[int, int],
-    pos: int,
-    to_cycle: int,
-    num_fus: int,
-    ports: int,
-) -> bool:
-    """Whether moving body op ``pos`` to ``to_cycle`` keeps the block
-    schedule valid (resources, branch condition, dependences).
-
-    ``pos_of`` maps ``id(op) -> body position`` (see
-    :func:`block_cycle_map`'s construction); ``cycles`` maps body
-    position -> current cycle.  The checks are conjunctive and pure, so
-    a caller that builds its DDG only when needed runs
-    :func:`move_fits` first, then :func:`move_keeps_dependences`.
-    """
-    return move_fits(
-        cycles, liws, pos_of, pos, to_cycle, num_fus, ports
-    ) and move_keeps_dependences(ddg, cycles, pos, to_cycle)
 
 
 def resolve_op(

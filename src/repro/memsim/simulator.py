@@ -55,7 +55,9 @@ order instead.  t_ave's terms are not integers, so it is always folded.
 Folding is ``functools.reduce(operator.add, terms, total)`` over the
 chunk's terms in execution order, at C level.  Never ``sum()``: from
 Python 3.12 it adds floats with compensated summation, which changes
-the bits.
+the bits.  Folding t_actual, t_min and the k t_max loads takes k + 2
+passes over each chunk's terms; the integer sums save them for the
+usual integral Δ.
 """
 
 from __future__ import annotations
@@ -214,16 +216,6 @@ class _Terms(NamedTuple):
     ave: float  # Δ · E[max load], the t_ave term
 
 
-class _Word(NamedTuple):
-    """The static memory activity of one word (a decoded word or an
-    event)."""
-
-    sources: frozenset[int]
-    dests: frozenset[int]
-    transfers: tuple[tuple[int, int, int], ...]
-    touches: tuple[tuple[str, bool], ...]
-
-
 # Slots of a priced block's integer vector; the t_max loads per module
 # follow _T_MAX.
 (_INSTRUCTIONS, _TRANSFER, _SCALAR_ACCESSES, _ARRAY_ACCESSES,
@@ -259,8 +251,7 @@ class _PricedBlock:
         self,
         ints: tuple[int, ...],
         terms: tuple[_Terms, ...],
-        arrays: tuple[tuple[tuple[int, ...], int, _ModuleTable,
-                            tuple[_ModuleTable, ...]], ...],
+        arrays: tuple[tuple[tuple[int, ...], tuple[_ModuleTable, ...]], ...],
     ):
         #: per entry: instructions, transfer instructions, accesses,
         #: conflicts, static t_actual, t_min and per-module t_max loads
@@ -268,8 +259,8 @@ class _PricedBlock:
         #: terms of the words with memory accesses, in order
         self.terms = terms
         self.ave = tuple(t.ave for t in terms)
-        #: per array word, in order: scalar loads, their max, and the
-        #: module table of its first touch and of the others
+        #: per array word, in order: its scalar loads and the module
+        #: table of each of its touches
         self.arrays = arrays
 
 
@@ -281,6 +272,10 @@ _n_scalar_of = attrgetter("n_scalar")
 _n_arr_of = attrgetter("n_arr")
 _min_load_of = attrgetter("min_load")
 _max_loads_of = attrgetter("max_loads")
+
+
+def _no_step() -> None:
+    """The step of a word built from an event; never run."""
 
 
 class MemorySimulator:
@@ -350,9 +345,7 @@ class MemorySimulator:
             )
         return table
 
-    def _price_block(
-        self, words: Iterable[_Word | DecodedWord]
-    ) -> _PricedBlock:
+    def _price_block(self, words: Iterable[DecodedWord]) -> _PricedBlock:
         n_words = 0
         terms: list[_Terms] = []
         arrays = []
@@ -370,9 +363,8 @@ class MemorySimulator:
                 continue
             terms.append(t)
             if touches:
-                tables = [self._table(array) for array, _ in touches]
                 arrays.append(
-                    (t.vec, t.scalar_max, tables[0], tuple(tables[1:]))
+                    (t.vec, tuple([self._table(array) for array, _ in touches]))
                 )
             else:
                 static.append(t.scalar_max)
@@ -406,19 +398,12 @@ class MemorySimulator:
         push = tops.append
         pos = 0
         for block in filter(_has_arrays, entries):
-            for vec, scalar_max, first, rest in block.arrays:
-                if rest:
-                    loads = list(vec)
-                    loads[first[indices[pos]]] += 1
+            for vec, tables in block.arrays:
+                loads = list(vec)
+                for table in tables:
+                    loads[table[indices[pos]]] += 1
                     pos += 1
-                    for table in rest:
-                        loads[table[indices[pos]]] += 1
-                        pos += 1
-                    push(max(loads))
-                else:
-                    top = vec[first[indices[pos]]] + 1
-                    pos += 1
-                    push(top if top > scalar_max else scalar_max)
+                push(max(loads))
 
         ints = self._ints
         old_loads = ints[_T_ACTUAL:]
@@ -475,9 +460,10 @@ class MemorySimulator:
     def __call__(self, event: AccessEvent) -> None:
         """Price one word's access event (synthetic traffic)."""
         touches = event.array_touches
-        block = self._price_block([_Word(
-            event.scalar_sources, event.scalar_dests, event.transfers,
-            tuple((t.array, t.is_store) for t in touches),
+        # pricing reads a word's static fields only, never its step
+        block = self._price_block([DecodedWord(
+            _no_step, event.scalar_sources, event.scalar_dests,
+            event.transfers, tuple((t.array, t.is_store) for t in touches),
         )])
         self._price([block], [(block, 1)], [t.index for t in touches])
 

@@ -10,7 +10,8 @@ from repro.liw.reorder import (
     apply_moves,
     block_cycle_map,
     copy_schedule,
-    move_is_legal,
+    move_fits,
+    move_keeps_dependences,
     resolve_op,
     verify_schedule,
 )
@@ -85,8 +86,9 @@ def test_block_cycle_map_refuses_foreign_ops():
 
 
 def test_every_legal_move_verifies():
-    """Property: any single move ``move_is_legal`` admits produces a
-    schedule the independent re-verifier accepts."""
+    """Property: any single move that ``move_fits`` and
+    ``move_keeps_dependences`` admit produces a schedule the independent
+    re-verifier accepts."""
     program, _ = _compiled()
     schedule = program.schedule
     machine = schedule.machine
@@ -100,10 +102,10 @@ def test_every_legal_move_verifies():
         pos_of = {id(op): pos for pos, op in enumerate(block.body)}
         for pos in range(len(block.body)):
             for to_cycle in (cycles[pos] - 1, cycles[pos] + 1):
-                if not move_is_legal(
-                    ddg, cycles, bs.liws, pos_of, pos, to_cycle,
+                if not (move_fits(
+                    cycles, bs.liws, pos_of, pos, to_cycle,
                     machine.num_fus, machine.ports,
-                ):
+                ) and move_keeps_dependences(ddg, cycles, pos, to_cycle)):
                     continue
                 op = resolve_op(bs.liws[cycles[pos]], pos_of, pos)
                 op_index = bs.liws[cycles[pos]].ops.index(op)
@@ -151,19 +153,12 @@ def test_move_rejects_out_of_range_cycles():
     bs = next(b for b in schedule.blocks if len(b.liws) >= 2)
     block = schedule.cfg.blocks[bs.block_index]
     cycles = block_cycle_map(block.body, bs.liws)
-    ddg = build_ddg(block)
     pos_of = {id(op): pos for pos, op in enumerate(block.body)}
     fus, ports = schedule.machine.num_fus, schedule.machine.ports
-    assert not move_is_legal(
-        ddg, cycles, bs.liws, pos_of, 0, -1, fus, ports
-    )
-    assert not move_is_legal(
-        ddg, cycles, bs.liws, pos_of, 0, len(bs.liws), fus, ports
-    )
+    assert not move_fits(cycles, bs.liws, pos_of, 0, -1, fus, ports)
+    assert not move_fits(cycles, bs.liws, pos_of, 0, len(bs.liws), fus, ports)
     # a no-op "move" to the current cycle is refused too
-    assert not move_is_legal(
-        ddg, cycles, bs.liws, pos_of, 0, cycles[0], fus, ports
-    )
+    assert not move_fits(cycles, bs.liws, pos_of, 0, cycles[0], fus, ports)
 
 
 def test_apply_moves_range_checked():
