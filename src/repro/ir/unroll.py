@@ -19,44 +19,19 @@ A ``for`` loop is unrolled only when it is safe and profitable:
 The transformation runs before semantic analysis; synthetic bound
 variables are appended to the declarations.  It leaves its input
 unchanged: every statement on the path to a rewritten loop is a new
-node, untouched subtrees are shared with the input, and each replica
-of a loop body is a structural clone (:func:`clone`).
+node, and untouched subtrees are shared with the input.  The replicas
+of a loop body (and the remainder loop's copy) are the input's body
+node itself: no later pass edits a statement tree, and semantic
+analysis's in-place annotations are the same on every visit, so one
+tree can stand in several places.
 """
 
 from __future__ import annotations
 
-from dataclasses import fields, replace
-from functools import cache
-from typing import TypeVar
+from dataclasses import replace
 
 from ..lang import ast_nodes as ast
 from ..lang.errors import SourceLocation
-
-
-_T = TypeVar("_T")
-
-
-@cache
-def _field_names(cls: type) -> tuple[str, ...]:
-    """Every field of an AST node class, ``init=False`` ones
-    (``Expr.type``) included."""
-    return tuple(f.name for f in fields(cls))
-
-
-def clone(value: _T) -> _T:
-    """A structural copy of an AST subtree: every :class:`ast.Node` and
-    every list in it is new; the immutable leaves (``str``, numbers,
-    ``None``, the frozen :class:`ast.Type` and :class:`SourceLocation`)
-    are shared."""
-    if isinstance(value, list):
-        return [clone(item) for item in value]  # type: ignore[return-value]
-    if not isinstance(value, ast.Node):
-        return value
-    cls = type(value)
-    copy = object.__new__(cls)
-    for name in _field_names(cls):
-        setattr(copy, name, clone(getattr(value, name)))
-    return copy  # type: ignore[return-value]
 
 
 def _contains_loop_escape(stmt: ast.Stmt) -> bool:
@@ -191,7 +166,7 @@ class Unroller:
             cond = ast.BinaryOp(loc, "<=", var(loop.var), margin)
         unrolled: list[ast.Stmt] = []
         for _ in range(u):
-            unrolled.append(clone(loop.body))
+            unrolled.append(loop.body)
             unrolled.append(step())
         main = ast.While(loc, cond, ast.Block(loc, unrolled))
 
@@ -201,7 +176,7 @@ class Unroller:
         remainder = ast.While(
             loc,
             rem_cond,
-            ast.Block(loc, [clone(loop.body), step()]),
+            ast.Block(loc, [loop.body, step()]),
         )
 
         return ast.Block(loc, [*pre, main, remainder])

@@ -87,6 +87,8 @@ class Analyzer:
     def __init__(self) -> None:
         self.table = SymbolTable()
         self._loop_depth = 0
+        #: ids of the statements checked inside some loop
+        self._in_loops: set[int] = set()
 
     # -- program ----------------------------------------------------------
 
@@ -100,6 +102,13 @@ class Analyzer:
     # -- statements ---------------------------------------------------------
 
     def _stmt(self, stmt: ast.Stmt) -> None:
+        if self._loop_depth:
+            # Unrolling puts one loop body node in every replica.  Inside
+            # a loop a statement's verdict and types depend only on the
+            # symbol table, so each shared node is checked once.
+            if id(stmt) in self._in_loops:
+                return
+            self._in_loops.add(id(stmt))
         if isinstance(stmt, ast.Block):
             for child in stmt.body:
                 self._stmt(child)

@@ -27,14 +27,17 @@ The simulator is the executor's trace sink: pass it to
 after the run.  It prices the block trace one chunk at a time, after
 the words ran, never per executed word.
 
-**Static terms, computed once per decoded word.**  Everything but
+**Static terms, computed once per distinct pattern.**  Everything but
 t_actual depends only on a word's static operands and the allocation:
 its scalar load vector (transfers folded in), its scalar access count,
 whether the scalars alone conflict, and its t_min, t_ave and per-module
-t_max loads.  Those are memoized on the word's static key (source and
-destination sets, transfers, number of array touches); the load vector
-itself comes from :class:`ScalarLoadMemo`, which the array-layout
-optimizer shares.  The first time a decoded block shows up in the trace
+t_max loads.  The load vector comes from :class:`ScalarLoadMemo`
+(which the array-layout optimizer uses too), memoized on the word's
+source and destination sets and, behind them, on the operands' module
+masks; the other terms are memoized on ``(load vector, number of array
+touches)``, all the Δ model reads.  Unrolled replicas have distinct
+value ids but few such patterns.  Both memos live in one simulator,
+for one allocation.  The first time a decoded block shows up in the trace
 its words' terms are summed into one integer vector per block entry
 (instructions, accesses, conflicts, and the t_min, t_max and static
 t_actual loads), so integer totals are block-entry counts times those
@@ -171,11 +174,19 @@ class MemoryReport:
 
 
 class ScalarLoadMemo:
-    """:func:`scalar_load_vector` memoized on ``(sources, dests)`` for
-    one allocation, k and write policy — shared by the simulator and
-    the array-layout cost model."""
+    """:func:`scalar_load_vector` for one allocation, k and write policy
+    — shared by the simulator and the array-layout cost model.
 
-    __slots__ = ("_alloc", "_k", "_eager_copies", "_vecs")
+    Memoized twice: on ``(sources, dests)`` and, on a miss there, on the
+    operands' module pattern, which is all :func:`scalar_load_vector`
+    reads of them: the destinations' copy masks (or, without
+    ``eager_copies``, their primary modules), order-free since they are
+    only counted, and the pure sources' copy masks in ascending value-id
+    order, the order :func:`~repro.core.verify.find_sdr` matches them
+    in.  Unrolled replicas have distinct value ids but few patterns.
+    """
+
+    __slots__ = ("_alloc", "_k", "_eager_copies", "_vecs", "_patterns")
 
     def __init__(self, alloc: Allocation, k: int, eager_copies: bool = True):
         self._alloc = alloc
@@ -184,6 +195,9 @@ class ScalarLoadMemo:
         self._vecs: dict[
             tuple[frozenset[int], frozenset[int]], tuple[int, ...]
         ] = {}
+        self._patterns: dict[
+            tuple[tuple[int, ...], tuple[int, ...]], tuple[int, ...]
+        ] = {}
 
     def __call__(
         self, sources: frozenset[int], dests: frozenset[int]
@@ -191,16 +205,31 @@ class ScalarLoadMemo:
         key = (sources, dests)
         vec = self._vecs.get(key)
         if vec is None:
-            vec = self._vecs[key] = scalar_load_vector(
-                sources, dests, self._alloc, self._k, self._eager_copies
-            )
+            vec = self._vecs[key] = self._by_pattern(sources, dests)
         return vec
 
-
-#: Static part of a word: (sources, dests, transfers, array touches).
-_StaticKey = tuple[
-    frozenset[int], frozenset[int], tuple[tuple[int, int, int], ...], int
-]
+    def _by_pattern(
+        self, sources: frozenset[int], dests: frozenset[int]
+    ) -> tuple[int, ...]:
+        alloc = self._alloc
+        mask = alloc.modules_mask
+        written = list(map(mask, dests))
+        read = tuple(map(mask, sorted(sources - dests)))
+        if 0 in written or 0 in read:
+            # an unplaced operand: scalar_load_vector names it
+            return scalar_load_vector(
+                sources, dests, alloc, self._k, self._eager_copies
+            )
+        if not self._eager_copies:
+            written = list(map(alloc.primary, dests))
+        written.sort()
+        pattern = (tuple(written), read)
+        vec = self._patterns.get(pattern)
+        if vec is None:
+            vec = self._patterns[pattern] = scalar_load_vector(
+                sources, dests, alloc, self._k, self._eager_copies
+            )
+        return vec
 
 
 class _Terms(NamedTuple):
@@ -221,7 +250,7 @@ class _Terms(NamedTuple):
 (_INSTRUCTIONS, _TRANSFER, _SCALAR_ACCESSES, _ARRAY_ACCESSES,
  _SCALAR_CONFLICTS, _ACTUAL_CONFLICTS, _T_ACTUAL, _T_MIN, _T_MAX) = range(9)
 
-#: A static key not yet in the terms memo (whose values may be None).
+#: A key not yet in the terms memo (whose values may be None).
 _UNPRICED = object()
 
 #: Integer-valued floats are exact below this.
@@ -293,8 +322,9 @@ class MemorySimulator:
         self._k = k
         self._delta = delta
         self._scalar_loads = ScalarLoadMemo(alloc, k, eager_copies)
-        #: None for a word without memory accesses
-        self._terms: dict[_StaticKey, _Terms | None] = {}
+        #: (scalar loads with transfers folded in, array touches) ->
+        #: terms, None for a word without memory accesses
+        self._terms: dict[tuple[tuple[int, ...], int], _Terms | None] = {}
         self._priced: dict[DecodedBlock, _PricedBlock] = {}
         self._tables: dict[str, _ModuleTable] = {}
         #: Δ as an integer when it is integral, else None (see the
@@ -312,16 +342,7 @@ class MemorySimulator:
 
     # -- static terms ---------------------------------------------------
 
-    def _word_terms(self, key: _StaticKey) -> _Terms | None:
-        sources, dests, transfers, n_arr = key
-        vec = self._scalar_loads(sources, dests)
-        if transfers:
-            # a transfer reads the source module and writes the destination
-            mutable = list(vec)
-            for _, src, dst in transfers:
-                mutable[src] += 1
-                mutable[dst] += 1
-            vec = tuple(mutable)
+    def _word_terms(self, vec: tuple[int, ...], n_arr: int) -> _Terms | None:
         n_scalar = sum(vec)
         if n_arr == 0 and n_scalar == 0:
             return None
@@ -352,13 +373,23 @@ class MemorySimulator:
         #: the scalar max load of each word without array touches
         static: list[int] = []
         memo = self._terms
+        scalar_loads = self._scalar_loads
         for word in words:
             n_words += 1
             touches = word.touches
-            key = (word.sources, word.dests, word.transfers, len(touches))
+            vec = scalar_loads(word.sources, word.dests)
+            if word.transfers:
+                # a transfer reads the source module and writes the
+                # destination
+                mutable = list(vec)
+                for _, src, dst in word.transfers:
+                    mutable[src] += 1
+                    mutable[dst] += 1
+                vec = tuple(mutable)
+            key = (vec, len(touches))
             t = memo.get(key, _UNPRICED)
             if t is _UNPRICED:
-                t = memo[key] = self._word_terms(key)
+                t = memo[key] = self._word_terms(*key)
             if t is None:
                 continue
             terms.append(t)

@@ -1,13 +1,17 @@
 """Unit and differential tests for AST loop unrolling."""
 
+import pickle
 from dataclasses import fields
 
 import pytest
 
+import repro.ir.unroll as unroll_module
 from repro.ir import build_cfg, lower_ast, run_cfg
-from repro.ir.unroll import unroll_program
+from repro.ir.unroll import Unroller, unroll_program
 from repro.lang import analyze, ast_nodes as ast, parse
+from repro.lang.errors import SemanticError
 from repro.lang.unparse import unparse
+from repro.programs import all_programs, get_program
 
 
 def run_with_unroll(source: str, factor: int, inputs=None, innermost=False):
@@ -266,27 +270,11 @@ end
 ."""
 
 
-def _owned(node):
-    """Ids of every AST node and list reachable from ``node``."""
-    found = set()
-    stack = [node]
-    while stack:
-        value = stack.pop()
-        if isinstance(value, list):
-            found.add(id(value))
-            stack.extend(value)
-        elif isinstance(value, ast.Node):
-            found.add(id(value))
-            stack.extend(getattr(value, f.name) for f in fields(value))
-    return found
-
-
-def test_replicas_share_no_node_or_list():
-    """Each replica of the body is its own tree: no node or list is
-    shared between two replicas or with the input, and the text is what
-    deep-copied replicas gave."""
+def test_nested_replicas_are_the_loop_body():
+    """Every replica of the body, the remainder loop's too, is the input
+    loop's body node itself, and the text is what deep-copied replicas
+    gave."""
     tree = parse(NESTED_SRC)
-    analyze(tree)  # replicas must carry the expression types too
     loop = tree.body.body[3]
     assert isinstance(loop, ast.For)
     unrolled = unroll_program(tree, 4)
@@ -295,9 +283,68 @@ def test_replicas_share_no_node_or_list():
     main, remainder = unrolled.body.body[3].body[2:]
     replicas = main.body.body[0::2] + remainder.body.body[0::2]
     assert len(replicas) == 5
-    seen = _owned(loop.body)
-    for replica in replicas:
-        assert replica == loop.body  # dataclass equality, types included
-        owned = _owned(replica)
-        assert not owned & seen
-        seen |= owned
+    assert all(replica is loop.body for replica in replicas)
+
+
+def test_semantic_error_in_shared_replicas_still_raised():
+    """Sema checks a shared loop body once, and still rejects it."""
+    src = """
+    program e; var i: int; x: bool;
+    begin
+      for i := 0 to 9 do x := i + 1
+    end.
+    """
+    tree = unroll_program(parse(src), 4)
+    with pytest.raises(SemanticError, match="cannot assign int to bool"):
+        analyze(tree)
+
+
+def clone(value):
+    """A structural copy of an AST subtree: every node and list in it is
+    new; the immutable leaves are shared."""
+    if isinstance(value, list):
+        return [clone(item) for item in value]
+    if not isinstance(value, ast.Node):
+        return value
+    copy = object.__new__(type(value))
+    for f in fields(value):
+        setattr(copy, f.name, clone(getattr(value, f.name)))
+    return copy
+
+
+class CloningUnroller(Unroller):
+    """Unrolls as the product did when each replica was its own clone:
+    nothing in a rewritten loop is shared with another replica or with
+    the input."""
+
+    def _unroll_for(self, loop):
+        unrolled = super()._unroll_for(loop)
+        return loop if unrolled is loop else clone(unrolled)
+
+
+def _lowered(tree) -> str:
+    analyze(tree)
+    return lower_ast(tree, constants_in_memory=True).pretty()
+
+
+@pytest.mark.parametrize("factor", [2, 4])
+@pytest.mark.parametrize("name", [spec.name for spec in all_programs()])
+def test_shared_replicas_keep_input_and_match_clones(name, factor, monkeypatch):
+    """Sharing replicas is safe: unrolling (nested loops too, as the
+    pipeline does), analysing and lowering leave the analysed input as
+    it was, and the result unparses and lowers to the same text as an
+    unroll with cloned replicas."""
+    source = get_program(name).source
+    tree = parse(source)
+    analyze(tree)  # sema's annotations are idempotent; take them first
+    before = pickle.dumps(tree)
+    shared = unroll_program(tree, factor, innermost_only=False)
+    assert shared is not tree
+    shared_text = unparse(shared)
+    shared_tac = _lowered(shared)
+    assert pickle.dumps(tree) == before
+
+    monkeypatch.setattr(unroll_module, "Unroller", CloningUnroller)
+    cloned = unroll_program(parse(source), factor, innermost_only=False)
+    assert unparse(cloned) == shared_text
+    assert _lowered(cloned) == shared_tac

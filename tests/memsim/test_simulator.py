@@ -1,6 +1,7 @@
 """Unit and integration tests for the memory simulator."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro import MachineConfig, compile_source, simulate
 from repro.core import Allocation
@@ -9,6 +10,7 @@ from repro.liw.executor import AccessEvent, ArrayTouch
 from repro.memsim import (
     InterleavedLayout,
     MemorySimulator,
+    ScalarLoadMemo,
     scalar_load_vector,
 )
 
@@ -59,6 +61,77 @@ class TestScalarLoadVector:
         alloc = alloc_of({})
         with pytest.raises(ValueError):
             scalar_load_vector(frozenset({9}), frozenset(), alloc, 4)
+
+
+@st.composite
+def load_memo_cases(draw):
+    """An allocation, a write policy and operand sets, each with a twin
+    that shares its module pattern.
+
+    Each value's copies come from a small pool of module sets, placed in
+    a drawn order, so that many values share a copy mask while their
+    primaries differ.  A twin relabels its query's values among those
+    with the same mask, which may reorder the sources' masks by value
+    id.  One more value id may be left unplaced."""
+    k = draw(st.integers(2, 8))
+    pool = draw(st.lists(
+        st.lists(st.integers(0, k - 1), min_size=1, max_size=3, unique=True),
+        min_size=1, max_size=3,
+    ))
+    n = draw(st.integers(1, 10))
+    alloc = Allocation(k)
+    alike: dict[int, list[int]] = {}
+    for v in range(n):
+        for m in draw(st.permutations(draw(st.sampled_from(pool)))):
+            alloc.add_copy(v, m)
+        alike.setdefault(alloc.modules_mask(v), []).append(v)
+    relabel = {n: n}
+    for group in alike.values():
+        relabel.update(zip(group, draw(st.permutations(group))))
+    ids = st.integers(0, n - 1 + draw(st.integers(0, 1)))
+    queries = draw(st.lists(
+        st.tuples(st.frozensets(ids, max_size=4), st.frozensets(ids, max_size=3)),
+        min_size=1, max_size=12,
+    ))
+    twins = [
+        (frozenset(map(relabel.get, sources)), frozenset(map(relabel.get, dests)))
+        for sources, dests in queries
+    ]
+    return alloc, k, draw(st.booleans()), queries + twins
+
+
+def _outcome(price):
+    try:
+        return price()
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+_NONE = frozenset()
+
+
+@settings(max_examples=300)
+@given(load_memo_cases())
+# Same source masks in the other value-id order: the matching differs.
+@example((
+    alloc_of({0: [0, 2], 1: [0, 1], 2: [0, 1], 3: [0, 2]}), 4, True,
+    [(frozenset({0, 1}), _NONE), (frozenset({2, 3}), _NONE)],
+))
+# Same destination mask, other primary: writes differ without eager copies.
+@example((
+    alloc_of({0: [0, 1], 1: [1, 0]}), 4, False,
+    [(_NONE, frozenset({0})), (_NONE, frozenset({1}))],
+))
+def test_scalar_load_memo_equals_plain_pricing(case):
+    """Whatever operand sets share a module pattern, the memo answers
+    each exactly as a fresh :func:`scalar_load_vector` call does,
+    raising the same error for an unplaced operand."""
+    alloc, k, eager, queries = case
+    memo = ScalarLoadMemo(alloc, k, eager)
+    for sources, dests in queries:
+        assert _outcome(lambda: memo(sources, dests)) == _outcome(
+            lambda: scalar_load_vector(sources, dests, alloc, k, eager)
+        )
 
 
 class TestSimulatorAccounting:

@@ -152,6 +152,18 @@ def test_scheduled_transfers(name):
     _check(spec.source, spec.inputs, _mini("STOR2", 2), scheduled_transfers=True)
 
 
+@pytest.mark.parametrize("unroll", [1, 4])
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_scheduled_transfers_stor1(name, unroll):
+    """Transfers fill the copies and only primaries are written: the
+    load memo keys destinations on their primary modules."""
+    spec = PROGRAMS[name]
+    _check(
+        spec.source, spec.inputs, _mini("STOR1", unroll),
+        scheduled_transfers=True,
+    )
+
+
 @pytest.mark.parametrize("name", ["EXACT", "FFT", "SORT"])
 def test_primary_copy_writes(name):
     """``eager_copies=False`` without transfers: only primaries written."""
